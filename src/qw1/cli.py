@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (bad flags, malformed or rejected
 files), 2 numerical/solver failure, 3 verification failure from `verify`.
-All numeric output is rounded to 12 significant digits and identical
-invocations produce byte-identical output.
+All numeric output is rounded to 12 significant digits; identical
+invocations at the same BLAS thread count produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small SDP/LP problems.
+"""Primal-dual interior-point solver for small SDP/LP problems.
 
 Standard form:
 
@@ -16,17 +16,33 @@ a Mehrotra predictor-corrector step, the textbook recipe:
 
   * NT scaling point per block from the SVD of L_s^T L_x, where
     X = L_x L_x^T and S = L_s L_s^T;
-  * Schur complement  A (W (.) W) A^T  assembled densely per block with a
-    static 1e-12 diagonal regularization (escalating jitter on Cholesky
+  * Schur complement  A (W (.) W) A^T  assembled per block with a static
+    1e-12 diagonal regularization (escalating jitter on Cholesky
     breakdown);
   * predictor with sigma = 0, corrector with sigma = (mu_aff/mu)^3 and the
     second-order Mehrotra term;
   * steps damped to 0.98 of the distance to the cone boundary.
 
-Equality constraints that are linearly dependent are dropped up front by a
-rank-revealing QR of A^T (pivot threshold 1e-10); the multipliers of
-dropped rows are reported as 0.  Everything is deterministic: same problem
-and options give the same iterates.
+A is converted to CSR once per solve, and the presolve and the Schur
+complement read its rows from that copy.  Every A x, A^T y and residual
+is a sparse product too, unless A has at most 2^14 entries: there a dense
+product is cheaper than a sparse call.
+
+The Schur complement of a PSD block comes from the nonzeros of each
+constraint row F_b (Fujisawa, Kojima and Nakata, "Exploiting sparsity in
+primal-dual interior-point methods for semidefinite programming", Math.
+Prog. 79, 1997): W F_b W is a sum of rank-one terms W e_p e_q^T W, one per
+nonzero, and M[a, b] = <F_a, W F_b W> reads it only where F_a is nonzero.
+Blocks where that costs more than the dense formula (stack every touching
+row as a k x k matrix, multiply by W on both sides) use the dense formula;
+the choice is made per block from its order, row count and nonzero count.
+
+Equality constraints that are linearly dependent are dropped up front.  A
+Cholesky factorization of the Gram matrix A A^T and its condition
+estimate first test whether A has full row rank; only when that test fails
+does a rank-revealing QR of A^T (pivot threshold 1e-10) choose the rows
+to keep.  The multipliers of dropped rows are reported as 0.  Everything is
+deterministic: same problem and options give the same iterates.
 
 Complex Hermitian data enters through embed_hermitian, which doubles
 traces and inner products; callers compensate the factor 2.
@@ -41,12 +57,21 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DimensionMismatch, InvalidInput
 
 PRESOLVE_PIVOT_TOL = 1e-10
+# entries of A up to which the iteration multiplies by a dense copy of it:
+# below about this size a sparse product costs more in calls than in work
+_DENSE_PRODUCT_SIZE = 1 << 14
 STATIC_REGULARIZATION = 1e-12
-
+# entries of the W F_b W matrices formed at once by the sparse Schur formula:
+# small enough that one batch stays in cache while it is contracted
+_SCHUR_BATCH = 1 << 16
+# cost of one batched numpy call in flops of a large matrix product (about
+# 30 us against 8e-11 s per flop on one core); see _sparse_schur_pays
+_CALL_FLOPS = 4e5
 
 class SolverStatus(enum.Enum):
     Optimal = "Optimal"
@@ -282,42 +307,160 @@ def _chol_like(m: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
-def _presolve(A: np.ndarray, b: np.ndarray):
-    """Keep a maximal independent row set via QR with column pivoting on A^T."""
+def _full_row_rank(A) -> bool:
+    """Cheap sufficient test that a pivoted QR of A^T would keep every row.
+
+    That QR has |r_00| <= sigma_max(A) and |r_jj| >= sigma_min(A) for every
+    j, so it keeps all rows once sigma_min / sigma_max > PRESOLVE_PIVOT_TOL.
+    The squared ratio is the reciprocal 2-norm condition number of the Gram
+    matrix A A^T, at least rcond_1 / m.  LAPACK's 1-norm estimate (dpocon
+    on the Cholesky factor) rarely exceeds the true rcond_1 by more than a
+    factor 10, so an estimate above PRESOLVE_PIVOT_TOL puts the ratio above
+    sqrt(PRESOLVE_PIVOT_TOL / (10 m)), far above the pivot threshold.
+    """
+    m, n = A.shape
+    if m > n:
+        return False
+    gram = (A @ A.T).toarray()
+    anorm = np.abs(gram).sum(axis=0).max()
+    factor, info = scipy.linalg.lapack.dpotrf(gram)
+    if info != 0:
+        return False
+    rcond, info = scipy.linalg.lapack.dpocon(factor, anorm)
+    return info == 0 and rcond > PRESOLVE_PIVOT_TOL
+
+
+def _presolve(A, b: np.ndarray):
+    """Keep a maximal independent row set of the CSR matrix A.
+
+    A that passes _full_row_rank is kept whole; otherwise QR with column
+    pivoting on A^T picks the rows.
+    """
     m = A.shape[0]
-    if m == 0:
-        return A, b, np.array([], dtype=int)
-    r = scipy.linalg.qr(A.T, mode="r", pivoting=True)
+    if m == 0 or _full_row_rank(A):
+        return A, b, np.arange(m)
+    r = scipy.linalg.qr(A.toarray().T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r[0]))
     piv = r[1]
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
     else:
         rank = int(np.sum(diag > PRESOLVE_PIVOT_TOL * diag[0]))
+    if rank == m:
+        return A, b, np.arange(m)
     keep = np.sort(piv[:rank])
     return A[keep], b[keep], keep
 
 
-class _BlockData:
-    """Per-block constraint data used to assemble the Schur complement fast."""
+def _entries(row, col, val, sl: slice):
+    """The nonzeros (row, col, val) of A that lie in the columns sl, as
+    (touch, pos, col, val): touch the sorted rows holding any, touch[pos]
+    the row of each nonzero and col its column within sl."""
+    inside = (col >= sl.start) & (col < sl.stop)
+    touch, pos = np.unique(row[inside], return_inverse=True)
+    return touch, pos, col[inside] - sl.start, val[inside]
 
-    def __init__(self, A: np.ndarray, cone: _Cone):
+
+class _DenseRows:
+    """Dense Schur formula for one block: the touching rows stacked as k x k
+    matrices, each multiplied by W on both sides."""
+
+    def __init__(self, touch, pos, col, val, k: int):
+        self.touch = touch
+        self.rows = np.zeros((touch.size, svec_len(k)))
+        self.rows[pos, col] = val
+        self.mats = smat(self.rows, k)
+
+    def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
+        T = W @ self.mats @ W
+        M[np.ix_(self.touch, self.touch)] += self.rows @ svec(T).T
+
+
+class _SparseRows:
+    """Sparse Schur formula for one block (Fujisawa-Kojima-Nakata).
+
+    Row b's matrix F_b has a few nonzeros F_b[p, q], so W F_b W is the sum
+    of the rank-one terms F_b[p, q] W[:, p] W[q, :].  Rows with the same
+    number of such terms are batched into one stacked product, and
+    M[a, b] = <F_a, W F_b W> is read off at the upper-triangle nonzeros of
+    F_a by one sparse product per batch.
+    """
+
+    def __init__(self, touch, pos, col, val, k: int, m: int):
+        rows, cols, scale = _triu(k)
+        r, s = rows[col], cols[col]
+        # <F_a, T> = sum over the upper triangle of svec(F_a) * scale * T[r, s]
+        self.contract = scipy.sparse.csr_matrix(
+            (val * scale[col], (touch[pos], r * k + s)), shape=(m, k * k))
+        # matrix entries of every F_b, both triangles, grouped by row
+        off = r != s
+        value = val / scale[col]
+        entry_row = np.concatenate([pos, pos[off]])
+        order = np.argsort(entry_row, kind="stable")
+        P = np.concatenate([r, s[off]])[order]
+        Q = np.concatenate([s, r[off]])[order]
+        V = np.concatenate([value, value[off]])[order]
+        count = np.bincount(entry_row, minlength=touch.size)
+        start = np.cumsum(count) - count
+        per_batch = max(1, _SCHUR_BATCH // (k * k))
+        self.batches = []
+        for p in np.unique(count):
+            group = np.flatnonzero(count == p)
+            for lo in range(0, group.size, per_batch):
+                g = group[lo:lo + per_batch]
+                idx = start[g, None] + np.arange(p)
+                self.batches.append((touch[g], P[idx], Q[idx], V[idx]))
+
+    def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
+        for cols, P, Q, V in self.batches:
+            # W F_b W for the batch's rows, as a (rows, k, k) stack
+            T = (W[P] * V[..., None]).transpose(0, 2, 1) @ W[Q]
+            T = np.ascontiguousarray(T.reshape(cols.size, -1).T)
+            # M is symmetric: M[b, :] = M[:, b] writes whole rows
+            M[cols] += (self.contract @ T).T
+
+
+def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
+    """Is the sparse formula cheaper than the dense one for a block of
+    order k touched by t rows with nnz svec nonzeros?
+
+    The dense formula costs two k x k matrix products per row.  The sparse
+    one costs a k x k rank-one term per matrix entry (at most two per svec
+    nonzero) plus one batched call per _SCHUR_BATCH entries of W F_b W.
+    """
+    dense = 4.0 * t * k ** 3
+    sparse = 4.0 * nnz * k * k + _CALL_FLOPS * math.ceil(t * k * k / _SCHUR_BATCH)
+    return sparse < dense
+
+
+class _BlockData:
+    """Per-block constraint data for the Schur complement: one _SparseRows
+    or _DenseRows per PSD block (None if no row touches it), and the LP
+    columns of A as a dense array.  A is a CSR matrix."""
+
+    def __init__(self, A, cone: _Cone):
+        m = A.shape[0]
+        nonzeros = np.repeat(np.arange(m), np.diff(A.indptr)), A.indices, A.data
         self.entries = []
         for k, sl in zip(cone.blocks, cone.slices):
-            sub = A[:, sl]
-            touch = np.flatnonzero(np.any(sub != 0.0, axis=1))
-            mats = smat(sub[touch], k) if touch.size else np.zeros((0, k, k))
-            self.entries.append((touch, sub[touch], mats, k))
-        self.lp_cols = A[:, cone.lp_slice]
+            touch, pos, col, val = _entries(*nonzeros, sl)
+            if touch.size == 0:
+                self.entries.append(None)
+            elif _sparse_schur_pays(k, touch.size, val.size):
+                self.entries.append(_SparseRows(touch, pos, col, val, k, m))
+            else:
+                self.entries.append(_DenseRows(touch, pos, col, val, k))
+        self.lp_cols = np.zeros((m, cone.lp_dim))
+        if cone.lp_dim:
+            touch, pos, col, val = _entries(*nonzeros, cone.lp_slice)
+            self.lp_cols[touch[pos], col] = val
 
 
 def _schur(bd: _BlockData, scal: _Scaling, m: int) -> np.ndarray:
     M = np.zeros((m, m))
-    for (touch, sub, mats, k), W in zip(bd.entries, scal.W):
-        if touch.size == 0:
-            continue
-        T = W @ mats @ W
-        M[np.ix_(touch, touch)] += sub @ svec(T).T
+    for rows, W in zip(bd.entries, scal.W):
+        if rows is not None:
+            rows.add_to(M, W)
     if bd.lp_cols.shape[1]:
         M += (bd.lp_cols * scal.w_lp ** 2) @ bd.lp_cols.T
     return (M + M.T) / 2.0
@@ -329,10 +472,14 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     reports it through the status field instead."""
     opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
-    A_full, b_full, c = problem.A, problem.b, problem.c
+    A_full = scipy.sparse.csr_matrix(problem.A)
+    b_full, c = problem.b, problem.c
     A, b, keep = _presolve(A_full, b_full)
     m = A.shape[0]
     bd = _BlockData(A, cone)
+    if problem.A.size <= _DENSE_PRODUCT_SIZE:
+        A_full, A = problem.A, A.toarray()
+    AT = A.T
 
     e = cone.identity()
     x = _push_interior(cone, x0) if x0 is not None else e.copy()
@@ -351,7 +498,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
 
     for it in range(1, opts.max_iterations + 1):
         rp = b - A @ x
-        rd = c - A.T @ y - s
+        rd = c - AT @ y - s
         mu = float(x @ s) / cone.nu
         pobj = float(c @ x)
         dobj = float(b @ y)
@@ -387,7 +534,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         def newton(rc):
             rhs = rp - A @ (rc - scal.apply_G(rd))
             dy = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-            ds = rd - A.T @ dy
+            ds = rd - AT @ dy
             dx = rc - scal.apply_G(ds)
             return dx, dy, ds
 

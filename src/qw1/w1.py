@@ -19,6 +19,17 @@ factor 2 that the embedding introduces in traces and inner products is
 compensated here, not in the solver.  Every constraint row is one element
 of a Frobenius-orthonormal Hermitian basis paired against the variables.
 
+Both programs omit one row, the full-space constraint of the basis element
+E_00, so that their constraint matrices have full row rank and the solver
+has no row to drop.  The rows are dependent through the trace:
+the full-space diagonal rows E_rr sum to the trace row of sum_i (P_i - Q_i),
+which the site rows of the identity components already fix, and X is
+traceless, so the omitted row holds at every feasible point.  Its multiplier
+is free along that dependency: fixing it at 0 moves the other diagonal
+multipliers by a common constant, which shifts the reconstructed witness by
+a multiple of I.  The traceless projection of the witness removes that
+shift, so the witness is unchanged.
+
 The Lipschitz constant ||H||_L = 2 max_i min_K ||H - I_i (x) K||_inf is n
 independent single-site programs; the optimization-free sandwich of
 lipschitz_estimate brackets it within a factor 2(d^2-1)/d^2.
@@ -175,9 +186,10 @@ def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1C
     d, n = x.d, x.n
     D = x.layout.dim
     basis, full, comp, site = _layout_data(d, n)
+    basis, full = basis[1:], full[1:]  # E_00 omitted: see the module docstring
     L = svec_len(2 * D)
     nc = comp.shape[0]
-    m_rows = n * nc + D * D
+    m_rows = n * nc + full.shape[0]
     A = np.zeros((m_rows, 2 * n * L))
     b = np.zeros(m_rows)
     c = np.zeros(2 * n * L)
@@ -224,27 +236,29 @@ def w1_dual(x: HermitianOperator, options: SolverOptions | None = None) -> W1Cer
     d, n = x.d, x.n
     D = x.layout.dim
     basis, full, comp, site = _layout_data(d, n)
+    basis, full = basis[1:], full[1:]  # E_00 omitted: see the module docstring
     L = svec_len(2 * D)
     nc = comp.shape[0]
-    m_rows = D * D + n * nc
+    nf = full.shape[0]
+    m_rows = nf + n * nc
     A = np.zeros((m_rows, 2 * n * L))
     b = np.zeros(m_rows)
     c = np.zeros(2 * n * L)
     half_id = svec(np.eye(2 * D)) / 2.0
     sl = [slice(j * L, (j + 1) * L) for j in range(2 * n)]  # (1,+),(1,-),(2,+),...
     for i in range(n):
-        A[:D * D, sl[2 * i]] = full
-        A[:D * D, sl[2 * i + 1]] = -full
-        rows = slice(D * D + i * nc, D * D + (i + 1) * nc)
+        A[:nf, sl[2 * i]] = full
+        A[:nf, sl[2 * i + 1]] = -full
+        rows = slice(nf + i * nc, nf + (i + 1) * nc)
         A[rows, sl[2 * i]] = -site[i]
         A[rows, sl[2 * i + 1]] = site[i]
         c[sl[2 * i]] = half_id
         c[sl[2 * i + 1]] = half_id
-    b[:D * D] = _traces(basis, x.matrix)
+    b[:nf] = _traces(basis, x.matrix)
 
     sol = _solved(ConicProblem((2 * D,) * (2 * n), 0, A, b, c),
                   options, y0=np.zeros(m_rows))
-    h = np.einsum("k,kij->ij", sol.y[:D * D], basis)
+    h = np.einsum("k,kij->ij", sol.y[:nf], basis)
     h -= np.trace(h) / D * np.eye(D)
     witness = HermitianOperator(x.layout, h)
     decomposition = []

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
+from qw1 import HermitianOperator, QuditLayout, conic, random_density, w1_primal
 from qw1.conic import (
     ConicProblem,
     SolverOptions,
@@ -103,12 +106,33 @@ def test_presolve_drops_redundant_rows():
     assert sol.y.shape == (3,)
 
 
-def test_deterministic_bytes():
-    a = solve(_lp_problem())
-    b = solve(_lp_problem())
-    assert a.x.tobytes() == b.x.tobytes()
-    assert a.y.tobytes() == b.y.tobytes()
-    assert a.iterations == b.iterations
+def _w1_problem(monkeypatch, n=2):
+    """The conic program w1_primal builds for a seeded (2,n) difference."""
+    lay = QuditLayout(2, n)
+    x = random_density(lay, seed=3).matrix - random_density(lay, seed=4).matrix
+    captured = []
+
+    def capture(problem, *args, **kwargs):
+        captured.append(problem)
+        raise RuntimeError("captured")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(conic, "solve", capture)
+        with pytest.raises(RuntimeError):
+            w1_primal(HermitianOperator(lay, x))
+    return captured[0]
+
+
+def test_deterministic_bytes(monkeypatch):
+    problems = [_lp_problem(), _w1_problem(monkeypatch)]
+    for prob in problems:
+        a = solve(prob)
+        b = solve(prob)
+        assert a.optimal
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+        assert a.s.tobytes() == b.s.tobytes()
+        assert a.iterations == b.iterations
 
 
 def test_warm_start_hints():
@@ -141,3 +165,136 @@ def test_residuals_reported():
     sol = solve(_lp_problem())
     assert sol.primal_residual < 1e-8
     assert sol.dual_residual < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Schur complement assembly against the dense formula
+# ---------------------------------------------------------------------------
+
+def _dense_schur(A, cone, Ws, w_lp):
+    """Reference: every touching row as a k x k matrix, W on both sides."""
+    m = A.shape[0]
+    M = np.zeros((m, m))
+    for k, sl, W in zip(cone.blocks, cone.slices, Ws):
+        sub = A[:, sl]
+        touch = np.flatnonzero(np.any(sub != 0.0, axis=1))
+        if touch.size == 0:
+            continue
+        T = W @ smat(sub[touch], k) @ W
+        M[np.ix_(touch, touch)] += sub[touch] @ svec(T).T
+    lp = A[:, cone.lp_slice]
+    M += (lp * w_lp ** 2) @ lp.T
+    return (M + M.T) / 2.0
+
+
+def _random_spd(rng, k):
+    g = rng.standard_normal((k, k))
+    return g @ g.T / k + 0.1 * np.eye(k)
+
+
+def _structured_rows(rng, blocks, lp_dim, untouched):
+    """Rows with one nonzero, a dense identity row per block, rows spanning
+    two PSD blocks, sparse random rows and LP entries; block `untouched`
+    gets no nonzero at all."""
+    cone = conic._Cone(blocks, lp_dim)
+    rows = []
+    used = [i for i in range(len(blocks)) if i != untouched]
+    for i in used:
+        sl = cone.slices[i]
+        width = sl.stop - sl.start
+        for _ in range(3):  # one nonzero: a diagonal or off-diagonal entry
+            r = np.zeros(cone.dim)
+            r[sl.start + rng.integers(width)] = rng.standard_normal()
+            rows.append(r)
+        r = np.zeros(cone.dim)  # dense identity row, as in the Lipschitz program
+        r[sl] = -svec(np.eye(blocks[i]))
+        rows.append(r)
+        for _ in range(4):  # a few random nonzeros, plus the LP tail
+            r = np.zeros(cone.dim)
+            r[sl.start + rng.choice(width, size=min(width, 4), replace=False)] = \
+                rng.standard_normal(min(width, 4))
+            if lp_dim:
+                r[cone.lp_slice.start + rng.integers(lp_dim)] = rng.standard_normal()
+            rows.append(r)
+    for a, b_ in zip(used, used[1:]):  # rows spanning two PSD blocks
+        r = np.zeros(cone.dim)
+        for i in (a, b_):
+            sl = cone.slices[i]
+            width = min(2, sl.stop - sl.start)
+            r[sl.start + rng.choice(sl.stop - sl.start, size=width, replace=False)] = \
+                rng.standard_normal(width)
+        rows.append(r)
+    return cone, np.array(rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("use_sparse", [True, False])
+def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
+    rng = np.random.default_rng(seed)
+    blocks = (3, 6, 1, 5)[: 2 + seed % 3]
+    lp_dim = (0, 3)[seed % 2]
+    cone, A = _structured_rows(rng, blocks, lp_dim, untouched=seed % len(blocks))
+    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
+    bd = conic._BlockData(scipy.sparse.csr_matrix(A), cone)
+    formula = conic._SparseRows if use_sparse else conic._DenseRows
+    assert bd.entries[seed % len(blocks)] is None
+    assert all(isinstance(e, formula) for e in bd.entries if e is not None)
+
+    class Scal:
+        W = [_random_spd(rng, k) for k in blocks]
+        w_lp = rng.uniform(0.5, 2.0, lp_dim)
+
+    M = conic._schur(bd, Scal, A.shape[0])
+    ref = _dense_schur(A, cone, Scal.W, Scal.w_lp)
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    np.testing.assert_array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("use_sparse", [True, False])
+def test_schur_on_w1_program(use_sparse, monkeypatch):
+    prob = _w1_problem(monkeypatch)
+    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
+    cone = conic._Cone(prob.psd_blocks, prob.lp_dim)
+    bd = conic._BlockData(scipy.sparse.csr_matrix(prob.A), cone)
+    rng = np.random.default_rng(7)
+
+    class Scal:
+        W = [_random_spd(rng, k) for k in prob.psd_blocks]
+        w_lp = np.ones(0)
+
+    M = conic._schur(bd, Scal, prob.A.shape[0])
+    ref = _dense_schur(prob.A, cone, Scal.W, Scal.w_lp)
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+# ---------------------------------------------------------------------------
+# presolve
+# ---------------------------------------------------------------------------
+
+def _no_qr(*args, **kwargs):
+    raise AssertionError("pivoted QR called on a full-row-rank problem")
+
+
+def test_full_rank_problem_skips_qr(monkeypatch):
+    prob = _w1_problem(monkeypatch, n=3)
+    monkeypatch.setattr(scipy.linalg, "qr", _no_qr)
+    A, b, keep = conic._presolve(scipy.sparse.csr_matrix(prob.A), prob.b)
+    np.testing.assert_array_equal(keep, np.arange(prob.A.shape[0]))
+    assert A.shape == prob.A.shape
+    assert solve(prob).optimal
+
+
+def test_presolve_drops_nearly_repeated_row():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((60, 400)) * (rng.random((60, 400)) < 0.05)
+    b = A @ rng.standard_normal(400)
+    assert conic._full_row_rank(scipy.sparse.csr_matrix(A))
+    near = A[2] + 1e-13 * rng.standard_normal(400)
+    A = np.vstack([A, near])
+    b = np.append(b, b[2])
+    A_csr = scipy.sparse.csr_matrix(A)
+    assert not conic._full_row_rank(A_csr)
+    _, b_kept, keep = conic._presolve(A_csr, b)
+    assert keep.size == 60
+    assert (2 in keep) != (60 in keep)
+    np.testing.assert_array_equal(b_kept, b[keep])

@@ -28,7 +28,9 @@ from qw1 import (
     w1_dual,
     w1_primal,
 )
+from qw1 import conic
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
+from qw1.w1 import _layout_data
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -212,3 +214,32 @@ def test_local_hamiltonian_bound_support_mismatch():
     z = HermitianOperator(_qubits(1), SZ)
     with pytest.raises(SupportMismatch):
         local_hamiltonian_lipschitz_bound(lay, [([1, 2], z)])
+
+
+def _w1_constraints(monkeypatch, program, layout):
+    """The constraint matrix `program` hands to the solver."""
+    captured = []
+
+    def capture(problem, *args, **kwargs):
+        captured.append(problem.A)
+        raise RuntimeError("captured")
+
+    x = random_traceless(layout, seed=5)
+    with monkeypatch.context() as mp:
+        mp.setattr(conic, "solve", capture)
+        with pytest.raises(RuntimeError):
+            program(x)
+    return captured[0]
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("program", [w1_primal, w1_dual])
+def test_w1_rows_full_rank_and_omitted_row_dependent(monkeypatch, program, d, n):
+    A = _w1_constraints(monkeypatch, program, QuditLayout(d, n))
+    rank = np.linalg.matrix_rank(A)
+    assert rank == A.shape[0]
+    # the omitted full-space E_00 row: +svec(E_00) on every P_i (or +)
+    # block, -svec(E_00) on every Q_i (or -) block
+    e00 = _layout_data(d, n)[1][0]
+    omitted = np.concatenate([np.concatenate([e00, -e00]) for _ in range(n)])
+    assert np.linalg.matrix_rank(np.vstack([A, omitted])) == rank
