@@ -28,7 +28,7 @@ import numpy as np
 import scipy.optimize
 
 from . import conic
-from .conic import ConicProblem, SolverOptions, SolverStatus, svec, svec_len
+from .conic import ConicProblem, SolverOptions, svec
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -36,7 +36,6 @@ from .errors import (
     NotTracePreserving,
     NotUnitary,
     ParameterRange,
-    SolverFailure,
 )
 from .operators import (
     DensityMatrix,
@@ -256,54 +255,33 @@ def diamond_norm(phi: KrausChannel, psi: KrausChannel,
     corner[:dj, dj:] = -j
     corner[dj:, :dj] = -j.conj().T
 
-    in_basis = hermitian_basis(din)
-    # constraint rows: corner content of Z, then S_a + Tr_out(Y_a) - t_a I = 0
-    rows = []
-    rhs = []
-    cvec = []
-    blocks = (2 * big, 2 * din, 2 * din)  # embedded Z, S0, S1
-    Lz, Ls = svec_len(blocks[0]), svec_len(blocks[1])
+    # constraint rows: the corner of Z, then S_a + Tr_out(Y_a) - t_a I = 0
+    blocks = (big, din, din)      # Z, S0, S1
+    Lz, Ls = big * big, din * din
     ncols = Lz + 2 * Ls + 2
-    sl_z = slice(0, Lz)
-    sl_s = [slice(Lz, Lz + Ls), slice(Lz + Ls, Lz + 2 * Ls)]
     col_t = [Lz + 2 * Ls, Lz + 2 * Ls + 1]
-
-    corner_sv = svec(conic.embed_hermitian(corner))
-    for a in range(dj):
-        for b_ in range(dj):
-            for part in (0, 1):
-                f = np.zeros((big, big), dtype=complex)
-                if part == 0:
-                    f[a, dj + b_] = 0.5
-                    f[dj + b_, a] = 0.5
-                else:
-                    f[a, dj + b_] = 0.5j
-                    f[dj + b_, a] = -0.5j
-                row = np.zeros(ncols)
-                fsv = svec(conic.embed_hermitian(f))
-                row[sl_z] = fsv
-                rows.append(row)
-                rhs.append(float(fsv @ corner_sv))
+    mask = np.zeros((big, big), dtype=complex)
+    mask[:dj, dj:] = 1.0 + 1.0j
+    fixed = np.flatnonzero(svec(mask))   # real and imaginary corner coordinates
+    nfix = fixed.size
+    A = np.zeros((nfix + 2 * Ls, ncols))
+    b = np.zeros(nfix + 2 * Ls)
+    A[np.arange(nfix), fixed] = 1.0
+    b[:nfix] = svec(corner)[fixed]
     for a in range(2):
-        for f in in_basis:
-            row = np.zeros(ncols)
-            lift = np.zeros((big, big), dtype=complex)
-            blockslice = slice(0, dj) if a == 0 else slice(dj, 2 * dj)
-            lift[blockslice, blockslice] = _trace_out_adjoint(f, din)
-            row[sl_z] = svec(conic.embed_hermitian(lift))
-            row[sl_s[a]] = svec(conic.embed_hermitian(f))
-            row[col_t[a]] = -2.0 * np.trace(f).real
-            rows.append(row)
-            rhs.append(0.0)
+        rows = slice(nfix + a * Ls, nfix + (a + 1) * Ls)
+        block = slice(a * dj, (a + 1) * dj)
+        lift = np.zeros((big, big), dtype=complex)
+        for r, f in enumerate(hermitian_basis(din)):
+            lift[block, block] = _trace_out_adjoint(f, din)
+            A[rows.start + r, :Lz] = svec(lift)
+        A[rows, Lz + a * Ls:Lz + (a + 1) * Ls] = np.eye(Ls)
+        A[rows, col_t[a]] = -svec(np.eye(din))
 
-    A = np.array(rows)
-    b = np.array(rhs)
     c = np.zeros(ncols)
     c[col_t[0]] = 0.5
     c[col_t[1]] = 0.5
-    sol = conic.solve(ConicProblem(blocks, 2, A, b, c), options)
-    if sol.status is not SolverStatus.Optimal:
-        raise SolverFailure(f"diamond norm SDP: {sol.status.value}")
+    sol = conic._solved(ConicProblem(blocks, 2, A, b, c), "diamond norm SDP", options)
     return max(sol.primal_objective, 0.0)
 
 
@@ -446,13 +424,14 @@ def tensor_power_contraction_bounds(phi: KrausChannel, n: int,
         witness=witness, witness_ratio=ratio, n=n)
 
 
-def _random_channel(d: int, rng) -> KrausChannel:
-    """Haar-isometry CPTP map with environment dimension d^2."""
-    env = d * d
-    g = rng.standard_normal((d * env, d)) + 1j * rng.standard_normal((d * env, d))
+def _random_channel(layout: QuditLayout, rng) -> KrausChannel:
+    """Haar-isometry CPTP map on the layout, environment dimension dim^2."""
+    dim = layout.dim
+    env = dim * dim
+    g = rng.standard_normal((dim * env, dim)) + 1j * rng.standard_normal((dim * env, dim))
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return KrausChannel(QuditLayout(d, 1), [q[e * d:(e + 1) * d, :] for e in range(env)])
+    return KrausChannel(layout, [q[e * dim:(e + 1) * dim, :] for e in range(env)])
 
 
 def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
@@ -466,8 +445,9 @@ def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
     for _ in range(samples):
         i = int(rng.integers(1, layout.n + 1))
         shared = random_density(layout, seed=rng)
-        lam1 = embed_channel(_random_channel(layout.d, rng), layout, [i])
-        lam2 = embed_channel(_random_channel(layout.d, rng), layout, [i])
+        one = QuditLayout(layout.d, 1)
+        lam1 = embed_channel(_random_channel(one, rng), layout, [i])
+        lam2 = embed_channel(_random_channel(one, rng), layout, [i])
         x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
         xop = HermitianOperator(layout, x)
         den = w1_primal(xop, options).value

@@ -16,12 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import conic
-from .conic import ConicProblem, SolverOptions, SolverStatus
+from .conic import ConicProblem, SolverOptions
 from .errors import (
     InvalidInput,
     LayoutMismatch,
     LengthMismatch,
-    SolverFailure,
     SupportViolation,
 )
 from .operators import DensityMatrix, QuditLayout
@@ -115,13 +114,6 @@ def _same_layout(p: Distribution, q: Distribution):
         raise LayoutMismatch(f"{p.layout} vs {q.layout}")
 
 
-def _solved(problem, options):
-    sol = conic.solve(problem, options)
-    if sol.status is not SolverStatus.Optimal:
-        raise SolverFailure(f"transport LP ended with {sol.status.value}")
-    return sol
-
-
 def classical_w1(p: Distribution, q: Distribution,
                  options: SolverOptions | None = None):
     """Minimal expected Hamming cost over couplings; returns (value, coupling)."""
@@ -133,7 +125,7 @@ def classical_w1(p: Distribution, q: Distribution,
         A[i, i * D:(i + 1) * D] = 1.0       # row sums -> p
         A[D + i, i::D] = 1.0                # column sums -> q
     b = np.concatenate([p.weights, q.weights])
-    sol = _solved(ConicProblem((), D * D, A, b, cost.ravel()), options)
+    sol = conic._solved(ConicProblem((), D * D, A, b, cost.ravel()), "transport LP", options)
     coupling = np.maximum(sol.x.reshape(D, D), 0.0)
     return max(sol.primal_objective, 0.0), coupling
 
@@ -157,7 +149,7 @@ def classical_w1_dual(p: Distribution, q: Distribution,
         A[j, k] = -1.0
         c[k] = cost[i, j]
     b = p.weights - q.weights
-    sol = _solved(ConicProblem((), len(pairs), A, b, c), options)
+    sol = conic._solved(ConicProblem((), len(pairs), A, b, c), "transport dual LP", options)
     f = sol.y - sol.y[0]
     return max(sol.dual_objective, 0.0), f
 

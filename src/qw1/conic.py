@@ -4,24 +4,34 @@ Standard form:
 
     minimize    c . x
     subject to  A x = b
-                x in K = S+(k_1) x ... x S+(k_B) x R+^m
+                x in K = H+(k_1) x ... x H+(k_B) x R+^m
 
-PSD blocks are stored in svec coordinates (upper triangle, row-major,
-off-diagonal entries scaled by sqrt(2) so the Euclidean inner product of
-two svecs equals the trace inner product of the matrices); the
+H+(k) is the cone of positive semidefinite complex Hermitian k x k
+matrices.  A block of order k is stored as its k^2 real svec coordinates,
+in the order of the Frobenius-orthonormal basis F_a of w1.hermitian_basis:
+X[r, r], then for each c > r sqrt(2) Re X[r, c] and sqrt(2) Im X[r, c].
+So svec(X)[a] = Tr[F_a X] and svec(X) . svec(Y) = Tr[X Y]; a constraint
+row a . x reads Tr[F X] with F = smat(a), and c, A and b stay real.  The
 nonnegative-orthant segment sits after all PSD blocks.
 
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and
 a Mehrotra predictor-corrector step, the textbook recipe:
 
-  * NT scaling point per block from the SVD of L_s^T L_x, where
-    X = L_x L_x^T and S = L_s L_s^T;
+  * NT scaling point per block from the SVD of L_s^H L_x, where
+    X = L_x L_x^H and S = L_s L_s^H;
   * Schur complement  A (W (.) W) A^T  assembled per block with a static
     1e-12 diagonal regularization (escalating jitter on Cholesky
     breakdown);
   * predictor with sigma = 0, corrector with sigma = (mu_aff/mu)^3 and the
     second-order Mehrotra term;
   * steps damped to 0.98 of the distance to the cone boundary.
+
+x and s start at 2I on every PSD block and at 1 on the LP tail, unless a
+hint is given.  Earlier versions solved each Hermitian block as its real
+symmetric image of twice the order, started at the identity there; from
+2I the W1 programs of qw1.w1 follow those same iterates, so seeded outputs
+built on them keep their values.  Only the stopping test, whose residuals
+were scaled differently there, can end a solve one iteration apart.
 
 A is converted to CSR once per solve, and the presolve and the Schur
 complement read its rows from that copy.  Every A x, A^T y and residual
@@ -32,7 +42,8 @@ The Schur complement of a PSD block comes from the nonzeros of each
 constraint row F_b (Fujisawa, Kojima and Nakata, "Exploiting sparsity in
 primal-dual interior-point methods for semidefinite programming", Math.
 Prog. 79, 1997): W F_b W is a sum of rank-one terms W e_p e_q^T W, one per
-nonzero, and M[a, b] = <F_a, W F_b W> reads it only where F_a is nonzero.
+nonzero, and M[a, b] = Tr[F_a W F_b W] reads it only where F_a is nonzero.
+M is real: the trace of a product of two Hermitian matrices is real.
 Blocks where that costs more than the dense formula (stack every touching
 row as a k x k matrix, multiply by W on both sides) use the dense formula;
 the choice is made per block from its order, row count and nonzero count.
@@ -42,25 +53,27 @@ Cholesky factorization of the Gram matrix A A^T and its condition
 estimate first test whether A has full row rank; only when that test fails
 does a rank-revealing QR of A^T (pivot threshold 1e-10) choose the rows
 to keep.  The multipliers of dropped rows are reported as 0.  Everything is
-deterministic: same problem and options give the same iterates.
-
-Complex Hermitian data enters through embed_hermitian, which doubles
-traces and inner products; callers compensate the factor 2.
+deterministic: same problem and options give the same iterates.  Each
+iteration's mu, gap and residuals are logged at DEBUG level to the
+"qw1.conic" logger.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, SolverFailure
 
+_log = logging.getLogger("qw1.conic")
 PRESOLVE_PIVOT_TOL = 1e-10
 # entries of A up to which the iteration multiplies by a dense copy of it:
 # below about this size a sparse product costs more in calls than in work
@@ -84,7 +97,6 @@ class SolverOptions:
     max_iterations: int = 200
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    verbose: bool = False
     step_fraction: float = 0.98
 
 
@@ -137,7 +149,7 @@ class ConicSolution:
 
 
 # ---------------------------------------------------------------------------
-# svec / smat and the real embedding of Hermitian matrices
+# Hermitian svec / smat
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
@@ -145,56 +157,54 @@ _svec_cache: dict = {}
 
 
 def svec_len(k: int) -> int:
-    return k * (k + 1) // 2
+    return k * k
 
 
-def _triu(k: int):
+# The svec coordinates of order k: coordinate a reads entry (row[a], col[a])
+# of the upper triangle, its imaginary part where imag[a], times scale[a];
+# upper[a] indexes that part in the float view of a C-ordered complex k x k
+# matrix.  smat writes coordinate a divided by div[a] at scatter[a] and,
+# divided by div[k^2 + a], at scatter[k^2 + a], the same part of the mirror
+# entry (negated for an imaginary part).
+_Coords = collections.namedtuple("_Coords", "row col imag scale upper scatter div")
+
+
+def _coords(k: int) -> _Coords:
     try:
         return _svec_cache[k]
     except KeyError:
         rows, cols = np.triu_indices(k)
-        scale = np.where(rows == cols, 1.0, _SQRT2)
-        _svec_cache[k] = (rows, cols, scale)
+        off = rows != cols
+        # each off-diagonal entry gives a real and an imaginary coordinate
+        row = np.repeat(rows, 1 + off)
+        col = np.repeat(cols, 1 + off)
+        imag = np.zeros(row.size, dtype=bool)
+        imag[np.cumsum(1 + off)[off] - 1] = True
+        scale = np.where(row == col, 1.0, _SQRT2)
+        upper = 2 * (row * k + col) + imag
+        lower = 2 * (col * k + row) + imag
+        _svec_cache[k] = _Coords(row, col, imag, scale, upper,
+                                 np.concatenate([upper, lower]),
+                                 np.concatenate([scale, np.where(imag, -scale, scale)]))
         return _svec_cache[k]
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    """Upper triangle of a symmetric matrix, off-diagonals scaled by sqrt(2)."""
+    """Real coordinates of a Hermitian matrix, in the order of
+    w1.hermitian_basis: X[r, r], then for each c > r sqrt(2) Re X[r, c] and
+    sqrt(2) Im X[r, c].  svec(X)[a] = Tr[F_a X]; accepts a batch."""
     k = m.shape[-1]
-    rows, cols, scale = _triu(k)
-    return m[..., rows, cols] * scale
+    co = _coords(k)
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (k * k,))
+    return flat.view(float)[..., co.upper] * co.scale
 
 
 def smat(v: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of svec; accepts a batch in the leading dimensions."""
-    rows, cols, scale = _triu(k)
-    out = np.zeros(v.shape[:-1] + (k, k), dtype=float)
-    half = v / scale
-    out[..., rows, cols] = half
-    out[..., cols, rows] = half
-    return out
-
-
-def embed_hermitian(h) -> np.ndarray:
-    """Real symmetric image [[A, -B], [B, A]] of H = A + iB.
-
-    Eigenvalues are duplicated and every trace/inner product is exactly
-    doubled; PSD-ness is preserved in both directions.
-    """
-    m = np.asarray(getattr(h, "matrix", h), dtype=complex)
-    a, b = m.real, m.imag
-    return np.block([[a, -b], [b, a]])
-
-
-def extract_hermitian(m: np.ndarray) -> np.ndarray:
-    """Adjoint-average back from the real embedding; PSD-preserving."""
-    k = m.shape[0]
-    if k % 2:
-        raise DimensionMismatch("embedded matrix must have even dimension")
-    d = k // 2
-    a = (m[:d, :d] + m[d:, d:]) / 2.0
-    b = (m[d:, :d] - m[:d, d:]) / 2.0
-    return a + 1j * b
+    """Inverse of svec, a complex Hermitian matrix; accepts a batch."""
+    co = _coords(k)
+    out = np.zeros(v.shape[:-1] + (k * k,), dtype=complex)
+    out.view(float)[..., co.scatter] = np.concatenate([v, v], axis=-1) / co.div
+    return out.reshape(v.shape[:-1] + (k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +226,19 @@ class _Cone:
         self.dim = off + lp_dim
         self.nu = sum(self.blocks) + lp_dim  # barrier parameter
 
-    def identity(self) -> np.ndarray:
+    def start(self) -> np.ndarray:
+        """Cold start: 2I on each PSD block, 1 on the LP tail."""
         e = np.zeros(self.dim)
         for k, sl in zip(self.blocks, self.slices):
-            e[sl] = svec(np.eye(k))
+            e[sl] = svec(2.0 * np.eye(k))
         e[self.lp_slice] = 1.0
         return e
 
 
 def _interior_matrix(m: np.ndarray, floor: float) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    w, v = np.linalg.eigh(m)
     w = np.maximum(w, floor)
-    return (v * w) @ v.T
+    return (v * w) @ v.conj().T
 
 
 def _push_interior(cone: _Cone, v: np.ndarray, floor: float = 1e-3) -> np.ndarray:
@@ -246,22 +257,26 @@ class _Scaling:
         self.R = []
         self.Rinv = []
         self.lam = []
+        self.root = []  # sqrt(lam_i lam_j), the scale of the max_step frame
         for k, sl in zip(cone.blocks, cone.slices):
             X = smat(x[sl], k)
             S = smat(s[sl], k)
             lx = _chol_like(X)
             ls = _chol_like(S)
-            u, sig, vt = np.linalg.svd(ls.T @ lx)
+            u, sig, vh = np.linalg.svd(ls.conj().T @ lx)
             sig = np.maximum(sig, 1e-150)
             isqrt = 1.0 / np.sqrt(sig)
-            self.R.append(lx @ vt.T * isqrt)
-            self.Rinv.append((isqrt[:, None] * u.T) @ ls.T)
+            self.R.append(lx @ vh.conj().T * isqrt)
+            self.Rinv.append((isqrt[:, None] * u.conj().T) @ ls.conj().T)
             self.lam.append(sig)
+            self.root.append(np.sqrt(np.outer(sig, sig)))
+        self.RH = [r.conj().T for r in self.R]
+        self.RinvH = [r.conj().T for r in self.Rinv]
         xl = x[cone.lp_slice]
         sl_ = s[cone.lp_slice]
         self.w_lp = np.sqrt(xl / sl_)
         self.lam_lp = np.sqrt(xl * sl_)
-        self.W = [r @ r.T for r in self.R]
+        self.W = [r @ rh for r, rh in zip(self.R, self.RH)]
 
     def apply_G(self, v: np.ndarray) -> np.ndarray:
         """v -> svec(W smat(v) W) per block, w^2 * v on the LP tail."""
@@ -277,19 +292,18 @@ class _Scaling:
 
         PSD blocks are checked in the scaled frame where the current point is
         diag(lam): scaled_by_R=True means dv is a primal direction (scale by
-        R^{-1} . R^{-T}), False a dual one (R^T . R).
+        R^{-1} . R^{-H}), False a dual one (R^H . R).
         """
         cone = self.cone
         alpha = np.inf
         for i, (k, sl) in enumerate(zip(cone.blocks, cone.slices)):
             dM = smat(dv[sl], k)
             if scaled_by_R:
-                dhat = self.Rinv[i] @ dM @ self.Rinv[i].T
+                dhat = self.Rinv[i] @ dM @ self.RinvH[i]
             else:
-                dhat = self.R[i].T @ dM @ self.R[i]
-            lam = self.lam[i]
-            scaled = dhat / np.sqrt(np.outer(lam, lam))
-            wmin = np.linalg.eigvalsh((scaled + scaled.T) / 2.0).min()
+                dhat = self.RH[i] @ dM @ self.R[i]
+            scaled = dhat / self.root[i]
+            wmin = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0).min()
             if wmin < 0:
                 alpha = min(alpha, -1.0 / wmin)
         lp = v[cone.lp_slice]
@@ -380,26 +394,26 @@ class _SparseRows:
     """Sparse Schur formula for one block (Fujisawa-Kojima-Nakata).
 
     Row b's matrix F_b has a few nonzeros F_b[p, q], so W F_b W is the sum
-    of the rank-one terms F_b[p, q] W[:, p] W[q, :].  Rows with the same
-    number of such terms are batched into one stacked product, and
-    M[a, b] = <F_a, W F_b W> is read off at the upper-triangle nonzeros of
-    F_a by one sparse product per batch.
+    of the rank-one terms F_b[p, q] W[:, p] W[q, :], where W[:, p] is the
+    conjugate of W[p, :].  Rows with the same number of such terms are
+    batched into one stacked product, and M[a, b] = Tr[F_a W F_b W] is read
+    off at the svec nonzeros of F_a by one sparse product per batch.
     """
 
     def __init__(self, touch, pos, col, val, k: int, m: int):
-        rows, cols, scale = _triu(k)
-        r, s = rows[col], cols[col]
-        # <F_a, T> = sum over the upper triangle of svec(F_a) * scale * T[r, s]
+        co = _coords(k)
+        r, s = co.row[col], co.col[col]
+        # Tr[F_a T] = svec(F_a) . svec(T), read from the float view of T
         self.contract = scipy.sparse.csr_matrix(
-            (val * scale[col], (touch[pos], r * k + s)), shape=(m, k * k))
+            (val * co.scale[col], (touch[pos], co.upper[col])), shape=(m, 2 * k * k))
         # matrix entries of every F_b, both triangles, grouped by row
         off = r != s
-        value = val / scale[col]
+        value = val / co.scale[col] * np.where(co.imag[col], 1j, 1.0)
         entry_row = np.concatenate([pos, pos[off]])
         order = np.argsort(entry_row, kind="stable")
         P = np.concatenate([r, s[off]])[order]
         Q = np.concatenate([s, r[off]])[order]
-        V = np.concatenate([value, value[off]])[order]
+        V = np.concatenate([value, value[off].conj()])[order]
         count = np.bincount(entry_row, minlength=touch.size)
         start = np.cumsum(count) - count
         per_batch = max(1, _SCHUR_BATCH // (k * k))
@@ -414,8 +428,8 @@ class _SparseRows:
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
         for cols, P, Q, V in self.batches:
             # W F_b W for the batch's rows, as a (rows, k, k) stack
-            T = (W[P] * V[..., None]).transpose(0, 2, 1) @ W[Q]
-            T = np.ascontiguousarray(T.reshape(cols.size, -1).T)
+            T = (W[P].conj() * V[..., None]).transpose(0, 2, 1) @ W[Q]
+            T = np.ascontiguousarray(T.reshape(cols.size, -1).view(float).T)
             # M is symmetric: M[b, :] = M[:, b] writes whole rows
             M[cols] += (self.contract @ T).T
 
@@ -424,12 +438,13 @@ def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
     """Is the sparse formula cheaper than the dense one for a block of
     order k touched by t rows with nnz svec nonzeros?
 
-    The dense formula costs two k x k matrix products per row.  The sparse
-    one costs a k x k rank-one term per matrix entry (at most two per svec
-    nonzero) plus one batched call per _SCHUR_BATCH entries of W F_b W.
+    The dense formula costs two complex k x k matrix products per row.  The
+    sparse one costs a complex k x k rank-one term per matrix entry (at most
+    two per svec nonzero) plus one batched call per _SCHUR_BATCH entries of
+    W F_b W.  A complex multiply-add is 8 flops.
     """
-    dense = 4.0 * t * k ** 3
-    sparse = 4.0 * nnz * k * k + _CALL_FLOPS * math.ceil(t * k * k / _SCHUR_BATCH)
+    dense = 16.0 * t * k ** 3
+    sparse = 16.0 * nnz * k * k + _CALL_FLOPS * math.ceil(t * k * k / _SCHUR_BATCH)
     return sparse < dense
 
 
@@ -481,7 +496,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         A_full, A = problem.A, A.toarray()
     AT = A.T
 
-    e = cone.identity()
+    e = cone.start()
     x = _push_interior(cone, x0) if x0 is not None else e.copy()
     if y0 is not None:
         y_hint = np.asarray(y0, dtype=float)
@@ -505,9 +520,8 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pres = (np.abs(rp).max() if rp.size else 0.0) / bnorm
         dres = np.abs(rd).max() / cnorm
-        if opts.verbose:
-            print(f"iter {it:3d}  mu {mu:9.2e}  gap {gap:9.2e}  "
-                  f"pres {pres:9.2e}  dres {dres:9.2e}")
+        _log.debug("iter %3d  mu %9.2e  gap %9.2e  pres %9.2e  dres %9.2e",
+                   it, mu, gap, pres, dres)
         if gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
             status = SolverStatus.Optimal
             break
@@ -550,12 +564,12 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         rc = np.empty(cone.dim)
         for i, (k, sl) in enumerate(zip(cone.blocks, cone.slices)):
             lam = scal.lam[i]
-            dxh = scal.Rinv[i] @ smat(dxa[sl], k) @ scal.Rinv[i].T
-            dsh = scal.R[i].T @ smat(dsa[sl], k) @ scal.R[i]
+            dxh = scal.Rinv[i] @ smat(dxa[sl], k) @ scal.RinvH[i]
+            dsh = scal.RH[i] @ smat(dsa[sl], k) @ scal.R[i]
             dmat = sigma * mu * np.eye(k) - np.diag(lam ** 2) \
                 - (dxh @ dsh + dsh @ dxh) / 2.0
             D = 2.0 * dmat / np.add.outer(lam, lam)
-            rc[sl] = svec(scal.R[i] @ ((D + D.T) / 2.0) @ scal.R[i].T)
+            rc[sl] = svec(scal.R[i] @ ((D + D.conj().T) / 2.0) @ scal.RH[i])
         lam_lp = scal.lam_lp
         if cone.lp_dim:
             dxh = dxa[cone.lp_slice] / scal.w_lp
@@ -593,3 +607,13 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         primal_residual=float(pres), dual_residual=float(dres),
         iterations=it,
     )
+
+
+def _solved(problem: ConicProblem, program: str, options: SolverOptions | None = None,
+            x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
+    """solve, raising SolverFailure unless the status is Optimal."""
+    sol = solve(problem, options, x0=x0, y0=y0)
+    if not sol.optimal:
+        raise SolverFailure(f"{program} ended with {sol.status.value} "
+                            f"after {sol.iterations} iterations")
+    return sol

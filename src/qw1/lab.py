@@ -207,22 +207,13 @@ def _pick_layout(layouts, index, min_sites=1):
     return ok[index % len(ok)]
 
 
-def _random_cptp(layout: QuditLayout, rng) -> ch.KrausChannel:
-    dim = layout.dim
-    env = dim * dim
-    g = rng.standard_normal((dim * env, dim)) + 1j * rng.standard_normal((dim * env, dim))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return ch.KrausChannel(layout, [q[e * dim:(e + 1) * dim, :] for e in range(env)])
-
-
 def _neighboring_pair(layout: QuditLayout, rng):
     """Two states agreeing after discarding one site: a shared state pushed
     through two different channels acting on that site."""
     i = int(rng.integers(1, layout.n + 1))
     shared = random_density(layout, seed=rng)
-    lam1 = ch.embed_channel(_random_cptp(QuditLayout(layout.d, 1), rng), layout, [i])
-    lam2 = ch.embed_channel(_random_cptp(QuditLayout(layout.d, 1), rng), layout, [i])
+    lam1 = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
+    lam2 = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
     return lam1.apply(shared), lam2.apply(shared), i
 
 
@@ -322,7 +313,7 @@ def _fam_channel_contraction(seed, fam, k, layouts, options):
     rho = random_density(layout, seed=rng)
     sigma = random_density(layout, seed=rng)
     i = int(rng.integers(1, layout.n + 1))
-    phi = ch.embed_channel(_random_cptp(QuditLayout(layout.d, 1), rng), layout, [i])
+    phi = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
     x = rho.matrix - sigma.matrix
     before = w1_primal(HermitianOperator(layout, x), options).value
     after = w1_primal(HermitianOperator(layout, phi.apply_matrix(x)), options).value
@@ -366,8 +357,8 @@ def _fam_locality(seed, fam, k, layouts, options):
     region = sorted(int(s) + 1 for s in rng.choice(layout.n, size=size, replace=False))
     shared = random_density(layout, seed=rng)
     small = QuditLayout(layout.d, size)
-    lam1 = ch.embed_channel(_random_cptp(small, rng), layout, region)
-    lam2 = ch.embed_channel(_random_cptp(small, rng), layout, region)
+    lam1 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
+    lam2 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
     x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
     v = w1_primal(HermitianOperator(layout, x), options).value
     d2 = layout.d ** 2
@@ -457,7 +448,7 @@ def _fam_containment(seed, fam, k, layouts, options):
     rng = _rng_for(seed, fam, k)
     rho = random_density(layout, seed=rng)
     i = int(rng.integers(1, layout.n + 1))
-    phi = ch.embed_channel(_random_cptp(QuditLayout(layout.d, 1), rng), layout, [i])
+    phi = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
     x = HermitianOperator(layout, rho.matrix - phi.apply_matrix(rho.matrix))
     inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "site": i}
     return [CheckResult("channel-perturbation-containment",
@@ -513,8 +504,8 @@ def _fam_tail(seed, fam, k, layouts, options):
 def _fam_diamond_dominates(seed, fam, k, layouts, options):
     rng = _rng_for(seed, fam, k)
     one = QuditLayout(layouts[0].d, 1)
-    phi = _random_cptp(one, rng)
-    psi = _random_cptp(one, rng)
+    phi = ch._random_channel(one, rng)
+    psi = ch._random_channel(one, rng)
     lo = ch.one_to_one_norm(phi, psi, seed=rng)
     hi = ch.diamond_norm(phi, psi, options)
     inst = {"seed": seed, "index": k, "d": one.d}
@@ -527,7 +518,7 @@ def _fam_contraction_bracket(seed, fam, k, layouts, options):
     if k % 2 == 0 and d == 2:
         phi, label = ch.amplitude_damping(0.1), "amplitude-damping-0.1"
     else:
-        phi, label = _random_cptp(QuditLayout(d, 1), rng), "random"
+        phi, label = ch._random_channel(QuditLayout(d, 1), rng), "random"
     n = 2
     rep = ch.tensor_power_contraction_bounds(phi, n, options)
     emp = ch.empirical_contraction(phi.tensor_power(n), samples=8,

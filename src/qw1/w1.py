@@ -14,10 +14,15 @@ Dual program (same value):
     s.t. for every i there is an H_i not acting on site i with
          -1/2 I <= H - I_i (x) H_i <= 1/2 I
 
-Both are transcribed over the real embedding of conic.embed_hermitian; the
-factor 2 that the embedding introduces in traces and inner products is
-compensated here, not in the solver.  Every constraint row is one element
-of a Frobenius-orthonormal Hermitian basis paired against the variables.
+The dual program is the conic dual of the primal one, so both are one
+conic program: w1_primal solves it from a feasible decomposition, w1_dual
+from the zero witness, and each reports its own side's objective.  Every
+P_i, Q_i is one Hermitian PSD block of the layout's order D, in the svec
+coordinates of conic, which are the coordinates Tr[F_a X] along
+hermitian_basis(D).  Every constraint row is one basis element paired
+against the variables: a full-space row is the unit vector of one
+coordinate, a site row is svec(I_i (x) f) for f in hermitian_basis(d^(n-1)).
+So b is svec(X) and the witness is smat(y) on the full-space rows.
 
 Both programs omit one row, the full-space constraint of the basis element
 E_00, so that their constraint matrices have full row rank and the solver
@@ -43,8 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import conic
-from .conic import ConicProblem, SolverOptions, SolverStatus, svec, smat, svec_len
-from .errors import LayoutMismatch, SolverFailure, SupportMismatch
+from .conic import ConicProblem, SolverOptions, svec, smat
+from .errors import LayoutMismatch, SupportMismatch
 from .operators import (
     HermitianOperator,
     QuditLayout,
@@ -83,20 +88,17 @@ def hermitian_basis(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _layout_data(d: int, n: int):
-    """Precomputed svec images of the Hermitian bases a layout needs."""
+    """Constraint rows of a layout: the full-space rows, one per basis
+    element of the whole space (the identity on a block), and per site i
+    the rows svec(I_i (x) f) for f in hermitian_basis(d^(n-1))."""
     layout = QuditLayout(d, n)
-    D = layout.dim
-    basis = hermitian_basis(D)
-    full = np.stack([svec(conic.embed_hermitian(f)) for f in basis])
+    full = np.eye(layout.dim ** 2)
     comp = hermitian_basis(d ** (n - 1))
     site = []
     for i in layout.sites():
         rest = [j for j in layout.sites() if j != i]
-        site.append(np.stack([
-            svec(conic.embed_hermitian(embed_matrix(f, layout, rest)))
-            for f in comp
-        ]))
-    return basis, full, comp, site
+        site.append(np.stack([svec(embed_matrix(f, layout, rest)) for f in comp]))
+    return full, site
 
 
 @dataclass
@@ -146,18 +148,6 @@ class W1Certificate:
         }
 
 
-def _solved(problem: ConicProblem, options, x0=None, y0=None):
-    sol = conic.solve(problem, options, x0=x0, y0=y0)
-    if sol.status is not SolverStatus.Optimal:
-        raise SolverFailure(f"conic solve ended with {sol.status.value} "
-                            f"after {sol.iterations} iterations")
-    return sol
-
-
-def _traces(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,ji->k", basis, m).real
-
-
 def _telescoping_hint(x: HermitianOperator) -> list:
     """Feasible decomposition from the marginal interpolation chain."""
     d, n, m = x.d, x.n, x.matrix
@@ -180,99 +170,63 @@ def _positive_parts(m: np.ndarray):
     return pos, neg
 
 
-def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
-    """Minimal-decomposition side; the witness comes from the multipliers."""
-    x.require_traceless()
-    d, n = x.d, x.n
+def _w1_program(x: HermitianOperator):
+    """The conic program of both sides, and the index of its first
+    full-space row.  Blocks P_1, Q_1, P_2, Q_2, ...; rows: the site rows of
+    every site, then the full-space rows without E_00."""
+    d, n, D = x.d, x.n, x.layout.dim
+    full, site = _layout_data(d, n)
+    full = full[1:]  # E_00 omitted: see the module docstring
+    L = D * D
+    nc = site[0].shape[0]
+    A = np.zeros((n * nc + full.shape[0], 2 * n * L))
+    for i in range(n):
+        P, Q = slice(2 * i * L, (2 * i + 1) * L), slice((2 * i + 1) * L, (2 * i + 2) * L)
+        A[i * nc:(i + 1) * nc, P] = site[i]
+        A[i * nc:(i + 1) * nc, Q] = -site[i]
+        A[n * nc:, P] = full
+        A[n * nc:, Q] = -full
+    b = np.concatenate([np.zeros(n * nc), svec(x.matrix)[1:]])
+    c = np.tile(svec(np.eye(D)) / 2.0, 2 * n)
+    return ConicProblem((D,) * (2 * n), 0, A, b, c), n * nc
+
+
+def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1Certificate:
+    """Decomposition X^(i) = P_i - Q_i from the blocks, witness from the
+    full-space multipliers."""
     D = x.layout.dim
-    basis, full, comp, site = _layout_data(d, n)
-    basis, full = basis[1:], full[1:]  # E_00 omitted: see the module docstring
-    L = svec_len(2 * D)
-    nc = comp.shape[0]
-    m_rows = n * nc + full.shape[0]
-    A = np.zeros((m_rows, 2 * n * L))
-    b = np.zeros(m_rows)
-    c = np.zeros(2 * n * L)
-    half_id = svec(np.eye(2 * D)) / 4.0
-    sl = [slice(j * L, (j + 1) * L) for j in range(2 * n)]  # P_1,Q_1,P_2,Q_2,...
-    for i in range(n):
-        rows = slice(i * nc, (i + 1) * nc)
-        A[rows, sl[2 * i]] = site[i]
-        A[rows, sl[2 * i + 1]] = -site[i]
-        A[n * nc:, sl[2 * i]] = full
-        A[n * nc:, sl[2 * i + 1]] = -full
-        c[sl[2 * i]] = half_id
-        c[sl[2 * i + 1]] = half_id
-    b[n * nc:] = 2.0 * _traces(basis, x.matrix)
-
-    x0 = np.empty(2 * n * L)
-    for i, xi in enumerate(_telescoping_hint(x)):
-        p, q = _positive_parts(xi)
-        x0[sl[2 * i]] = svec(conic.embed_hermitian(p))
-        x0[sl[2 * i + 1]] = svec(conic.embed_hermitian(q))
-
-    sol = _solved(ConicProblem((2 * D,) * (2 * n), 0, A, b, c), options, x0=x0)
-    decomposition = []
-    for i in range(n):
-        pm = conic.extract_hermitian(smat(sol.x[sl[2 * i]], 2 * D))
-        qm = conic.extract_hermitian(smat(sol.x[sl[2 * i + 1]], 2 * D))
-        decomposition.append(HermitianOperator(x.layout, pm - qm))
-    h = 2.0 * np.einsum("k,kij->ij", sol.y[n * nc:], basis)
+    blocks = sol.x.reshape(2 * x.n, D * D)
+    decomposition = [HermitianOperator(x.layout, smat(p - q, D))
+                     for p, q in zip(blocks[0::2], blocks[1::2])]
+    h = smat(np.concatenate([[0.0], sol.y[first_full:]]), D)
     h -= np.trace(h) / D * np.eye(D)
-    witness = HermitianOperator(x.layout, h)
-    value = max(sol.primal_objective, 0.0)
     return W1Certificate(
-        value=value, decomposition=decomposition, witness=witness,
+        value=max(value, 0.0), decomposition=decomposition,
+        witness=HermitianOperator(x.layout, h),
         primal=sol.primal_objective, dual=sol.dual_objective,
         gap=abs(sol.primal_objective - sol.dual_objective),
         iterations=sol.iterations,
     )
+
+
+def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
+    """Minimal-decomposition side, started from the telescoping
+    decomposition; the witness comes from the multipliers."""
+    x.require_traceless()
+    problem, first_full = _w1_program(x)
+    x0 = np.concatenate([svec(part) for xi in _telescoping_hint(x)
+                         for part in _positive_parts(xi)])
+    sol = conic._solved(problem, "W1 primal SDP", options, x0=x0)
+    return _certificate(x, sol, first_full, sol.primal_objective)
 
 
 def w1_dual(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
-    """Witness-maximization side; the decomposition comes from the slacks'
-    complementary blocks."""
+    """Witness-maximization side, started from the zero witness; the
+    decomposition comes from the slacks' complementary blocks."""
     x.require_traceless()
-    d, n = x.d, x.n
-    D = x.layout.dim
-    basis, full, comp, site = _layout_data(d, n)
-    basis, full = basis[1:], full[1:]  # E_00 omitted: see the module docstring
-    L = svec_len(2 * D)
-    nc = comp.shape[0]
-    nf = full.shape[0]
-    m_rows = nf + n * nc
-    A = np.zeros((m_rows, 2 * n * L))
-    b = np.zeros(m_rows)
-    c = np.zeros(2 * n * L)
-    half_id = svec(np.eye(2 * D)) / 2.0
-    sl = [slice(j * L, (j + 1) * L) for j in range(2 * n)]  # (1,+),(1,-),(2,+),...
-    for i in range(n):
-        A[:nf, sl[2 * i]] = full
-        A[:nf, sl[2 * i + 1]] = -full
-        rows = slice(nf + i * nc, nf + (i + 1) * nc)
-        A[rows, sl[2 * i]] = -site[i]
-        A[rows, sl[2 * i + 1]] = site[i]
-        c[sl[2 * i]] = half_id
-        c[sl[2 * i + 1]] = half_id
-    b[:nf] = _traces(basis, x.matrix)
-
-    sol = _solved(ConicProblem((2 * D,) * (2 * n), 0, A, b, c),
-                  options, y0=np.zeros(m_rows))
-    h = np.einsum("k,kij->ij", sol.y[:nf], basis)
-    h -= np.trace(h) / D * np.eye(D)
-    witness = HermitianOperator(x.layout, h)
-    decomposition = []
-    for i in range(n):
-        pm = conic.extract_hermitian(smat(sol.x[sl[2 * i]], 2 * D))
-        qm = conic.extract_hermitian(smat(sol.x[sl[2 * i + 1]], 2 * D))
-        decomposition.append(HermitianOperator(x.layout, 2.0 * (pm - qm)))
-    value = max(sol.dual_objective, 0.0)
-    return W1Certificate(
-        value=value, decomposition=decomposition, witness=witness,
-        primal=sol.primal_objective, dual=sol.dual_objective,
-        gap=abs(sol.primal_objective - sol.dual_objective),
-        iterations=sol.iterations,
-    )
+    problem, first_full = _w1_program(x)
+    sol = conic._solved(problem, "W1 dual SDP", options, y0=np.zeros(problem.b.size))
+    return _certificate(x, sol, first_full, sol.dual_objective)
 
 
 def w1_distance(rho, sigma, method: str = "primal",
@@ -324,11 +278,11 @@ def lipschitz_constant(h: HermitianOperator,
     """Exact ||H||_L: one small min-max program per site."""
     d, n = h.d, h.n
     D = h.layout.dim
-    _, _, comp, site = _layout_data(d, n)
-    L = svec_len(2 * D)
-    nc = comp.shape[0]
-    eh = svec(conic.embed_hermitian(h.matrix))
-    id_sv = svec(np.eye(2 * D))
+    _, site = _layout_data(d, n)
+    L = D * D
+    nc = site[0].shape[0]
+    eh = svec(h.matrix)
+    id_sv = svec(np.eye(D))
     values, shifts = [], []
     for i in range(n):
         A = np.zeros((1 + nc, 2 * L))
@@ -339,9 +293,10 @@ def lipschitz_constant(h: HermitianOperator,
         b = np.zeros(1 + nc)
         b[0] = -1.0
         c = np.concatenate([-eh, eh])
-        sol = _solved(ConicProblem((2 * D, 2 * D), 0, A, b, c), options)
+        sol = conic._solved(ConicProblem((D, D), 0, A, b, c),
+                            f"Lipschitz SDP at site {i + 1}", options)
         values.append(2.0 * max(-sol.dual_objective, 0.0))
-        shifts.append(np.einsum("k,kij->ij", sol.y[1:], comp))
+        shifts.append(smat(sol.y[1:], d ** (n - 1)))
     return LipschitzResult(value=max(values), site_values=values, shifts=shifts)
 
 

@@ -338,7 +338,7 @@ def test_criterion_12_one_site_channel_containment():
             rng = _rng(12, count)
             rho = random_density(lay, seed=rng)
             site = int(rng.integers(1, n + 1))
-            phi = embed_channel(_random_channel(d, rng), lay, [site])
+            phi = embed_channel(_random_channel(QuditLayout(d, 1), rng), lay, [site])
             moved = phi.apply(rho)
             worst = max(worst, w1_primal(
                 HermitianOperator(lay, rho.matrix - moved.matrix)).value)

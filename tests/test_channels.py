@@ -76,7 +76,7 @@ def test_identity_channel_and_fixed_point_invariance():
     ident = identity_channel(lay)
     rho = random_density(lay, seed=4)
     np.testing.assert_allclose(ident.apply(rho).matrix, rho.matrix, atol=1e-14)
-    ch = _random_channel(2, np.random.default_rng(9))
+    ch = _random_channel(QuditLayout(2, 1), np.random.default_rng(9))
     omega = fixed_point(ch)
     assert trace_norm(ch.apply(omega).matrix - omega.matrix) < 1e-8
 
@@ -84,7 +84,7 @@ def test_identity_channel_and_fixed_point_invariance():
 def test_random_channels_preserve_trace_and_positivity():
     rng = np.random.default_rng(21)
     for d in (2, 3):
-        ch = _random_channel(d, rng)
+        ch = _random_channel(QuditLayout(d, 1), rng)
         acc = sum(k.conj().T @ k for k in ch.kraus)
         np.testing.assert_allclose(acc, np.eye(d), atol=1e-12)
         rho = random_density(QuditLayout(d, 1), seed=22)
@@ -94,7 +94,8 @@ def test_random_channels_preserve_trace_and_positivity():
 
 
 def test_choi_marginal_is_identity():
-    for ch in (amplitude_damping(0.4), _random_channel(2, np.random.default_rng(1))):
+    qubit = QuditLayout(2, 1)
+    for ch in (amplitude_damping(0.4), _random_channel(qubit, np.random.default_rng(1))):
         j = ch.choi()
         assert j.layout == QuditLayout(2, 2)
         np.testing.assert_allclose(partial_trace(j, 1).matrix, np.eye(2), atol=1e-12)
@@ -169,8 +170,8 @@ def test_diamond_norm_orthogonal_unitaries():
 def test_diamond_dominates_one_to_one():
     rng = np.random.default_rng(31)
     for _ in range(4):
-        a = _random_channel(2, rng)
-        b = _random_channel(2, rng)
+        a = _random_channel(QuditLayout(2, 1), rng)
+        b = _random_channel(QuditLayout(2, 1), rng)
         dia = diamond_norm(a, b)
         oto = one_to_one_norm(a, b)
         assert oto <= dia + 1e-6
@@ -295,7 +296,7 @@ def test_light_cone_dominates_transport():
 def test_channel_json_roundtrip():
     for ch in (amplitude_damping(0.15),
                depolarizing(0.4, random_density(Q1, seed=3)),
-               _random_channel(2, np.random.default_rng(5))):
+               _random_channel(QuditLayout(2, 1), np.random.default_rng(5))):
         back = channel_from_json(ch.to_json())
         rho = random_density(Q1, seed=6)
         np.testing.assert_allclose(

@@ -10,14 +10,13 @@ from qw1.conic import (
     ConicProblem,
     SolverOptions,
     SolverStatus,
-    embed_hermitian,
-    extract_hermitian,
     smat,
     solve,
     svec,
     svec_len,
 )
 from qw1.errors import DimensionMismatch, InvalidInput
+from qw1.w1 import hermitian_basis
 
 
 def test_svec_roundtrip_and_inner_product():
@@ -33,23 +32,29 @@ def test_svec_roundtrip_and_inner_product():
         np.testing.assert_allclose(svec(a) @ svec(b), np.trace(a @ b), atol=1e-12)
 
 
-def test_hermitian_embedding():
+def _random_hermitian(rng, k):
+    h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return (h + h.conj().T) / 2
+
+
+def test_hermitian_svec():
     rng = np.random.default_rng(1)
-    for k in (1, 2, 4):
-        h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        h = (h + h.conj().T) / 2
-        m = embed_hermitian(h)
-        assert m.shape == (2 * k, 2 * k)
-        np.testing.assert_allclose(m, m.T, atol=1e-14)
-        np.testing.assert_allclose(extract_hermitian(m), h, atol=1e-14)
-        # eigenvalues doubled up, inner products doubled
-        ev = np.sort(np.linalg.eigvalsh(m))
-        np.testing.assert_allclose(ev[::2], np.sort(np.linalg.eigvalsh(h)), atol=1e-10)
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        g = (g + g.conj().T) / 2
+    for k in (1, 2, 3, 4):
+        h = _random_hermitian(rng, k)
+        g = _random_hermitian(rng, k)
+        assert svec(h).shape == (svec_len(k),) == (k * k,)
+        assert svec(h).dtype == float
+        np.testing.assert_allclose(smat(svec(h), k), h, atol=1e-14)
+        np.testing.assert_allclose(svec(smat(svec(h), k)), svec(h), atol=1e-14)
+        # an isometry for the trace inner product
+        np.testing.assert_allclose(svec(g) @ svec(h), np.trace(g @ h).real, atol=1e-12)
+        # coordinate a is Tr[F_a X] along the orthonormal Hermitian basis
+        basis = hermitian_basis(k)
         np.testing.assert_allclose(
-            np.sum(embed_hermitian(g) * m), 2 * np.trace(g @ h).real, atol=1e-10
-        )
+            svec(h), [np.trace(f @ h).real for f in basis], atol=1e-12)
+        np.testing.assert_allclose(smat(np.eye(k * k), k), basis, atol=1e-15)
+        # batches in the leading dimensions
+        np.testing.assert_allclose(svec(np.stack([g, h])), [svec(g), svec(h)], atol=0)
 
 
 def _lp_problem():
@@ -68,14 +73,15 @@ def test_lp_minimum():
 
 def test_sdp_trace_floor():
     # min Tr X  s.t.  X - S = I,  X, S psd      -> X = I, value 2
-    i3 = np.eye(3)
-    A = np.hstack([i3, -i3])
+    L = svec_len(2)
+    iL = np.eye(L)
+    A = np.hstack([iL, -iL])
     b = svec(np.eye(2))
-    c = np.concatenate([svec(np.eye(2)), np.zeros(3)])
+    c = np.concatenate([svec(np.eye(2)), np.zeros(L)])
     sol = solve(ConicProblem(psd_blocks=(2, 2), lp_dim=0, A=A, b=b, c=c))
     assert sol.optimal
     assert abs(sol.primal_objective - 2.0) < 1e-7
-    x = smat(sol.x[:3], 2)
+    x = smat(sol.x[:L], 2)
     np.testing.assert_allclose(x, np.eye(2), atol=1e-6)
 
 
@@ -83,16 +89,17 @@ def test_sdp_operator_norm():
     # min t  s.t.  t I + sx >= 0,  t I - sx >= 0   -> t = 1
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     si = svec(np.eye(2))
-    i3 = np.eye(3)
-    z3 = np.zeros((3, 3))
-    A = np.block([[i3, z3, -si[:, None]], [z3, i3, -si[:, None]]])
+    L = svec_len(2)
+    iL = np.eye(L)
+    zL = np.zeros((L, L))
+    A = np.block([[iL, zL, -si[:, None]], [zL, iL, -si[:, None]]])
     b = np.concatenate([svec(sx), -svec(sx)])
-    c = np.zeros(7)
-    c[6] = 1.0
+    c = np.zeros(2 * L + 1)
+    c[2 * L] = 1.0
     sol = solve(ConicProblem(psd_blocks=(2, 2), lp_dim=1, A=A, b=b, c=c))
     assert sol.optimal
     assert abs(sol.primal_objective - 1.0) < 1e-7
-    assert abs(sol.x[6] - 1.0) < 1e-6
+    assert abs(sol.x[2 * L] - 1.0) < 1e-6
 
 
 def test_presolve_drops_redundant_rows():
@@ -172,30 +179,27 @@ def test_residuals_reported():
 # ---------------------------------------------------------------------------
 
 def _dense_schur(A, cone, Ws, w_lp):
-    """Reference: every touching row as a k x k matrix, W on both sides."""
+    """Reference: M[a, b] = Re Tr[F_a W F_b W] per block, with F_a the row
+    as a combination of hermitian_basis(k)."""
     m = A.shape[0]
     M = np.zeros((m, m))
     for k, sl, W in zip(cone.blocks, cone.slices, Ws):
-        sub = A[:, sl]
-        touch = np.flatnonzero(np.any(sub != 0.0, axis=1))
-        if touch.size == 0:
-            continue
-        T = W @ smat(sub[touch], k) @ W
-        M[np.ix_(touch, touch)] += sub[touch] @ svec(T).T
+        F = np.einsum("ac,cij->aij", A[:, sl], hermitian_basis(k))
+        M += np.einsum("aij,bji->ab", F, W @ F @ W).real
     lp = A[:, cone.lp_slice]
     M += (lp * w_lp ** 2) @ lp.T
     return (M + M.T) / 2.0
 
 
-def _random_spd(rng, k):
-    g = rng.standard_normal((k, k))
-    return g @ g.T / k + 0.1 * np.eye(k)
+def _random_hpd(rng, k):
+    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return g @ g.conj().T / k + 0.1 * np.eye(k)
 
 
 def _structured_rows(rng, blocks, lp_dim, untouched):
-    """Rows with one nonzero, a dense identity row per block, rows spanning
-    two PSD blocks, sparse random rows and LP entries; block `untouched`
-    gets no nonzero at all."""
+    """Rows with one nonzero, rows on both parts of one off-diagonal entry,
+    a dense identity row per block, rows spanning two PSD blocks, sparse
+    random rows and LP entries; block `untouched` gets no nonzero at all."""
     cone = conic._Cone(blocks, lp_dim)
     rows = []
     used = [i for i in range(len(blocks)) if i != untouched]
@@ -205,6 +209,14 @@ def _structured_rows(rng, blocks, lp_dim, untouched):
         for _ in range(3):  # one nonzero: a diagonal or off-diagonal entry
             r = np.zeros(cone.dim)
             r[sl.start + rng.integers(width)] = rng.standard_normal()
+            rows.append(r)
+        imag = np.flatnonzero(conic._coords(blocks[i]).imag)
+        for a in imag[:2]:  # the imaginary part alone, then with the real part
+            r = np.zeros(cone.dim)
+            r[sl.start + a] = rng.standard_normal()
+            rows.append(r)
+            r = r.copy()
+            r[sl.start + a - 1] = rng.standard_normal()
             rows.append(r)
         r = np.zeros(cone.dim)  # dense identity row, as in the Lipschitz program
         r[sl] = -svec(np.eye(blocks[i]))
@@ -241,7 +253,7 @@ def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
     assert all(isinstance(e, formula) for e in bd.entries if e is not None)
 
     class Scal:
-        W = [_random_spd(rng, k) for k in blocks]
+        W = [_random_hpd(rng, k) for k in blocks]
         w_lp = rng.uniform(0.5, 2.0, lp_dim)
 
     M = conic._schur(bd, Scal, A.shape[0])
@@ -259,8 +271,11 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
     rng = np.random.default_rng(7)
 
     class Scal:
-        W = [_random_spd(rng, k) for k in prob.psd_blocks]
+        W = [_random_hpd(rng, k) for k in prob.psd_blocks]
         w_lp = np.ones(0)
+
+    imag = np.flatnonzero(conic._coords(prob.psd_blocks[0]).imag)
+    assert np.any(prob.A[:, imag] != 0.0)
 
     M = conic._schur(bd, Scal, prob.A.shape[0])
     ref = _dense_schur(prob.A, cone, Scal.W, Scal.w_lp)

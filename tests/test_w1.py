@@ -240,6 +240,6 @@ def test_w1_rows_full_rank_and_omitted_row_dependent(monkeypatch, program, d, n)
     assert rank == A.shape[0]
     # the omitted full-space E_00 row: +svec(E_00) on every P_i (or +)
     # block, -svec(E_00) on every Q_i (or -) block
-    e00 = _layout_data(d, n)[1][0]
+    e00 = _layout_data(d, n)[0][0]
     omitted = np.concatenate([np.concatenate([e00, -e00]) for _ in range(n)])
     assert np.linalg.matrix_rank(np.vstack([A, omitted])) == rank
