@@ -33,6 +33,16 @@ symmetric image of twice the order, started at the identity there; from
 built on them keep their values.  Only the stopping test, whose residuals
 were scaled differently there, can end a solve one iteration apart.
 
+The programs built here have PSD blocks of only one or a few orders (2n
+blocks of order D for W1, 2 for the Lipschitz constant, orders 2d^2, d, d
+for the diamond norm), and most are tiny, so a numpy call per block costs
+more than its arithmetic.  The NT scaling, the step length, the map G, the
+corrector and the interior push therefore treat all blocks of one order
+as one (B, k, k) stack: an index array per order gathers their svec
+coordinates from the vector and scatters them back, wherever the blocks
+sit, and eigh, svd, eigvalsh and matrix products run over the stack.
+Only the Schur complement is still assembled block by block.
+
 A is converted to CSR once per solve, and the presolve and the Schur
 complement read its rows from that copy.  Every A x, A^T y and residual
 is a sparse product too, unless A has at most 2^14 entries: there a dense
@@ -142,6 +152,7 @@ class ConicSolution:
     primal_residual: float
     dual_residual: float
     iterations: int
+    cause: str = ""  # what ended a NumericalFailure, with its numbers
 
     @property
     def optimal(self) -> bool:
@@ -212,7 +223,12 @@ def smat(v: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Cone:
-    """Index arithmetic for the concatenated (PSD blocks, LP tail) layout."""
+    """Index arithmetic for the concatenated (PSD blocks, LP tail) layout.
+
+    Blocks of one order k form a group: orders[g] is (k, idx), idx the
+    (B, k^2) positions of the group's B blocks in the coordinate vector, and
+    members[g] their block numbers.  v[idx] stacks their svec coordinates
+    and out[idx] = ... scatters a stack back, wherever the blocks sit."""
 
     def __init__(self, psd_blocks: Sequence[int], lp_dim: int):
         self.blocks = list(psd_blocks)
@@ -225,32 +241,52 @@ class _Cone:
         self.lp_slice = slice(off, off + lp_dim)
         self.dim = off + lp_dim
         self.nu = sum(self.blocks) + lp_dim  # barrier parameter
+        self.orders = []
+        self.members = []
+        for k in sorted(set(self.blocks)):
+            group = [b for b, kb in enumerate(self.blocks) if kb == k]
+            starts = np.array([self.slices[b].start for b in group])
+            self.orders.append((k, starts[:, None] + np.arange(svec_len(k))))
+            self.members.append(group)
+
+    def mats(self, v: np.ndarray) -> list:
+        """The PSD blocks of v, one (B, k, k) stack per order."""
+        return [smat(v[idx], k) for k, idx in self.orders]
+
+    def vector(self, mats: Sequence[np.ndarray], lp) -> np.ndarray:
+        """Inverse of mats, with lp on the LP tail."""
+        out = np.empty(self.dim)
+        for (_, idx), m in zip(self.orders, mats):
+            out[idx] = svec(m)
+        out[self.lp_slice] = lp
+        return out
 
     def start(self) -> np.ndarray:
         """Cold start: 2I on each PSD block, 1 on the LP tail."""
-        e = np.zeros(self.dim)
-        for k, sl in zip(self.blocks, self.slices):
-            e[sl] = svec(2.0 * np.eye(k))
-        e[self.lp_slice] = 1.0
-        return e
+        return self.vector([np.broadcast_to(2.0 * np.eye(k), (len(idx), k, k))
+                            for k, idx in self.orders], 1.0)
+
+
+def _H(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _interior_matrix(m: np.ndarray, floor: float) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     w = np.maximum(w, floor)
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ _H(v)
 
 
 def _push_interior(cone: _Cone, v: np.ndarray, floor: float = 1e-3) -> np.ndarray:
-    out = np.empty(cone.dim)
-    for k, sl in zip(cone.blocks, cone.slices):
-        out[sl] = svec(_interior_matrix(smat(v[sl], k), floor))
-    out[cone.lp_slice] = np.maximum(v[cone.lp_slice], floor)
-    return out
+    return cone.vector([_interior_matrix(m, floor) for m in cone.mats(v)],
+                       np.maximum(v[cone.lp_slice], floor))
 
 
 class _Scaling:
-    """NT scaling data for one iterate."""
+    """NT scaling data for one iterate, one (B, k, k) stack per block order
+    (the order groups of _Cone); W[b] is block b's scaling matrix, a view
+    into its group's stack."""
 
     def __init__(self, cone: _Cone, x: np.ndarray, s: np.ndarray):
         self.cone = cone
@@ -258,34 +294,33 @@ class _Scaling:
         self.Rinv = []
         self.lam = []
         self.root = []  # sqrt(lam_i lam_j), the scale of the max_step frame
-        for k, sl in zip(cone.blocks, cone.slices):
-            X = smat(x[sl], k)
-            S = smat(s[sl], k)
+        for X, S in zip(cone.mats(x), cone.mats(s)):
             lx = _chol_like(X)
             ls = _chol_like(S)
-            u, sig, vh = np.linalg.svd(ls.conj().T @ lx)
+            u, sig, vh = np.linalg.svd(_H(ls) @ lx)
             sig = np.maximum(sig, 1e-150)
             isqrt = 1.0 / np.sqrt(sig)
-            self.R.append(lx @ vh.conj().T * isqrt)
-            self.Rinv.append((isqrt[:, None] * u.conj().T) @ ls.conj().T)
+            self.R.append(lx @ _H(vh) * isqrt[..., None, :])
+            self.Rinv.append((isqrt[..., :, None] * _H(u)) @ _H(ls))
             self.lam.append(sig)
-            self.root.append(np.sqrt(np.outer(sig, sig)))
-        self.RH = [r.conj().T for r in self.R]
-        self.RinvH = [r.conj().T for r in self.Rinv]
+            self.root.append(np.sqrt(sig[..., :, None] * sig[..., None, :]))
+        self.RH = [_H(r) for r in self.R]
+        self.RinvH = [_H(r) for r in self.Rinv]
         xl = x[cone.lp_slice]
         sl_ = s[cone.lp_slice]
         self.w_lp = np.sqrt(xl / sl_)
         self.lam_lp = np.sqrt(xl * sl_)
-        self.W = [r @ rh for r, rh in zip(self.R, self.RH)]
+        self.Ws = [r @ rh for r, rh in zip(self.R, self.RH)]
+        self.W = [None] * len(cone.blocks)
+        for group, Ws in zip(cone.members, self.Ws):
+            for b, W in zip(group, Ws):
+                self.W[b] = W
 
     def apply_G(self, v: np.ndarray) -> np.ndarray:
         """v -> svec(W smat(v) W) per block, w^2 * v on the LP tail."""
         cone = self.cone
-        out = np.empty(cone.dim)
-        for W, k, sl in zip(self.W, cone.blocks, cone.slices):
-            out[sl] = svec(W @ smat(v[sl], k) @ W)
-        out[cone.lp_slice] = self.w_lp ** 2 * v[cone.lp_slice]
-        return out
+        return cone.vector([W @ m @ W for W, m in zip(self.Ws, cone.mats(v))],
+                           self.w_lp ** 2 * v[cone.lp_slice])
 
     def max_step(self, v: np.ndarray, dv: np.ndarray, scaled_by_R: bool) -> float:
         """Largest alpha with v + alpha dv still in the cone.
@@ -296,14 +331,10 @@ class _Scaling:
         """
         cone = self.cone
         alpha = np.inf
-        for i, (k, sl) in enumerate(zip(cone.blocks, cone.slices)):
-            dM = smat(dv[sl], k)
-            if scaled_by_R:
-                dhat = self.Rinv[i] @ dM @ self.RinvH[i]
-            else:
-                dhat = self.RH[i] @ dM @ self.R[i]
-            scaled = dhat / self.root[i]
-            wmin = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0).min()
+        left, right = (self.Rinv, self.RinvH) if scaled_by_R else (self.RH, self.R)
+        for dM, L, Rt, root in zip(cone.mats(dv), left, right, self.root):
+            scaled = L @ dM @ Rt / root
+            wmin = np.linalg.eigvalsh((scaled + _H(scaled)) / 2.0).min()
             if wmin < 0:
                 alpha = min(alpha, -1.0 / wmin)
         lp = v[cone.lp_slice]
@@ -313,12 +344,33 @@ class _Scaling:
             alpha = min(alpha, float((-lp[neg] / dlp[neg]).min()))
         return alpha
 
+    def corrector(self, dxa: np.ndarray, dsa: np.ndarray, sigma: float,
+                  mu: float) -> np.ndarray:
+        """Right-hand side of the corrector with the Mehrotra second-order
+        term, built in the scaled frame where both x and s sit at diag(lam)."""
+        cone = self.cone
+        mats = []
+        for (k, _), dxm, dsm, lam, R, RH, Rinv, RinvH in zip(
+                cone.orders, cone.mats(dxa), cone.mats(dsa),
+                self.lam, self.R, self.RH, self.Rinv, self.RinvH):
+            dxh = Rinv @ dxm @ RinvH
+            dsh = RH @ dsm @ R
+            eye = np.eye(k)
+            dmat = sigma * mu * eye - eye * (lam ** 2)[:, None, :] \
+                - (dxh @ dsh + dsh @ dxh) / 2.0
+            D = 2.0 * dmat / (lam[:, :, None] + lam[:, None, :])
+            mats.append(R @ ((D + _H(D)) / 2.0) @ RH)
+        lam_lp = self.lam_lp
+        dxh = dxa[cone.lp_slice] / self.w_lp
+        dsh = dsa[cone.lp_slice] * self.w_lp
+        return cone.vector(mats, self.w_lp * (sigma * mu - lam_lp ** 2 - dxh * dsh) / lam_lp)
+
 
 def _chol_like(m: np.ndarray) -> np.ndarray:
     # eigenvalue route instead of Cholesky: survives semidefinite iterates
     w, v = np.linalg.eigh(m)
     w = np.maximum(w, 1e-300)
-    return v * np.sqrt(w)
+    return v * np.sqrt(w)[..., None, :]
 
 
 def _full_row_rank(A) -> bool:
@@ -484,7 +536,7 @@ def _schur(bd: _BlockData, scal: _Scaling, m: int) -> np.ndarray:
 def solve(problem: ConicProblem, options: SolverOptions | None = None,
           x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
     """Run the interior-point method; never raises on numerical trouble,
-    reports it through the status field instead."""
+    reports it through the status field, and its cause, instead."""
     opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
     A_full = scipy.sparse.csr_matrix(problem.A)
@@ -509,6 +561,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     bnorm = 1.0 + (np.abs(b_full).max() if b_full.size else 0.0)
     cnorm = 1.0 + (np.abs(c).max() if c.size else 0.0)
     status = SolverStatus.MaxIterations
+    cause = ""
     it = 0
 
     for it in range(1, opts.max_iterations + 1):
@@ -527,6 +580,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
             break
         if not (np.isfinite(mu) and np.isfinite(pobj) and np.isfinite(dobj)):
             status = SolverStatus.NumericalFailure
+            cause = f"non-finite mu {mu:.3e} or objective (primal {pobj:.3e}, dual {dobj:.3e})"
             break
 
         scal = _Scaling(cone, x, s)
@@ -543,6 +597,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
                     break
         if chol is None:
             status = SolverStatus.NumericalFailure
+            cause = f"Cholesky regularization past 1e-4 (last tried {reg / 100.0:.1e})"
             break
 
         def newton(rc):
@@ -559,29 +614,14 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         mu_aff = float((x + ap * dxa) @ (s + ad * dsa)) / cone.nu
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
-        # corrector with the Mehrotra second-order term, built in the scaled
-        # frame where both x and s sit at diag(lam)
-        rc = np.empty(cone.dim)
-        for i, (k, sl) in enumerate(zip(cone.blocks, cone.slices)):
-            lam = scal.lam[i]
-            dxh = scal.Rinv[i] @ smat(dxa[sl], k) @ scal.RinvH[i]
-            dsh = scal.RH[i] @ smat(dsa[sl], k) @ scal.R[i]
-            dmat = sigma * mu * np.eye(k) - np.diag(lam ** 2) \
-                - (dxh @ dsh + dsh @ dxh) / 2.0
-            D = 2.0 * dmat / np.add.outer(lam, lam)
-            rc[sl] = svec(scal.R[i] @ ((D + D.conj().T) / 2.0) @ scal.RH[i])
-        lam_lp = scal.lam_lp
-        if cone.lp_dim:
-            dxh = dxa[cone.lp_slice] / scal.w_lp
-            dsh = dsa[cone.lp_slice] * scal.w_lp
-            d_lp = sigma * mu - lam_lp ** 2 - dxh * dsh
-            rc[cone.lp_slice] = scal.w_lp * d_lp / lam_lp
+        rc = scal.corrector(dxa, dsa, sigma, mu)
 
         dx, dy, ds = newton(rc)
         ap = min(1.0, opts.step_fraction * scal.max_step(x, dx, True))
         ad = min(1.0, opts.step_fraction * scal.max_step(s, ds, False))
         if not (np.isfinite(ap) and np.isfinite(ad)) or max(ap, ad) <= 0.0:
             status = SolverStatus.NumericalFailure
+            cause = f"zero or non-finite step (ap {ap:.3e}, ad {ad:.3e})"
             break
         x = x + ap * dx
         y = y + ad * dy
@@ -599,13 +639,14 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     dres = np.abs(rd_full).max() / cnorm
     if status is SolverStatus.Optimal and (pres > 10 * opts.feas_tol
                                            or dres > 10 * opts.feas_tol):
-        # dropped rows were inconsistent with the kept ones
         status = SolverStatus.NumericalFailure
+        cause = (f"dropped rows inconsistent with the kept ones "
+                 f"(pres {pres:.3e}, dres {dres:.3e})")
     return ConicSolution(
         status=status, x=x, y=y_full, s=s,
         primal_objective=pobj, dual_objective=dobj, gap=gap,
         primal_residual=float(pres), dual_residual=float(dres),
-        iterations=it,
+        iterations=it, cause=cause,
     )
 
 
@@ -614,6 +655,7 @@ def _solved(problem: ConicProblem, program: str, options: SolverOptions | None =
     """solve, raising SolverFailure unless the status is Optimal."""
     sol = solve(problem, options, x0=x0, y0=y0)
     if not sol.optimal:
+        cause = f": {sol.cause}" if sol.cause else ""
         raise SolverFailure(f"{program} ended with {sol.status.value} "
-                            f"after {sol.iterations} iterations")
+                            f"after {sol.iterations} iterations{cause}")
     return sol

@@ -15,7 +15,7 @@ from qw1.conic import (
     svec,
     svec_len,
 )
-from qw1.errors import DimensionMismatch, InvalidInput
+from qw1.errors import DimensionMismatch, InvalidInput, SolverFailure
 from qw1.w1 import hermitian_basis
 
 
@@ -168,6 +168,43 @@ def test_problem_validation():
         ConicProblem(psd_blocks=(), lp_dim=2, A=np.eye(2), b=np.zeros(2), c=np.zeros(5))
 
 
+def _no_cholesky(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+def test_failure_names_cholesky_regularization(monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "cho_factor", _no_cholesky)
+    sol = solve(_lp_problem())
+    assert sol.status is SolverStatus.NumericalFailure
+    assert sol.iterations == 1
+    with pytest.raises(SolverFailure, match=r"Cholesky regularization past 1e-4 "
+                                            r"\(last tried 1\.0e-04\)"):
+        conic._solved(_lp_problem(), "test LP")
+
+
+def test_failure_names_non_finite_objective():
+    base = _lp_problem()
+    prob = ConicProblem(psd_blocks=(), lp_dim=2, A=base.A, b=base.b,
+                        c=np.array([np.nan, 0.0]))
+    sol = solve(prob)
+    assert sol.status is SolverStatus.NumericalFailure
+    assert sol.cause.startswith("non-finite mu")
+    assert "primal nan" in sol.cause
+
+
+def test_failure_names_inconsistent_dropped_rows():
+    # the second row repeats the first to 1e-14 but asks for 3.001: the
+    # presolve drops it, and the solution misses it by 1e-3
+    base = _lp_problem()
+    A = np.vstack([base.A, (1.0 + 1e-14) * base.A])
+    prob = ConicProblem(psd_blocks=(), lp_dim=2, A=A, b=np.array([3.0, 3.001]), c=base.c)
+    sol = solve(prob)
+    assert sol.status is SolverStatus.NumericalFailure
+    assert sol.cause.startswith("dropped rows inconsistent with the kept ones (pres 2.")
+    with pytest.raises(SolverFailure, match="after .* iterations: dropped rows"):
+        conic._solved(prob, "test LP")
+
+
 def test_residuals_reported():
     sol = solve(_lp_problem())
     assert sol.primal_residual < 1e-8
@@ -313,3 +350,137 @@ def test_presolve_drops_nearly_repeated_row():
     assert keep.size == 60
     assert (2 in keep) != (60 in keep)
     np.testing.assert_array_equal(b_kept, b[keep])
+
+
+# ---------------------------------------------------------------------------
+# NT scaling, step length and corrector, stacked per block order
+# ---------------------------------------------------------------------------
+
+def _ref_factor(m):
+    w, v = np.linalg.eigh(m)
+    return v * np.sqrt(np.maximum(w, 1e-300))
+
+
+def _ref_block(k, xb, sb):
+    """NT scaling of one block, one matrix at a time."""
+    lx = _ref_factor(smat(xb, k))
+    ls = _ref_factor(smat(sb, k))
+    u, sig, vh = np.linalg.svd(ls.conj().T @ lx)
+    isqrt = 1.0 / np.sqrt(sig)
+    R = lx @ vh.conj().T * isqrt
+    Rinv = (isqrt[:, None] * u.conj().T) @ ls.conj().T
+    return R, Rinv, sig
+
+
+def _ref_step(k, R, Rinv, lam, dvb, primal):
+    dM = smat(dvb, k)
+    dhat = Rinv @ dM @ Rinv.conj().T if primal else R.conj().T @ dM @ R
+    scaled = dhat / np.sqrt(np.outer(lam, lam))
+    wmin = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0).min()
+    return -1.0 / wmin if wmin < 0 else np.inf
+
+
+def _ref_corrector(k, R, Rinv, lam, dxb, dsb, sigma, mu):
+    dxh = Rinv @ smat(dxb, k) @ Rinv.conj().T
+    dsh = R.conj().T @ smat(dsb, k) @ R
+    dmat = sigma * mu * np.eye(k) - np.diag(lam ** 2) - (dxh @ dsh + dsh @ dxh) / 2.0
+    D = 2.0 * dmat / np.add.outer(lam, lam)
+    return svec(R @ ((D + D.conj().T) / 2.0) @ R.conj().T)
+
+
+def _interior_point(rng, cone):
+    v = np.empty(cone.dim)
+    for k, sl in zip(cone.blocks, cone.slices):
+        v[sl] = svec(_random_hpd(rng, k))
+    v[cone.lp_slice] = rng.uniform(0.5, 2.0, cone.lp_dim)
+    return v
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_scaling_matches_per_block(seed):
+    rng = np.random.default_rng(seed)
+    cone = conic._Cone((2, 3, 2), 3)
+    assert [k for k, _ in cone.orders] == [2, 3]
+    assert cone.members == [[0, 2], [1]]
+    x = _interior_point(rng, cone)
+    s = _interior_point(rng, cone)
+    scal = conic._Scaling(cone, x, s)
+    lp = cone.lp_slice
+    refs = [_ref_block(k, x[sl], s[sl]) for k, sl in zip(cone.blocks, cone.slices)]
+    for b, (R, Rinv, lam) in enumerate(refs):
+        np.testing.assert_allclose(scal.W[b], R @ R.conj().T, rtol=0, atol=1e-12)
+
+    v = rng.standard_normal(cone.dim)
+    ref_G = np.empty(cone.dim)
+    for (R, _, _), k, sl in zip(refs, cone.blocks, cone.slices):
+        W = R @ R.conj().T
+        ref_G[sl] = svec(W @ smat(v[sl], k) @ W)
+    ref_G[lp] = x[lp] / s[lp] * v[lp]
+    np.testing.assert_allclose(scal.apply_G(v), ref_G, rtol=0, atol=1e-12)
+
+    # a direction on one block at a time checks each block's own step length
+    for primal, point in ((True, x), (False, s)):
+        for b, (k, sl) in enumerate(zip(cone.blocks, cone.slices)):
+            # indefinite, so the block's step is finite
+            h = _random_hermitian(rng, k)
+            dv = np.zeros(cone.dim)
+            dv[sl] = svec(h - (np.linalg.eigvalsh(h)[0] + 0.5) * np.eye(k))
+            R, Rinv, lam = refs[b]
+            ref = _ref_step(k, R, Rinv, lam, dv[sl], primal)
+            assert np.isfinite(ref)
+            got = scal.max_step(point, dv, primal)
+            assert abs(got - ref) <= 1e-12 * ref
+        dv = rng.standard_normal(cone.dim)
+        ref = min([_ref_step(k, *refs[b], dv[sl], primal)
+                   for b, (k, sl) in enumerate(zip(cone.blocks, cone.slices))]
+                  + [(-point[lp] / dv[lp])[dv[lp] < 0].min(initial=np.inf)])
+        assert abs(scal.max_step(point, dv, primal) - ref) <= 1e-12 * ref
+
+    dxa = rng.standard_normal(cone.dim)
+    dsa = rng.standard_normal(cone.dim)
+    sigma, mu = 0.3, float(x @ s) / cone.nu
+    ref_rc = np.empty(cone.dim)
+    for (R, Rinv, lam), k, sl in zip(refs, cone.blocks, cone.slices):
+        ref_rc[sl] = _ref_corrector(k, R, Rinv, lam, dxa[sl], dsa[sl], sigma, mu)
+    w, lam_lp = np.sqrt(x[lp] / s[lp]), np.sqrt(x[lp] * s[lp])
+    ref_rc[lp] = w * (sigma * mu - lam_lp ** 2 - dxa[lp] / w * dsa[lp] * w) / lam_lp
+    np.testing.assert_allclose(scal.corrector(dxa, dsa, sigma, mu), ref_rc,
+                               rtol=0, atol=1e-12)
+
+
+def test_stacked_start_and_push_interior():
+    rng = np.random.default_rng(5)
+    cone = conic._Cone((2, 3, 2), 2)
+    e = cone.start()
+    v = rng.standard_normal(cone.dim)
+    pushed = conic._push_interior(cone, v, floor=1e-3)
+    for k, sl in zip(cone.blocks, cone.slices):
+        np.testing.assert_array_equal(e[sl], svec(2.0 * np.eye(k)))
+        w, vecs = np.linalg.eigh(smat(v[sl], k))
+        ref = (vecs * np.maximum(w, 1e-3)) @ vecs.conj().T
+        np.testing.assert_allclose(pushed[sl], svec(ref), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(e[cone.lp_slice], 1.0)
+    np.testing.assert_array_equal(pushed[cone.lp_slice], np.maximum(v[cone.lp_slice], 1e-3))
+
+
+def test_sdp_interleaved_orders_known_optimum():
+    # min sum_i Tr[C_i X_i]  s.t.  Tr X_i = 1: the optimum is the sum of the
+    # smallest eigenvalues of the C_i, at the projectors on their eigenvectors
+    rng = np.random.default_rng(2)
+    blocks = (3, 2, 3)
+    cone = conic._Cone(blocks, 0)
+    Cs = [_random_hermitian(rng, k) for k in blocks]
+    A = np.zeros((len(blocks), cone.dim))
+    c = np.zeros(cone.dim)
+    for i, (k, sl, C) in enumerate(zip(blocks, cone.slices, Cs)):
+        A[i, sl] = svec(np.eye(k))
+        c[sl] = svec(C)
+    sol = solve(ConicProblem(psd_blocks=blocks, lp_dim=0, A=A, b=np.ones(3), c=c))
+    assert sol.optimal
+    expected = sum(np.linalg.eigvalsh(C)[0] for C in Cs)
+    assert abs(sol.primal_objective - expected) < 1e-7
+    assert abs(sol.dual_objective - expected) < 1e-7
+    for k, sl, C in zip(blocks, cone.slices, Cs):
+        w, v = np.linalg.eigh(C)
+        np.testing.assert_allclose(smat(sol.x[sl], k), np.outer(v[:, 0], v[:, 0].conj()),
+                                   atol=1e-4)

@@ -159,6 +159,16 @@ def test_battery_only_filter():
     assert rep.passed
 
 
+def test_contraction_bracket_lower_on_seed_where_empirical_is_smaller():
+    # at this seed the 8-sample empirical contraction of instance 1 (0.3710)
+    # is below half the one-to-one norm (0.4049); the witness ratio is not
+    rep = run_battery(seed=677071331, trials=100, only=("contraction-bracket",))
+    assert rep.failures == []
+    lower = [r for r in rep.results if r.name == "contraction-bracket-lower"]
+    assert len(lower) == 2
+    assert lower[1].lhs > 0.4 and lower[1].rhs > 0.52
+
+
 def test_battery_validation():
     with pytest.raises(InvalidInput):
         run_battery(seed=-1, trials=1)
