@@ -116,7 +116,12 @@ def _same_layout(p: Distribution, q: Distribution):
 
 def classical_w1(p: Distribution, q: Distribution,
                  options: SolverOptions | None = None):
-    """Minimal expected Hamming cost over couplings; returns (value, coupling)."""
+    """Minimal expected Hamming cost over couplings; returns (value, coupling).
+
+    The constraints are the row sums p and the column sums q of the
+    coupling, less the last column sum: the row sums and the column sums
+    share the total mass, so it is implied by the others.
+    """
     _same_layout(p, q)
     D = p.layout.dim
     cost = _hamming_cost(p.d, p.n)
@@ -125,7 +130,8 @@ def classical_w1(p: Distribution, q: Distribution,
         A[i, i * D:(i + 1) * D] = 1.0       # row sums -> p
         A[D + i, i::D] = 1.0                # column sums -> q
     b = np.concatenate([p.weights, q.weights])
-    sol = conic._solved(ConicProblem((), D * D, A, b, cost.ravel()), "transport LP", options)
+    sol = conic._solved(ConicProblem((), D * D, A[:-1], b[:-1], cost.ravel()),
+                        "transport LP", options)
     coupling = np.maximum(sol.x.reshape(D, D), 0.0)
     return max(sol.primal_objective, 0.0), coupling
 
@@ -136,7 +142,9 @@ def classical_w1_dual(p: Distribution, q: Distribution,
 
     Solved as a min-cost flow over ordered pairs: the flow conservation
     multipliers are the potential, and dual feasibility of the solve is
-    exactly the 1-Lipschitz condition |f(x) - f(y)| <= h(x,y).
+    exactly the 1-Lipschitz condition |f(x) - f(y)| <= h(x,y).  The
+    conservation rows sum to zero, so the row of point 0 is omitted, which
+    fixes its multiplier f[0] at 0.
     """
     _same_layout(p, q)
     D = p.layout.dim
@@ -149,9 +157,9 @@ def classical_w1_dual(p: Distribution, q: Distribution,
         A[j, k] = -1.0
         c[k] = cost[i, j]
     b = p.weights - q.weights
-    sol = conic._solved(ConicProblem((), len(pairs), A, b, c), "transport dual LP", options)
-    f = sol.y - sol.y[0]
-    return max(sol.dual_objective, 0.0), f
+    sol = conic._solved(ConicProblem((), len(pairs), A[1:], b[1:], c),
+                        "transport dual LP", options)
+    return max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])
 
 
 def binary_entropy(t: float) -> float:

@@ -30,7 +30,7 @@ x and s start at 2I on every PSD block and at 1 on the LP tail, unless a
 hint is given.  Earlier versions solved each Hermitian block as its real
 symmetric image of twice the order, started at the identity there; from
 2I the W1 programs of qw1.w1 follow those same iterates, so seeded outputs
-built on them keep their values.  Only the stopping test, whose residuals
+built on them retain their values.  Only the stopping test, whose residuals
 were scaled differently there, can end a solve one iteration apart.
 
 The programs built here have PSD blocks of only one or a few orders (2n
@@ -43,7 +43,7 @@ coordinates from the vector and scatters them back, wherever the blocks
 sit, and eigh, svd, eigvalsh and matrix products run over the stack.
 Only the Schur complement is still assembled block by block.
 
-A is converted to CSR once per solve, and the presolve and the Schur
+A is converted to CSR once per solve, and the rank test and the Schur
 complement read its rows from that copy.  Every A x, A^T y and residual
 is a sparse product too, unless A has at most 2^14 entries: there a dense
 product is cheaper than a sparse call.
@@ -58,14 +58,12 @@ Blocks where that costs more than the dense formula (stack every touching
 row as a k x k matrix, multiply by W on both sides) use the dense formula;
 the choice is made per block from its order, row count and nonzero count.
 
-Equality constraints that are linearly dependent are dropped up front.  A
-Cholesky factorization of the Gram matrix A A^T and its condition
-estimate first test whether A has full row rank; only when that test fails
-does a rank-revealing QR of A^T (pivot threshold 1e-10) choose the rows
-to keep.  The multipliers of dropped rows are reported as 0.  Everything is
-deterministic: same problem and options give the same iterates.  Each
-iteration's mu, gap and residuals are logged at DEBUG level to the
-"qw1.conic" logger.
+A must have full row rank: the programs of w1 and classical omit their
+one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
+its condition estimate test the rank up front, and solve refuses an A that
+fails with InvalidInput.  Everything is deterministic: same problem and
+options give the same iterates.  Each iteration's mu, gap and residuals
+are logged at DEBUG level to the "qw1.conic" logger.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ import scipy.sparse
 from .errors import DimensionMismatch, InvalidInput, SolverFailure
 
 _log = logging.getLogger("qw1.conic")
-PRESOLVE_PIVOT_TOL = 1e-10
+FULL_RANK_RCOND = 1e-10
 # entries of A up to which the iteration multiplies by a dense copy of it:
 # below about this size a sparse product costs more in calls than in work
 _DENSE_PRODUCT_SIZE = 1 << 14
@@ -374,15 +372,14 @@ def _chol_like(m: np.ndarray) -> np.ndarray:
 
 
 def _full_row_rank(A) -> bool:
-    """Cheap sufficient test that a pivoted QR of A^T would keep every row.
+    """Does the CSR matrix A have full row rank, with margin?
 
-    That QR has |r_00| <= sigma_max(A) and |r_jj| >= sigma_min(A) for every
-    j, so it keeps all rows once sigma_min / sigma_max > PRESOLVE_PIVOT_TOL.
-    The squared ratio is the reciprocal 2-norm condition number of the Gram
-    matrix A A^T, at least rcond_1 / m.  LAPACK's 1-norm estimate (dpocon
-    on the Cholesky factor) rarely exceeds the true rcond_1 by more than a
-    factor 10, so an estimate above PRESOLVE_PIVOT_TOL puts the ratio above
-    sqrt(PRESOLVE_PIVOT_TOL / (10 m)), far above the pivot threshold.
+    True when LAPACK's 1-norm estimate of the reciprocal condition number
+    of the Gram matrix A A^T (dpocon on its Cholesky factor) exceeds
+    FULL_RANK_RCOND.  That estimate rarely exceeds the true rcond_1 by more
+    than a factor 10, and the squared ratio sigma_min(A) / sigma_max(A) is
+    at least rcond_1 / m, so a pass puts that ratio above
+    sqrt(FULL_RANK_RCOND / (10 m)).
     """
     m, n = A.shape
     if m > n:
@@ -393,29 +390,17 @@ def _full_row_rank(A) -> bool:
     if info != 0:
         return False
     rcond, info = scipy.linalg.lapack.dpocon(factor, anorm)
-    return info == 0 and rcond > PRESOLVE_PIVOT_TOL
+    return info == 0 and rcond > FULL_RANK_RCOND
 
 
+# The name and the (A, b, rows) return stay for benchmarks/tracing.py, which
+# binds _presolve and counts the rows it drops as m - len(result[2]).
 def _presolve(A, b: np.ndarray):
-    """Keep a maximal independent row set of the CSR matrix A.
-
-    A that passes _full_row_rank is kept whole; otherwise QR with column
-    pivoting on A^T picks the rows.
-    """
+    """Refuse a CSR matrix A without full row rank; return (A, b, every row)."""
     m = A.shape[0]
-    if m == 0 or _full_row_rank(A):
-        return A, b, np.arange(m)
-    r = scipy.linalg.qr(A.toarray().T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[0]))
-    piv = r[1]
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > PRESOLVE_PIVOT_TOL * diag[0]))
-    if rank == m:
-        return A, b, np.arange(m)
-    keep = np.sort(piv[:rank])
-    return A[keep], b[keep], keep
+    if m and not _full_row_rank(A):
+        raise InvalidInput(f"the {m} constraint rows of A are not linearly independent")
+    return A, b, np.arange(m)
 
 
 def _entries(row, col, val, sl: slice):
@@ -535,44 +520,48 @@ def _schur(bd: _BlockData, scal: _Scaling, m: int) -> np.ndarray:
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None,
           x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
-    """Run the interior-point method; never raises on numerical trouble,
-    reports it through the status field, and its cause, instead."""
+    """Run the interior-point method.  Raises InvalidInput if A lacks full
+    row rank; never raises on numerical trouble, reports it through the
+    status field, and its cause, instead."""
     opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
-    A_full = scipy.sparse.csr_matrix(problem.A)
-    b_full, c = problem.b, problem.c
-    A, b, keep = _presolve(A_full, b_full)
+    A, b, _ = _presolve(scipy.sparse.csr_matrix(problem.A), problem.b)
+    c = problem.c
     m = A.shape[0]
     bd = _BlockData(A, cone)
     if problem.A.size <= _DENSE_PRODUCT_SIZE:
-        A_full, A = problem.A, A.toarray()
+        A = problem.A
     AT = A.T
-
-    e = cone.start()
-    x = _push_interior(cone, x0) if x0 is not None else e.copy()
-    if y0 is not None:
-        y_hint = np.asarray(y0, dtype=float)
-        s = _push_interior(cone, c - A_full.T @ y_hint)
-        y = y_hint[keep]
-    else:
-        s = e.copy()
-        y = np.zeros(m)
-
-    bnorm = 1.0 + (np.abs(b_full).max() if b_full.size else 0.0)
+    bnorm = 1.0 + (np.abs(b).max() if b.size else 0.0)
     cnorm = 1.0 + (np.abs(c).max() if c.size else 0.0)
-    status = SolverStatus.MaxIterations
-    cause = ""
-    it = 0
 
-    for it in range(1, opts.max_iterations + 1):
+    def measure(x, y, s):
+        """Residuals, objectives, relative gap and scaled residual norms."""
         rp = b - A @ x
         rd = c - AT @ y - s
-        mu = float(x @ s) / cone.nu
         pobj = float(c @ x)
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pres = (np.abs(rp).max() if rp.size else 0.0) / bnorm
         dres = np.abs(rd).max() / cnorm
+        return rp, rd, pobj, dobj, gap, pres, dres
+
+    e = cone.start()
+    x = _push_interior(cone, x0) if x0 is not None else e.copy()
+    if y0 is not None:
+        y = np.array(y0, dtype=float)
+        s = _push_interior(cone, c - AT @ y)
+    else:
+        s = e.copy()
+        y = np.zeros(m)
+
+    status = SolverStatus.MaxIterations
+    cause = ""
+    it = 0
+
+    for it in range(1, opts.max_iterations + 1):
+        rp, rd, pobj, dobj, gap, pres, dres = measure(x, y, s)
+        mu = float(x @ s) / cone.nu
         _log.debug("iter %3d  mu %9.2e  gap %9.2e  pres %9.2e  dres %9.2e",
                    it, mu, gap, pres, dres)
         if gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
@@ -627,23 +616,9 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         y = y + ad * dy
         s = s + ad * ds
 
-    y_full = np.zeros(A_full.shape[0])
-    if keep.size:
-        y_full[keep] = y
-    rp_full = b_full - A_full @ x
-    rd_full = c - A_full.T @ y_full - s
-    pobj = float(c @ x)
-    dobj = float(b_full @ y_full)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    pres = (np.abs(rp_full).max() if rp_full.size else 0.0) / bnorm
-    dres = np.abs(rd_full).max() / cnorm
-    if status is SolverStatus.Optimal and (pres > 10 * opts.feas_tol
-                                           or dres > 10 * opts.feas_tol):
-        status = SolverStatus.NumericalFailure
-        cause = (f"dropped rows inconsistent with the kept ones "
-                 f"(pres {pres:.3e}, dres {dres:.3e})")
+    _, _, pobj, dobj, gap, pres, dres = measure(x, y, s)
     return ConicSolution(
-        status=status, x=x, y=y_full, s=s,
+        status=status, x=x, y=y, s=s,
         primal_objective=pobj, dual_objective=dobj, gap=gap,
         primal_residual=float(pres), dual_residual=float(dres),
         iterations=it, cause=cause,

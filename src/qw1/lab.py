@@ -520,7 +520,7 @@ def _fam_contraction_bracket(seed, fam, k, layouts, options):
     else:
         phi, label = ch._random_channel(QuditLayout(d, 1), rng), "random"
     n = 2
-    rep = ch.tensor_power_contraction_bounds(phi, n, options)
+    rep = ch.tensor_power_contraction_bounds(phi, n)
     emp = ch.empirical_contraction(phi.tensor_power(n), samples=8,
                                    seed=rng, options=options)
     inst = {"seed": seed, "index": k, "channel": label, "n": n}
@@ -539,7 +539,7 @@ def _fam_depolarizing(seed, fam, k, layouts, options):
     p = float(rng.uniform(0.1, 0.9))
     omega = random_density(QuditLayout(d, 1), seed=rng)
     phi = ch.depolarizing(p, omega)
-    rep = ch.tensor_power_contraction_bounds(phi, 2, options)
+    rep = ch.tensor_power_contraction_bounds(phi, 2)
     emp = ch.empirical_contraction(phi.tensor_power(2), samples=6,
                                    seed=rng, options=options)
     inst = {"seed": seed, "index": k, "d": d, "p": p}

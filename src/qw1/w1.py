@@ -25,8 +25,8 @@ coordinate, a site row is svec(I_i (x) f) for f in hermitian_basis(d^(n-1)).
 So b is svec(X) and the witness is smat(y) on the full-space rows.
 
 Both programs omit one row, the full-space constraint of the basis element
-E_00, so that their constraint matrices have full row rank and the solver
-has no row to drop.  The rows are dependent through the trace:
+E_00, so that their constraint matrices have the full row rank that the
+solver requires.  The rows are dependent through the trace:
 the full-space diagonal rows E_rr sum to the trace row of sum_i (P_i - Q_i),
 which the site rows of the identity components already fix, and X is
 traceless, so the omitted row holds at every feasible point.  Its multiplier

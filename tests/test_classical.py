@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qw1 import conic
 from qw1.classical import (
     Distribution,
     binary_entropy,
@@ -79,6 +80,46 @@ def test_dual_matches_primal_with_lipschitz_potential():
                 assert abs(f[i] - f[j]) <= h + 1e-7
         # the potential certifies the value
         assert abs(f @ (p.weights - q.weights) - primal) < 1e-7
+
+
+def _lp_constraints(monkeypatch, program, p, q):
+    """The constraint matrix `program` hands to the solver."""
+    captured = []
+
+    def capture(problem, *args, **kwargs):
+        captured.append(problem.A)
+        raise RuntimeError("captured")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(conic, "solve", capture)
+        with pytest.raises(RuntimeError):
+            program(p, q)
+    return captured[0]
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("program", [classical_w1, classical_w1_dual])
+def test_lp_rows_full_rank_and_omitted_row_dependent(monkeypatch, program, d, n):
+    lay = QuditLayout(d, n)
+    D = lay.dim
+    rng = np.random.default_rng(d * 10 + n)
+    p = Distribution(lay, rng.dirichlet(np.ones(D)))
+    q = Distribution(lay, rng.dirichlet(np.ones(D)))
+    A = _lp_constraints(monkeypatch, program, p, q)
+    rank = np.linalg.matrix_rank(A)
+    assert rank == A.shape[0]
+    if program is classical_w1:
+        # the omitted last column sum of the D x D coupling
+        omitted = np.zeros(D * D)
+        omitted[D - 1::D] = 1.0
+    else:
+        # the omitted flow conservation row of point 0, over ordered pairs
+        pairs = [(i, j) for i in range(D) for j in range(D) if i != j]
+        omitted = np.array([(i == 0) - (j == 0) for i, j in pairs], dtype=float)
+    assert np.linalg.matrix_rank(np.vstack([A, omitted])) == rank
+    if program is classical_w1_dual:
+        _, f = program(p, q)
+        assert f[0] == 0.0
 
 
 def test_distribution_validation():

@@ -102,17 +102,6 @@ def test_sdp_operator_norm():
     assert abs(sol.x[2 * L] - 1.0) < 1e-6
 
 
-def test_presolve_drops_redundant_rows():
-    base = _lp_problem()
-    A = np.vstack([base.A, base.A, 2 * base.A])
-    b = np.array([3.0, 3.0, 6.0])
-    sol = solve(ConicProblem(psd_blocks=(), lp_dim=2, A=A, b=b, c=base.c))
-    assert sol.optimal
-    assert abs(sol.primal_objective - 3.0) < 1e-7
-    # y is reported at full row count
-    assert sol.y.shape == (3,)
-
-
 def _w1_problem(monkeypatch, n=2):
     """The conic program w1_primal builds for a seeded (2,n) difference."""
     lay = QuditLayout(2, n)
@@ -190,19 +179,6 @@ def test_failure_names_non_finite_objective():
     assert sol.status is SolverStatus.NumericalFailure
     assert sol.cause.startswith("non-finite mu")
     assert "primal nan" in sol.cause
-
-
-def test_failure_names_inconsistent_dropped_rows():
-    # the second row repeats the first to 1e-14 but asks for 3.001: the
-    # presolve drops it, and the solution misses it by 1e-3
-    base = _lp_problem()
-    A = np.vstack([base.A, (1.0 + 1e-14) * base.A])
-    prob = ConicProblem(psd_blocks=(), lp_dim=2, A=A, b=np.array([3.0, 3.001]), c=base.c)
-    sol = solve(prob)
-    assert sol.status is SolverStatus.NumericalFailure
-    assert sol.cause.startswith("dropped rows inconsistent with the kept ones (pres 2.")
-    with pytest.raises(SolverFailure, match="after .* iterations: dropped rows"):
-        conic._solved(prob, "test LP")
 
 
 def test_residuals_reported():
@@ -320,36 +296,17 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# presolve
+# full row rank
 # ---------------------------------------------------------------------------
 
-def _no_qr(*args, **kwargs):
-    raise AssertionError("pivoted QR called on a full-row-rank problem")
-
-
-def test_full_rank_problem_skips_qr(monkeypatch):
+def test_full_rank_accepted_and_repeated_row_refused(monkeypatch):
     prob = _w1_problem(monkeypatch, n=3)
-    monkeypatch.setattr(scipy.linalg, "qr", _no_qr)
-    A, b, keep = conic._presolve(scipy.sparse.csr_matrix(prob.A), prob.b)
-    np.testing.assert_array_equal(keep, np.arange(prob.A.shape[0]))
-    assert A.shape == prob.A.shape
     assert solve(prob).optimal
-
-
-def test_presolve_drops_nearly_repeated_row():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((60, 400)) * (rng.random((60, 400)) < 0.05)
-    b = A @ rng.standard_normal(400)
-    assert conic._full_row_rank(scipy.sparse.csr_matrix(A))
-    near = A[2] + 1e-13 * rng.standard_normal(400)
-    A = np.vstack([A, near])
-    b = np.append(b, b[2])
-    A_csr = scipy.sparse.csr_matrix(A)
-    assert not conic._full_row_rank(A_csr)
-    _, b_kept, keep = conic._presolve(A_csr, b)
-    assert keep.size == 60
-    assert (2 in keep) != (60 in keep)
-    np.testing.assert_array_equal(b_kept, b[keep])
+    repeated = ConicProblem(prob.psd_blocks, prob.lp_dim,
+                            np.vstack([prob.A, prob.A[5]]), np.append(prob.b, prob.b[5]),
+                            prob.c)
+    with pytest.raises(InvalidInput, match="not linearly independent"):
+        solve(repeated)
 
 
 # ---------------------------------------------------------------------------
