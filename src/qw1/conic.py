@@ -34,7 +34,7 @@ built on them retain their values.  Only the stopping test, whose residuals
 were scaled differently there, can end a solve one iteration apart.
 
 The programs built here have PSD blocks of only one or a few orders (2n
-blocks of order D for W1, 2 for the Lipschitz constant, orders 2d^2, d, d
+blocks of order D for W1, 2n for the Lipschitz constant, orders 2d^2, d, d
 for the diamond norm), and most are tiny, so a numpy call per block costs
 more than its arithmetic.  The NT scaling, the step length, the map G, the
 corrector and the interior push therefore treat all blocks of one order
@@ -43,10 +43,24 @@ coordinates from the vector and scatters them back, wherever the blocks
 sit, and eigh, svd, eigvalsh and matrix products run over the stack.
 Only the Schur complement is still assembled block by block.
 
-A is converted to CSR once per solve, and the rank test and the Schur
-complement read its rows from that copy.  Every A x, A^T y and residual
-is a sparse product too, unless A has at most 2^14 entries: there a dense
-product is cheaper than a sparse call.
+A program may hold independent programs side by side: the Lipschitz
+constant is n single-site programs, one pair of blocks and its rows each.
+solve finds the connected components of the rows, two rows being connected
+when they touch the same PSD block or LP column, and runs the components
+in lockstep.  The stacked passes above still cover every block at once,
+but each component keeps its own mu, sigma, step lengths, Schur matrix and
+Cholesky factor, regularization, scaled residuals, gap and stopping test,
+so in exact arithmetic it follows the iterates it would follow alone.  A
+component that has stopped keeps its point, and the solve ends when the
+last one stops.  The components are numbered by their first block or LP
+column, and a block or LP column that no row touches joins component 0.
+
+A may be given dense or as a SciPy sparse matrix; it is converted to CSR
+once per solve, and the component search, the rank test and the Schur
+complement read its rows from that copy.  Every A x, A^T y and residual is
+a sparse product too, unless A has at most 2^14 entries counting zeros (m
+times the number of variables): there a dense product is cheaper than a
+sparse call.
 
 The Schur complement of a PSD block comes from the nonzeros of each
 constraint row F_b (Fujisawa, Kojima and Nakata, "Exploiting sparsity in
@@ -60,10 +74,12 @@ the choice is made per block from its order, row count and nonzero count.
 
 A must have full row rank: the programs of w1 and classical omit their
 one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
-its condition estimate test the rank up front, and solve refuses an A that
-fails with InvalidInput.  Everything is deterministic: same problem and
-options give the same iterates.  Each iteration's mu, gap and residuals
-are logged at DEBUG level to the "qw1.conic" logger.
+its condition estimate test the rank up front, one component at a time
+(the Gram matrix is block diagonal over the components), and solve
+refuses an A that fails with InvalidInput.  Everything is deterministic:
+same problem and options give the same iterates.  Each iteration's mu, gap
+and residuals are logged at DEBUG level to the "qw1.conic" logger, per
+component.
 """
 
 from __future__ import annotations
@@ -110,17 +126,24 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """min c.x s.t. Ax = b, x in (PSD blocks, nonnegative tail)."""
+    """min c.x s.t. Ax = b, x in (PSD blocks, nonnegative tail).  A is a
+    dense array or a SciPy sparse matrix, which is kept as CSR."""
 
     psd_blocks: tuple
     lp_dim: int
-    A: np.ndarray
+    A: np.ndarray | scipy.sparse.csr_matrix
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "psd_blocks", tuple(int(k) for k in self.psd_blocks))
-        object.__setattr__(self, "A", np.ascontiguousarray(self.A, dtype=float))
+        if scipy.sparse.issparse(self.A):
+            A = scipy.sparse.csr_matrix(self.A, dtype=float, copy=True)
+            A.sum_duplicates()
+            A.eliminate_zeros()
+        else:
+            A = np.ascontiguousarray(self.A, dtype=float)
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=float))
         object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
         if any(k < 1 for k in self.psd_blocks) or self.lp_dim < 0:
@@ -140,6 +163,9 @@ class ConicProblem:
 
 @dataclass
 class ConicSolution:
+    """The final iterate.  Over several row components the objectives are
+    sums and the gap and residuals the largest component's."""
+
     status: SolverStatus
     x: np.ndarray
     y: np.ndarray
@@ -151,6 +177,9 @@ class ConicSolution:
     dual_residual: float
     iterations: int
     cause: str = ""  # what ended a NumericalFailure, with its numbers
+    # the component (numbered from 0) whose trouble ended a NumericalFailure,
+    # or the first one still running at MaxIterations
+    component: int | None = None
 
     @property
     def optimal(self) -> bool:
@@ -238,7 +267,6 @@ class _Cone:
             off += svec_len(k)
         self.lp_slice = slice(off, off + lp_dim)
         self.dim = off + lp_dim
-        self.nu = sum(self.blocks) + lp_dim  # barrier parameter
         self.orders = []
         self.members = []
         for k in sorted(set(self.blocks)):
@@ -265,6 +293,66 @@ class _Cone:
                             for k, idx in self.orders], 1.0)
 
 
+def _span(idx: np.ndarray):
+    """Sorted indices idx as a slice when they are one contiguous run."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class _Components:
+    """The connected components of a program's rows (see the module
+    docstring), numbered by their first block or LP column.
+
+    rows[j] and coords[j] index component j's rows and coordinates (slices
+    where contiguous), size[j] is its row count and nu[j] its barrier
+    parameter.  block, lp, of_row and of_coord hold the component of each
+    block, LP column, row and coordinate, by_order[g] that of each block of
+    the cone's order group g, and local[r] is row r's index within its
+    component."""
+
+    def __init__(self, A, cone: _Cone):
+        m = A.shape[0]
+        sizes = [svec_len(k) for k in cone.blocks] + [1] * cone.lp_dim
+        nodes = len(sizes)
+        row = np.repeat(np.arange(m), np.diff(A.indptr))
+        node = np.repeat(np.arange(nodes), sizes)[A.indices]
+        # min-label propagation: every node ends with the smallest node of
+        # its component
+        label = np.arange(nodes)
+        while True:
+            row_label = np.full(m, nodes)
+            np.minimum.at(row_label, row, label[node])
+            new = label.copy()
+            np.minimum.at(new, node, row_label[row])
+            if np.array_equal(new, label):
+                break
+            label = new
+        touched = np.zeros(nodes, dtype=bool)
+        touched[node] = True
+        # the first touched node, which is its component's label
+        label[~touched] = np.argmax(touched)
+        # a component's smallest node is its label; number them in order
+        comp = (np.cumsum(label == np.arange(nodes)) - 1)[label]
+        self.count = int(comp.max(initial=0)) + 1
+        self.block = comp[:len(cone.blocks)]
+        self.lp = comp[len(cone.blocks):]
+        self.by_order = [self.block[group] for group in cone.members]
+        self.of_coord = np.repeat(comp, sizes)
+        self.of_row = np.zeros(m, dtype=int)
+        self.of_row[row] = comp[node]
+        self.nu = np.bincount(comp, weights=cone.blocks + [1] * cone.lp_dim,
+                              minlength=self.count)
+        self.rows, self.coords, self.size = [], [], []
+        self.local = np.empty(m, dtype=int)
+        for j in range(self.count):
+            rows = np.flatnonzero(self.of_row == j)
+            self.local[rows] = np.arange(rows.size)
+            self.rows.append(_span(rows))
+            self.coords.append(_span(np.flatnonzero(self.of_coord == j)))
+            self.size.append(rows.size)
+
+
 def _H(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -284,10 +372,12 @@ def _push_interior(cone: _Cone, v: np.ndarray, floor: float = 1e-3) -> np.ndarra
 class _Scaling:
     """NT scaling data for one iterate, one (B, k, k) stack per block order
     (the order groups of _Cone); W[b] is block b's scaling matrix, a view
-    into its group's stack."""
+    into its group's stack.  Step lengths and the corrector's sigma mu are
+    per component of comps."""
 
-    def __init__(self, cone: _Cone, x: np.ndarray, s: np.ndarray):
+    def __init__(self, cone: _Cone, comps: _Components, x: np.ndarray, s: np.ndarray):
         self.cone = cone
+        self.comps = comps
         self.R = []
         self.Rinv = []
         self.lam = []
@@ -320,48 +410,49 @@ class _Scaling:
         return cone.vector([W @ m @ W for W, m in zip(self.Ws, cone.mats(v))],
                            self.w_lp ** 2 * v[cone.lp_slice])
 
-    def max_step(self, v: np.ndarray, dv: np.ndarray, scaled_by_R: bool) -> float:
-        """Largest alpha with v + alpha dv still in the cone.
+    def max_step(self, v: np.ndarray, dv: np.ndarray, scaled_by_R: bool) -> np.ndarray:
+        """Largest alpha per component with v + alpha dv still in the cone.
 
         PSD blocks are checked in the scaled frame where the current point is
         diag(lam): scaled_by_R=True means dv is a primal direction (scale by
         R^{-1} . R^{-H}), False a dual one (R^H . R).
         """
         cone = self.cone
-        alpha = np.inf
+        alpha = np.full(self.comps.count, np.inf)
         left, right = (self.Rinv, self.RinvH) if scaled_by_R else (self.RH, self.R)
-        for dM, L, Rt, root in zip(cone.mats(dv), left, right, self.root):
+        for dM, L, Rt, root, owner in zip(cone.mats(dv), left, right, self.root,
+                                          self.comps.by_order):
             scaled = L @ dM @ Rt / root
-            wmin = np.linalg.eigvalsh((scaled + _H(scaled)) / 2.0).min()
-            if wmin < 0:
-                alpha = min(alpha, -1.0 / wmin)
+            wmin = np.linalg.eigvalsh((scaled + _H(scaled)) / 2.0)[:, 0]
+            neg = wmin < 0
+            np.minimum.at(alpha, owner[neg], -1.0 / wmin[neg])
         lp = v[cone.lp_slice]
         dlp = dv[cone.lp_slice]
         neg = dlp < 0
-        if np.any(neg):
-            alpha = min(alpha, float((-lp[neg] / dlp[neg]).min()))
+        np.minimum.at(alpha, self.comps.lp[neg], -lp[neg] / dlp[neg])
         return alpha
 
-    def corrector(self, dxa: np.ndarray, dsa: np.ndarray, sigma: float,
-                  mu: float) -> np.ndarray:
+    def corrector(self, dxa: np.ndarray, dsa: np.ndarray, smu: np.ndarray) -> np.ndarray:
         """Right-hand side of the corrector with the Mehrotra second-order
-        term, built in the scaled frame where both x and s sit at diag(lam)."""
+        term, built in the scaled frame where both x and s sit at diag(lam);
+        smu holds sigma mu per component."""
         cone = self.cone
         mats = []
-        for (k, _), dxm, dsm, lam, R, RH, Rinv, RinvH in zip(
+        for (k, _), dxm, dsm, lam, R, RH, Rinv, RinvH, owner in zip(
                 cone.orders, cone.mats(dxa), cone.mats(dsa),
-                self.lam, self.R, self.RH, self.Rinv, self.RinvH):
+                self.lam, self.R, self.RH, self.Rinv, self.RinvH, self.comps.by_order):
             dxh = Rinv @ dxm @ RinvH
             dsh = RH @ dsm @ R
             eye = np.eye(k)
-            dmat = sigma * mu * eye - eye * (lam ** 2)[:, None, :] \
+            dmat = smu[owner][:, None, None] * eye - eye * (lam ** 2)[:, None, :] \
                 - (dxh @ dsh + dsh @ dxh) / 2.0
             D = 2.0 * dmat / (lam[:, :, None] + lam[:, None, :])
             mats.append(R @ ((D + _H(D)) / 2.0) @ RH)
         lam_lp = self.lam_lp
         dxh = dxa[cone.lp_slice] / self.w_lp
         dsh = dsa[cone.lp_slice] * self.w_lp
-        return cone.vector(mats, self.w_lp * (sigma * mu - lam_lp ** 2 - dxh * dsh) / lam_lp)
+        return cone.vector(mats, self.w_lp * (smu[self.comps.lp] - lam_lp ** 2 - dxh * dsh)
+                           / lam_lp)
 
 
 def _chol_like(m: np.ndarray) -> np.ndarray:
@@ -395,12 +486,16 @@ def _full_row_rank(A) -> bool:
 
 # The name and the (A, b, rows) return stay for benchmarks/tracing.py, which
 # binds _presolve and counts the rows it drops as m - len(result[2]).
-def _presolve(A, b: np.ndarray):
-    """Refuse a CSR matrix A without full row rank; return (A, b, every row)."""
-    m = A.shape[0]
-    if m and not _full_row_rank(A):
-        raise InvalidInput(f"the {m} constraint rows of A are not linearly independent")
-    return A, b, np.arange(m)
+def _presolve(A, b: np.ndarray, comps: _Components):
+    """Refuse a CSR matrix A without full row rank; return (A, b, every row).
+    Rows of different components are orthogonal, so each component's rows
+    are tested on their own."""
+    for j, (rows, size) in enumerate(zip(comps.rows, comps.size)):
+        if size and not _full_row_rank(A if size == A.shape[0] else A[rows]):
+            where = f"component {j + 1} of {comps.count}" if comps.count > 1 else "A"
+            raise InvalidInput(
+                f"the {size} constraint rows of {where} are not linearly independent")
+    return A, b, np.arange(A.shape[0])
 
 
 def _entries(row, col, val, sl: slice):
@@ -487,64 +582,84 @@ def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
 
 class _BlockData:
     """Per-block constraint data for the Schur complement: one _SparseRows
-    or _DenseRows per PSD block (None if no row touches it), and the LP
-    columns of A as a dense array.  A is a CSR matrix."""
+    or _DenseRows per PSD block (None if no row touches it), its rows
+    numbered within its component, and per component the blocks it holds
+    and its LP columns of A as a dense array.  A is a CSR matrix."""
 
-    def __init__(self, A, cone: _Cone):
+    def __init__(self, A, cone: _Cone, comps: _Components):
         m = A.shape[0]
         nonzeros = np.repeat(np.arange(m), np.diff(A.indptr)), A.indices, A.data
+        self.comps = comps
         self.entries = []
-        for k, sl in zip(cone.blocks, cone.slices):
+        for k, sl, j in zip(cone.blocks, cone.slices, comps.block):
             touch, pos, col, val = _entries(*nonzeros, sl)
+            touch = comps.local[touch]
             if touch.size == 0:
                 self.entries.append(None)
             elif _sparse_schur_pays(k, touch.size, val.size):
-                self.entries.append(_SparseRows(touch, pos, col, val, k, m))
+                self.entries.append(_SparseRows(touch, pos, col, val, k, comps.size[j]))
             else:
                 self.entries.append(_DenseRows(touch, pos, col, val, k))
-        self.lp_cols = np.zeros((m, cone.lp_dim))
+        self.blocks = [[b for b, e in enumerate(self.entries)
+                        if e is not None and comps.block[b] == j]
+                       for j in range(comps.count)]
+        lp_cols = np.zeros((m, cone.lp_dim))
         if cone.lp_dim:
             touch, pos, col, val = _entries(*nonzeros, cone.lp_slice)
-            self.lp_cols[touch[pos], col] = val
+            lp_cols[touch[pos], col] = val
+        self.lp_idx = [_span(np.flatnonzero(comps.lp == j)) for j in range(comps.count)]
+        self.lp_cols = [np.ascontiguousarray(lp_cols[rows][:, idx])
+                        for rows, idx in zip(comps.rows, self.lp_idx)]
 
 
-def _schur(bd: _BlockData, scal: _Scaling, m: int) -> np.ndarray:
-    M = np.zeros((m, m))
-    for rows, W in zip(bd.entries, scal.W):
-        if rows is not None:
-            rows.add_to(M, W)
-    if bd.lp_cols.shape[1]:
-        M += (bd.lp_cols * scal.w_lp ** 2) @ bd.lp_cols.T
+def _schur(bd: _BlockData, scal: _Scaling, j: int) -> np.ndarray:
+    """The Schur complement of component j, on its rows."""
+    size = bd.comps.size[j]
+    M = np.zeros((size, size))
+    for b in bd.blocks[j]:
+        bd.entries[b].add_to(M, scal.W[b])
+    lp = bd.lp_cols[j]
+    if lp.shape[1]:
+        M += (lp * scal.w_lp[bd.lp_idx[j]] ** 2) @ lp.T
     return (M + M.T) / 2.0
 
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None,
           x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
-    """Run the interior-point method.  Raises InvalidInput if A lacks full
-    row rank; never raises on numerical trouble, reports it through the
-    status field, and its cause, instead."""
+    """Run the interior-point method on the components of the program's
+    rows in lockstep.  Raises InvalidInput if A lacks full row rank; never
+    raises on numerical trouble, reports it through the status field, and
+    its cause and component, instead."""
     opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
-    A, b, _ = _presolve(scipy.sparse.csr_matrix(problem.A), problem.b)
+    A = scipy.sparse.csr_matrix(problem.A)
+    comps = _Components(A, cone)
+    A, b, _ = _presolve(A, problem.b, comps)
     c = problem.c
     m = A.shape[0]
-    bd = _BlockData(A, cone)
-    if problem.A.size <= _DENSE_PRODUCT_SIZE:
-        A = problem.A
+    bd = _BlockData(A, cone, comps)
+    if m * cone.dim <= _DENSE_PRODUCT_SIZE:
+        A = A.toarray() if scipy.sparse.issparse(problem.A) else problem.A
     AT = A.T
-    bnorm = 1.0 + (np.abs(b).max() if b.size else 0.0)
-    cnorm = 1.0 + (np.abs(c).max() if c.size else 0.0)
+    parts = list(zip(comps.rows, comps.coords))
+    bnorm = [1.0 + (np.abs(b[rows]).max() if b[rows].size else 0.0) for rows in comps.rows]
+    cnorm = [1.0 + (np.abs(c[coords]).max() if c[coords].size else 0.0)
+             for coords in comps.coords]
 
     def measure(x, y, s):
-        """Residuals, objectives, relative gap and scaled residual norms."""
+        """Residuals, then per component its objectives, relative gap and
+        scaled residual norms."""
         rp = b - A @ x
         rd = c - AT @ y - s
-        pobj = float(c @ x)
-        dobj = float(b @ y)
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pres = (np.abs(rp).max() if rp.size else 0.0) / bnorm
-        dres = np.abs(rd).max() / cnorm
-        return rp, rd, pobj, dobj, gap, pres, dres
+        stats = []
+        for (rows, coords), bn, cn in zip(parts, bnorm, cnorm):
+            pobj = float(c[coords] @ x[coords])
+            dobj = float(b[rows] @ y[rows])
+            gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            pres = (np.abs(rp[rows]).max() if rp[rows].size else 0.0) / bn
+            dres = np.abs(rd[coords]).max() / cn
+            stats.append((pobj, dobj, gap, pres, dres))
+        return rp, rd, stats
 
     e = cone.start()
     x = _push_interior(cone, x0) if x0 is not None else e.copy()
@@ -555,81 +670,122 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         s = e.copy()
         y = np.zeros(m)
 
-    status = SolverStatus.MaxIterations
-    cause = ""
+    running = np.ones(comps.count, dtype=bool)
+    failure = None  # (component, cause)
     it = 0
 
     for it in range(1, opts.max_iterations + 1):
-        rp, rd, pobj, dobj, gap, pres, dres = measure(x, y, s)
-        mu = float(x @ s) / cone.nu
-        _log.debug("iter %3d  mu %9.2e  gap %9.2e  pres %9.2e  dres %9.2e",
-                   it, mu, gap, pres, dres)
-        if gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
-            status = SolverStatus.Optimal
+        rp, rd, stats = measure(x, y, s)
+        mu = np.array([float(x[coords] @ s[coords]) for coords in comps.coords]) / comps.nu
+        for j in np.flatnonzero(running):
+            pobj, dobj, gap, pres, dres = stats[j]
+            _log.debug("iter %3d%s  mu %9.2e  gap %9.2e  pres %9.2e  dres %9.2e",
+                       it, f"  component {j + 1}" if comps.count > 1 else "",
+                       mu[j], gap, pres, dres)
+            if gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
+                running[j] = False
+            elif not (np.isfinite(mu[j]) and np.isfinite(pobj) and np.isfinite(dobj)):
+                failure = int(j), (f"non-finite mu {mu[j]:.3e} or objective "
+                              f"(primal {pobj:.3e}, dual {dobj:.3e})")
+                break
+        live = np.flatnonzero(running)
+        if failure or not live.size:
             break
-        if not (np.isfinite(mu) and np.isfinite(pobj) and np.isfinite(dobj)):
-            status = SolverStatus.NumericalFailure
-            cause = f"non-finite mu {mu:.3e} or objective (primal {pobj:.3e}, dual {dobj:.3e})"
-            break
+        stopped = ~running
 
-        scal = _Scaling(cone, x, s)
-        M = _schur(bd, scal, m)
-        chol = None
-        reg = STATIC_REGULARIZATION
-        while chol is None:
-            try:
-                chol = scipy.linalg.cho_factor(
-                    M + reg * np.eye(m), lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                reg *= 100.0
-                if reg > 1e-4:
-                    break
-        if chol is None:
-            status = SolverStatus.NumericalFailure
-            cause = f"Cholesky regularization past 1e-4 (last tried {reg / 100.0:.1e})"
+        scal = _Scaling(cone, comps, x, s)
+        chols = []
+        for j in live:
+            M = _schur(bd, scal, j)
+            chol = None
+            reg = STATIC_REGULARIZATION
+            while chol is None:
+                try:
+                    chol = scipy.linalg.cho_factor(
+                        M + reg * np.eye(comps.size[j]), lower=True, check_finite=False)
+                except np.linalg.LinAlgError:
+                    reg *= 100.0
+                    if reg > 1e-4:
+                        break
+            if chol is None:
+                failure = int(j), ("Cholesky regularization past 1e-4 "
+                                   f"(last tried {reg / 100.0:.1e})")
+                break
+            chols.append((comps.rows[j], chol))
+        if failure:
             break
 
         def newton(rc):
             rhs = rp - A @ (rc - scal.apply_G(rd))
-            dy = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+            dy = np.zeros(m)  # a stopped component does not move
+            for rows, chol in chols:
+                dy[rows] = scipy.linalg.cho_solve(chol, rhs[rows], check_finite=False)
             ds = rd - AT @ dy
             dx = rc - scal.apply_G(ds)
             return dx, dy, ds
 
+        def steps(dx, ds, fraction=1.0):
+            """Primal and dual step per component, 0 where it has stopped."""
+            ap = np.minimum(1.0, fraction * scal.max_step(x, dx, True))
+            ad = np.minimum(1.0, fraction * scal.max_step(s, ds, False))
+            ap[stopped] = ad[stopped] = 0.0
+            return ap, ad
+
         # predictor: aim straight at the boundary
         dxa, dya, dsa = newton(-x)
-        ap = min(1.0, scal.max_step(x, dxa, True))
-        ad = min(1.0, scal.max_step(s, dsa, False))
-        mu_aff = float((x + ap * dxa) @ (s + ad * dsa)) / cone.nu
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
+        ap, ad = steps(dxa, dsa)
+        xa = x + ap[comps.of_coord] * dxa
+        sa = s + ad[comps.of_coord] * dsa
+        smu = np.zeros(comps.count)
+        for j in live:
+            coords = comps.coords[j]
+            mu_aff = float(xa[coords] @ sa[coords]) / comps.nu[j]
+            sigma = min(1.0, max(0.0, mu_aff / mu[j])) ** 3 if mu[j] > 0 else 0.0
+            smu[j] = sigma * mu[j]
 
-        rc = scal.corrector(dxa, dsa, sigma, mu)
+        rc = scal.corrector(dxa, dsa, smu)
 
         dx, dy, ds = newton(rc)
-        ap = min(1.0, opts.step_fraction * scal.max_step(x, dx, True))
-        ad = min(1.0, opts.step_fraction * scal.max_step(s, ds, False))
-        if not (np.isfinite(ap) and np.isfinite(ad)) or max(ap, ad) <= 0.0:
-            status = SolverStatus.NumericalFailure
-            cause = f"zero or non-finite step (ap {ap:.3e}, ad {ad:.3e})"
+        ap, ad = steps(dx, ds, opts.step_fraction)
+        for j in live:
+            if not (np.isfinite(ap[j]) and np.isfinite(ad[j])) or max(ap[j], ad[j]) <= 0.0:
+                failure = int(j), f"zero or non-finite step (ap {ap[j]:.3e}, ad {ad[j]:.3e})"
+                break
+        if failure:
             break
-        x = x + ap * dx
-        y = y + ad * dy
-        s = s + ad * ds
+        x = x + ap[comps.of_coord] * dx
+        y = y + ad[comps.of_row] * dy
+        s = s + ad[comps.of_coord] * ds
 
-    _, _, pobj, dobj, gap, pres, dres = measure(x, y, s)
+    if failure:
+        status = SolverStatus.NumericalFailure
+        component, cause = failure
+        if comps.count > 1:
+            cause = f"component {component + 1} of {comps.count}: {cause}"
+    elif running.any():
+        status = SolverStatus.MaxIterations
+        component, cause = int(np.flatnonzero(running)[0]), ""
+    else:
+        status = SolverStatus.Optimal
+        component, cause = None, ""
+    _, _, stats = measure(x, y, s)
+    gap, pres, dres = (max(col) for col in list(zip(*stats))[2:])
     return ConicSolution(
         status=status, x=x, y=y, s=s,
-        primal_objective=pobj, dual_objective=dobj, gap=gap,
+        primal_objective=float(c @ x), dual_objective=float(b @ y), gap=gap,
         primal_residual=float(pres), dual_residual=float(dres),
-        iterations=it, cause=cause,
+        iterations=it, cause=cause, component=component,
     )
 
 
-def _solved(problem: ConicProblem, program: str, options: SolverOptions | None = None,
+def _solved(problem: ConicProblem, program, options: SolverOptions | None = None,
             x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
-    """solve, raising SolverFailure unless the status is Optimal."""
+    """solve, raising SolverFailure unless the status is Optimal.  program
+    names the program in that message, or is a list naming each component."""
     sol = solve(problem, options, x0=x0, y0=y0)
     if not sol.optimal:
+        if not isinstance(program, str):
+            program = program[sol.component]
         cause = f": {sol.cause}" if sol.cause else ""
         raise SolverFailure(f"{program} ended with {sol.status.value} "
                             f"after {sol.iterations} iterations{cause}")

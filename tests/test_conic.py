@@ -260,7 +260,10 @@ def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
     lp_dim = (0, 3)[seed % 2]
     cone, A = _structured_rows(rng, blocks, lp_dim, untouched=seed % len(blocks))
     monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
-    bd = conic._BlockData(scipy.sparse.csr_matrix(A), cone)
+    csr = scipy.sparse.csr_matrix(A)
+    comps = conic._Components(csr, cone)
+    assert comps.count == 1  # the untouched block joins component 0
+    bd = conic._BlockData(csr, cone, comps)
     formula = conic._SparseRows if use_sparse else conic._DenseRows
     assert bd.entries[seed % len(blocks)] is None
     assert all(isinstance(e, formula) for e in bd.entries if e is not None)
@@ -269,7 +272,7 @@ def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
         W = [_random_hpd(rng, k) for k in blocks]
         w_lp = rng.uniform(0.5, 2.0, lp_dim)
 
-    M = conic._schur(bd, Scal, A.shape[0])
+    M = conic._schur(bd, Scal, 0)
     ref = _dense_schur(A, cone, Scal.W, Scal.w_lp)
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     np.testing.assert_array_equal(M, M.T)
@@ -280,7 +283,10 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
     prob = _w1_problem(monkeypatch)
     monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
     cone = conic._Cone(prob.psd_blocks, prob.lp_dim)
-    bd = conic._BlockData(scipy.sparse.csr_matrix(prob.A), cone)
+    csr = scipy.sparse.csr_matrix(prob.A)
+    comps = conic._Components(csr, cone)
+    assert comps.count == 1
+    bd = conic._BlockData(csr, cone, comps)
     rng = np.random.default_rng(7)
 
     class Scal:
@@ -290,7 +296,7 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
     imag = np.flatnonzero(conic._coords(prob.psd_blocks[0]).imag)
     assert np.any(prob.A[:, imag] != 0.0)
 
-    M = conic._schur(bd, Scal, prob.A.shape[0])
+    M = conic._schur(bd, Scal, 0)
     ref = _dense_schur(prob.A, cone, Scal.W, Scal.w_lp)
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
@@ -353,15 +359,29 @@ def _interior_point(rng, cone):
     return v
 
 
+def _two_components(cone):
+    """Rows joining blocks 0 and 2, and block 1 with LP column 0: component
+    0 holds blocks 0 and 2 and the untouched LP columns 1 and 2, component
+    1 block 1 and LP column 0."""
+    A = np.zeros((2, cone.dim))
+    A[0, cone.slices[0].start] = A[0, cone.slices[2].start] = 1.0
+    A[1, cone.slices[1].start] = A[1, cone.lp_slice.start] = 1.0
+    comps = conic._Components(scipy.sparse.csr_matrix(A), cone)
+    assert comps.count == 2
+    assert comps.block.tolist() == [0, 1, 0] and comps.lp.tolist() == [1, 0, 0]
+    return comps
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_scaling_matches_per_block(seed):
     rng = np.random.default_rng(seed)
     cone = conic._Cone((2, 3, 2), 3)
     assert [k for k, _ in cone.orders] == [2, 3]
     assert cone.members == [[0, 2], [1]]
+    comps = _two_components(cone)
     x = _interior_point(rng, cone)
     s = _interior_point(rng, cone)
-    scal = conic._Scaling(cone, x, s)
+    scal = conic._Scaling(cone, comps, x, s)
     lp = cone.lp_slice
     refs = [_ref_block(k, x[sl], s[sl]) for k, sl in zip(cone.blocks, cone.slices)]
     for b, (R, Rinv, lam) in enumerate(refs):
@@ -375,7 +395,8 @@ def test_stacked_scaling_matches_per_block(seed):
     ref_G[lp] = x[lp] / s[lp] * v[lp]
     np.testing.assert_allclose(scal.apply_G(v), ref_G, rtol=0, atol=1e-12)
 
-    # a direction on one block at a time checks each block's own step length
+    # a direction on one block at a time checks each block's own step length,
+    # reported for its component only
     for primal, point in ((True, x), (False, s)):
         for b, (k, sl) in enumerate(zip(cone.blocks, cone.slices)):
             # indefinite, so the block's step is finite
@@ -386,22 +407,30 @@ def test_stacked_scaling_matches_per_block(seed):
             ref = _ref_step(k, R, Rinv, lam, dv[sl], primal)
             assert np.isfinite(ref)
             got = scal.max_step(point, dv, primal)
-            assert abs(got - ref) <= 1e-12 * ref
+            j = comps.block[b]
+            assert abs(got[j] - ref) <= 1e-12 * ref
+            assert np.all(np.isinf(np.delete(got, j)))
         dv = rng.standard_normal(cone.dim)
-        ref = min([_ref_step(k, *refs[b], dv[sl], primal)
-                   for b, (k, sl) in enumerate(zip(cone.blocks, cone.slices))]
-                  + [(-point[lp] / dv[lp])[dv[lp] < 0].min(initial=np.inf)])
-        assert abs(scal.max_step(point, dv, primal) - ref) <= 1e-12 * ref
+        got = scal.max_step(point, dv, primal)
+        for j in range(comps.count):
+            lp_j = np.flatnonzero(comps.lp == j)
+            ratios = -point[lp][lp_j] / dv[lp][lp_j]
+            ref = min([_ref_step(k, *refs[b], dv[sl], primal)
+                       for b, (k, sl) in enumerate(zip(cone.blocks, cone.slices))
+                       if comps.block[b] == j]
+                      + [ratios[dv[lp][lp_j] < 0].min(initial=np.inf)])
+            assert abs(got[j] - ref) <= 1e-12 * ref
 
     dxa = rng.standard_normal(cone.dim)
     dsa = rng.standard_normal(cone.dim)
-    sigma, mu = 0.3, float(x @ s) / cone.nu
+    sigma, mu = np.array([0.3, 0.6]), np.array([1.7, 0.9])
     ref_rc = np.empty(cone.dim)
-    for (R, Rinv, lam), k, sl in zip(refs, cone.blocks, cone.slices):
-        ref_rc[sl] = _ref_corrector(k, R, Rinv, lam, dxa[sl], dsa[sl], sigma, mu)
+    for (R, Rinv, lam), k, sl, j in zip(refs, cone.blocks, cone.slices, comps.block):
+        ref_rc[sl] = _ref_corrector(k, R, Rinv, lam, dxa[sl], dsa[sl], sigma[j], mu[j])
     w, lam_lp = np.sqrt(x[lp] / s[lp]), np.sqrt(x[lp] * s[lp])
-    ref_rc[lp] = w * (sigma * mu - lam_lp ** 2 - dxa[lp] / w * dsa[lp] * w) / lam_lp
-    np.testing.assert_allclose(scal.corrector(dxa, dsa, sigma, mu), ref_rc,
+    smu_lp = (sigma * mu)[comps.lp]
+    ref_rc[lp] = w * (smu_lp - lam_lp ** 2 - dxa[lp] / w * dsa[lp] * w) / lam_lp
+    np.testing.assert_allclose(scal.corrector(dxa, dsa, sigma * mu), ref_rc,
                                rtol=0, atol=1e-12)
 
 
@@ -441,3 +470,93 @@ def test_sdp_interleaved_orders_known_optimum():
         w, v = np.linalg.eigh(C)
         np.testing.assert_allclose(smat(sol.x[sl], k), np.outer(v[:, 0], v[:, 0].conj()),
                                    atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# independent components solved in lockstep
+# ---------------------------------------------------------------------------
+
+def _random_program(rng, blocks, lp_dim, m):
+    """A random program whose primal and dual are strictly feasible, so it
+    has an optimum: b = A x0 and c = A^T y0 + s0 with x0, s0 interior."""
+    cone = conic._Cone(blocks, lp_dim)
+    A = rng.standard_normal((m, cone.dim))
+    b = A @ _interior_point(rng, cone)
+    c = A.T @ rng.standard_normal(m) + _interior_point(rng, cone)
+    return ConicProblem(blocks, lp_dim, A, b, c)
+
+
+def _interleaved_program(seed):
+    """Three independent random programs in one: blocks of orders 3 and 2,
+    two blocks of order 4, and an LP tail, with the blocks interleaved as
+    (3, 4, 2, 4) and the rows dealt out in turn.  Returns the solo programs,
+    the joint one and each solo program's coordinates in the joint one."""
+    rng = np.random.default_rng(seed)
+    solo = [_random_program(rng, (3, 2), 0, 6), _random_program(rng, (4, 4), 0, 9),
+            _random_program(rng, (), 5, 3)]
+    blocks, lp_dim = (3, 4, 2, 4), 5
+    cone = conic._Cone(blocks, lp_dim)
+    placed = [[0, 2], [1, 3], []]  # joint block of each solo block
+    cols = [np.concatenate([np.arange(cone.slices[b].start, cone.slices[b].stop)
+                            for b in placed[p]] + [np.arange(cone.dim)[cone.lp_slice]
+                                                   if solo[p].lp_dim else []]).astype(int)
+            for p in range(3)]
+    turns = sorted((r, p) for p in range(3) for r in range(solo[p].A.shape[0]))
+    A = np.zeros((len(turns), cone.dim))
+    b = np.zeros(len(turns))
+    c = np.zeros(cone.dim)
+    for row, (r, p) in enumerate(turns):
+        A[row, cols[p]] = solo[p].A[r]
+        b[row] = solo[p].b[r]
+    for p in range(3):
+        c[cols[p]] = solo[p].c
+    return solo, ConicProblem(blocks, lp_dim, A, b, c), cols
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_components_solved_in_lockstep_match_solo(seed):
+    solo, joint, cols = _interleaved_program(seed)
+    cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
+    comps = conic._Components(scipy.sparse.csr_matrix(joint.A), cone)
+    assert comps.count == 3
+    assert comps.block.tolist() == [0, 1, 0, 1] and comps.lp.tolist() == [2] * 5
+    solo_sols = [solve(p) for p in solo]
+    assert all(s.optimal for s in solo_sols)
+    sol = solve(joint)
+    assert sol.optimal
+    assert sol.iterations == max(s.iterations for s in solo_sols)
+    for p, s in zip(cols, solo_sols):
+        obj = float(joint.c[p] @ sol.x[p])
+        assert abs(obj - s.primal_objective) <= 1e-9 * (1.0 + abs(s.primal_objective))
+
+
+def test_csr_constraints_give_identical_bytes(monkeypatch):
+    # the joint program multiplies by a dense copy of A, the W1 program by
+    # the CSR matrix itself
+    _, joint, _ = _interleaved_program(0)
+    w1 = _w1_problem(monkeypatch, n=3)
+    assert joint.A.size <= conic._DENSE_PRODUCT_SIZE < w1.A.size
+    for prob in (joint, w1):
+        sparse = ConicProblem(prob.psd_blocks, prob.lp_dim,
+                              scipy.sparse.csr_matrix(prob.A), prob.b, prob.c)
+        assert scipy.sparse.issparse(sparse.A)
+        a, b = solve(prob), solve(sparse)
+        assert a.optimal and a.iterations == b.iterations
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+        assert a.s.tobytes() == b.s.tobytes()
+
+
+def test_failure_names_its_component():
+    # two copies of the LP side by side, the second with a NaN cost
+    base = _lp_problem()
+    A = scipy.sparse.block_diag([base.A, base.A], format="csr")
+    c = np.concatenate([base.c, [np.nan, 0.0]])
+    prob = ConicProblem((), 4, A, np.tile(base.b, 2), c)
+    sol = solve(prob)
+    assert sol.status is SolverStatus.NumericalFailure
+    assert sol.component == 1
+    assert sol.cause.startswith("component 2 of 2: non-finite mu")
+    with pytest.raises(SolverFailure, match=r"^second LP ended with NumericalFailure "
+                                            r"after 1 iterations: component 2 of 2"):
+        conic._solved(prob, ["first LP", "second LP"])

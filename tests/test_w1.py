@@ -30,6 +30,7 @@ from qw1 import (
 )
 from qw1 import conic
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
+from qw1.operators import embed_matrix, operator_norm
 from qw1.w1 import _layout_data
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -159,6 +160,57 @@ def test_lipschitz_estimate_brackets_exact():
         assert lo <= exact + 1e-7
         assert exact <= hi + 1e-7
         assert abs(hi / lo - 2.0 * (d * d - 1.0) / (d * d)) < 1e-9
+
+
+
+def _site_value_reference(h, i):
+    """Site i's value from the single-site program alone, built as the
+    Lipschitz constant was once built one site at a time."""
+    D = h.layout.dim
+    _, site = _layout_data(h.d, h.n)
+    L = D * D
+    nc = site[i].shape[0]
+    eh = conic.svec(h.matrix)
+    id_sv = conic.svec(np.eye(D))
+    A = np.zeros((1 + nc, 2 * L))
+    A[0] = np.concatenate([-id_sv, -id_sv])
+    A[1:, :L] = -site[i]
+    A[1:, L:] = site[i]
+    b = np.zeros(1 + nc)
+    b[0] = -1.0
+    sol = conic._solved(conic.ConicProblem((D, D), 0, A, b, np.concatenate([-eh, eh])),
+                        f"reference site {i + 1}")
+    return 2.0 * max(-sol.dual_objective, 0.0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2)])
+def test_lipschitz_joint_program_matches_site_programs(d, n):
+    lay = QuditLayout(d, n)
+    for seed in range(4):
+        h = random_traceless(lay, seed=300 + seed)
+        res = lipschitz_constant(h)
+        assert len(res.site_values) == len(res.shifts) == n
+        assert res.value == max(res.site_values)
+        for i, (value, shift) in enumerate(zip(res.site_values, res.shifts)):
+            ref = _site_value_reference(h, i)
+            assert abs(value - ref) <= 1e-8 * ref
+            # the optimal shift is not unique; check that it attains the value
+            rest = [j for j in lay.sites() if j != i + 1]
+            attained = 2.0 * operator_norm(h.matrix - embed_matrix(shift, lay, rest))
+            assert abs(attained - value) <= 1e-7 * (1.0 + value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lipschitz_one_site_closed_form(d):
+    lay = QuditLayout(d, 1)
+    for seed in range(5):
+        h = random_traceless(lay, seed=400 + seed)
+        lam = np.linalg.eigvalsh(h.matrix)
+        res = lipschitz_constant(h)
+        assert res.value == res.site_values[0] == lam[-1] - lam[0]
+        assert res.shifts[0].shape == (1, 1)
+        shifted = h.matrix - res.shifts[0][0, 0] * np.eye(d)
+        assert abs(2.0 * operator_norm(shifted) - res.value) <= 1e-12 * (1.0 + res.value)
 
 
 # --- neighboring states ----------------------------------------------------
