@@ -30,6 +30,7 @@ from .w1 import (
     W1Certificate,
     is_neighboring,
     lipschitz_constant,
+    lipschitz_constants,
     lipschitz_estimate,
     local_hamiltonian_lipschitz_bound,
     w1_distance,

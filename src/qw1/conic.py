@@ -19,7 +19,7 @@ a Mehrotra predictor-corrector step, the textbook recipe:
 
   * NT scaling point per block from the SVD of L_s^H L_x, where
     X = L_x L_x^H and S = L_s L_s^H;
-  * Schur complement  A (W (.) W) A^T  assembled per block with a static
+  * Schur complement  A (W (.) W) A^T  assembled with a static
     1e-12 diagonal regularization (escalating jitter on Cholesky
     breakdown);
   * predictor with sigma = 0, corrector with sigma = (mu_aff/mu)^3 and the
@@ -41,7 +41,6 @@ corrector and the interior push therefore treat all blocks of one order
 as one (B, k, k) stack: an index array per order gathers their svec
 coordinates from the vector and scatters them back, wherever the blocks
 sit, and eigh, svd, eigvalsh and matrix products run over the stack.
-Only the Schur complement is still assembled block by block.
 
 A program may hold independent programs side by side: the Lipschitz
 constant is n single-site programs, one pair of blocks and its rows each.
@@ -54,6 +53,23 @@ so in exact arithmetic it follows the iterates it would follow alone.  A
 component that has stopped keeps its point, and the solve ends when the
 last one stops.  The components are numbered by their first block or LP
 column, and a block or LP column that no row touches joins component 0.
+
+Components often repeat: a batch of Lipschitz programs of one layout has
+the same rows at every copy of a site.  solve groups the components into
+classes whose constraint data match exactly (block orders, LP width and
+rows, in each component's own numbering), and reads a class's Schur data
+from its first component, the template, once per solve.  Identical
+components share one rank test too.  Per iteration the Schur matrices of
+a class's running members are assembled as one (C, m, m) stack, with each
+block's scaling matrices gathered as a (C, k, k) stack.  Up to order 64
+they are factored by one batched Cholesky and solved through the inverses
+of the factors.  A member that fails the batch escalates its
+regularization on its own, with scipy's cho_factor and cho_solve; so does
+every member of a larger order, and the lone running member of a class,
+which is every component of a program without repeats.  A member's
+iterates equal its solo iterates in exact arithmetic; in floating point
+they differ in the last bits, which can move its stopping test by an
+iteration.
 
 A may be given dense or as a SciPy sparse matrix; it is converted to CSR
 once per solve, and the component search, the rank test and the Schur
@@ -74,8 +90,8 @@ the choice is made per block from its order, row count and nonzero count.
 
 A must have full row rank: the programs of w1 and classical omit their
 one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
-its condition estimate test the rank up front, one component at a time
-(the Gram matrix is block diagonal over the components), and solve
+its condition estimate test the rank up front, one class of components
+at a time (the Gram matrix is block diagonal over the components), and solve
 refuses an A that fails with InvalidInput.  Everything is deterministic:
 same problem and options give the same iterates.  Each iteration's mu, gap
 and residuals are logged at DEBUG level to the "qw1.conic" logger, per
@@ -86,6 +102,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -109,6 +126,10 @@ _SCHUR_BATCH = 1 << 16
 # cost of one batched numpy call in flops of a large matrix product (about
 # 30 us against 8e-11 s per flop on one core); see _sparse_schur_pays
 _CALL_FLOPS = 4e5
+# Schur order up to which the running members of a class are factored by one
+# batched Cholesky and solved by batched products with the inverse factors;
+# above it the O(m^3) work outweighs the per-member calls saved
+_BATCHED_ORDER = 64
 
 class SolverStatus(enum.Enum):
     Optimal = "Optimal"
@@ -255,7 +276,8 @@ class _Cone:
     Blocks of one order k form a group: orders[g] is (k, idx), idx the
     (B, k^2) positions of the group's B blocks in the coordinate vector, and
     members[g] their block numbers.  v[idx] stacks their svec coordinates
-    and out[idx] = ... scatters a stack back, wherever the blocks sit."""
+    and out[idx] = ... scatters a stack back, wherever the blocks sit.
+    Block b is entry place[b] of the stacks of group group[b]."""
 
     def __init__(self, psd_blocks: Sequence[int], lp_dim: int):
         self.blocks = list(psd_blocks)
@@ -269,11 +291,15 @@ class _Cone:
         self.dim = off + lp_dim
         self.orders = []
         self.members = []
-        for k in sorted(set(self.blocks)):
+        self.group = np.zeros(len(self.blocks), dtype=int)
+        self.place = np.zeros(len(self.blocks), dtype=int)
+        for g, k in enumerate(sorted(set(self.blocks))):
             group = [b for b, kb in enumerate(self.blocks) if kb == k]
             starts = np.array([self.slices[b].start for b in group])
             self.orders.append((k, starts[:, None] + np.arange(svec_len(k))))
             self.members.append(group)
+            self.group[group] = g
+            self.place[group] = np.arange(len(group))
 
     def mats(self, v: np.ndarray) -> list:
         """The PSD blocks of v, one (B, k, k) stack per order."""
@@ -300,16 +326,36 @@ def _span(idx: np.ndarray):
     return idx
 
 
+def _groups(labels: np.ndarray, count: int):
+    """The indices holding each label 0 .. count-1, in increasing order, and
+    each index's rank among those of its label."""
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    rank = np.empty(labels.size, dtype=int)
+    rank[order] = np.arange(labels.size) - np.repeat(starts, sizes)
+    return np.split(order, starts[1:]), rank
+
+
 class _Components:
     """The connected components of a program's rows (see the module
-    docstring), numbered by their first block or LP column.
+    docstring), numbered by their first block or LP column, and their
+    classes of identical components.
 
     rows[j] and coords[j] index component j's rows and coordinates (slices
-    where contiguous), size[j] is its row count and nu[j] its barrier
-    parameter.  block, lp, of_row and of_coord hold the component of each
+    where contiguous), size[j] is its row count, nu[j] its barrier
+    parameter, and blocks_in[j] and lp_in[j] list its blocks and LP columns
+    in order.  block, lp, of_row and of_coord hold the component of each
     block, LP column, row and coordinate, by_order[g] that of each block of
     the cone's order group g, and local[r] is row r's index within its
-    component."""
+    component.
+
+    Two components are identical when their constraint data match exactly:
+    the same block orders in the same order, as many LP columns, and the
+    same rows, every nonzero at the same place in the component's own rows
+    and coordinates.  classes[i] lists the components of class i in order,
+    its first one being the class's template; the classes are ordered by
+    their templates."""
 
     def __init__(self, A, cone: _Cone):
         m = A.shape[0]
@@ -334,7 +380,7 @@ class _Components:
         label[~touched] = np.argmax(touched)
         # a component's smallest node is its label; number them in order
         comp = (np.cumsum(label == np.arange(nodes)) - 1)[label]
-        self.count = int(comp.max(initial=0)) + 1
+        self.count = count = int(comp.max(initial=0)) + 1
         self.block = comp[:len(cone.blocks)]
         self.lp = comp[len(cone.blocks):]
         self.by_order = [self.block[group] for group in cone.members]
@@ -342,15 +388,26 @@ class _Components:
         self.of_row = np.zeros(m, dtype=int)
         self.of_row[row] = comp[node]
         self.nu = np.bincount(comp, weights=cone.blocks + [1] * cone.lp_dim,
-                              minlength=self.count)
-        self.rows, self.coords, self.size = [], [], []
-        self.local = np.empty(m, dtype=int)
-        for j in range(self.count):
-            rows = np.flatnonzero(self.of_row == j)
-            self.local[rows] = np.arange(rows.size)
-            self.rows.append(_span(rows))
-            self.coords.append(_span(np.flatnonzero(self.of_coord == j)))
-            self.size.append(rows.size)
+                              minlength=count)
+        rows, self.local = _groups(self.of_row, count)
+        coords, local_coord = _groups(self.of_coord, count)
+        self.rows = [_span(r) for r in rows]
+        self.coords = [_span(c) for c in coords]
+        self.size = [r.size for r in rows]
+        self.blocks_in = _groups(self.block, count)[0]
+        self.lp_in = _groups(self.lp, count)[0]
+        if count == 1:
+            self.classes = [np.zeros(1, dtype=int)]
+            return
+        # each component's nonzeros, in CSR order, keyed in its own numbering
+        nonzeros = _groups(self.of_row[row], count)[0]
+        classes = {}
+        for j, nz in enumerate(nonzeros):
+            key = (tuple(cone.blocks[b] for b in self.blocks_in[j]), self.lp_in[j].size,
+                   self.size[j], self.local[row[nz]].tobytes(),
+                   local_coord[A.indices[nz]].tobytes(), A.data[nz].tobytes())
+            classes.setdefault(key, []).append(j)
+        self.classes = [np.array(members) for members in classes.values()]
 
 
 def _H(m: np.ndarray) -> np.ndarray:
@@ -371,9 +428,9 @@ def _push_interior(cone: _Cone, v: np.ndarray, floor: float = 1e-3) -> np.ndarra
 
 class _Scaling:
     """NT scaling data for one iterate, one (B, k, k) stack per block order
-    (the order groups of _Cone); W[b] is block b's scaling matrix, a view
-    into its group's stack.  Step lengths and the corrector's sigma mu are
-    per component of comps."""
+    (the order groups of _Cone); Ws[cone.group[b]][cone.place[b]] is block
+    b's scaling matrix.  Step lengths and the corrector's sigma mu are per
+    component of comps."""
 
     def __init__(self, cone: _Cone, comps: _Components, x: np.ndarray, s: np.ndarray):
         self.cone = cone
@@ -399,10 +456,6 @@ class _Scaling:
         self.w_lp = np.sqrt(xl / sl_)
         self.lam_lp = np.sqrt(xl * sl_)
         self.Ws = [r @ rh for r, rh in zip(self.R, self.RH)]
-        self.W = [None] * len(cone.blocks)
-        for group, Ws in zip(cone.members, self.Ws):
-            for b, W in zip(group, Ws):
-                self.W[b] = W
 
     def apply_G(self, v: np.ndarray) -> np.ndarray:
         """v -> svec(W smat(v) W) per block, w^2 * v on the LP tail."""
@@ -489,10 +542,14 @@ def _full_row_rank(A) -> bool:
 def _presolve(A, b: np.ndarray, comps: _Components):
     """Refuse a CSR matrix A without full row rank; return (A, b, every row).
     Rows of different components are orthogonal, so each component's rows
-    are tested on their own."""
-    for j, (rows, size) in enumerate(zip(comps.rows, comps.size)):
-        if size and not _full_row_rank(A if size == A.shape[0] else A[rows]):
+    are tested on their own, and identical components share one test."""
+    for members in comps.classes:
+        j = members[0]
+        size = comps.size[j]
+        if size and not _full_row_rank(A if size == A.shape[0] else A[comps.rows[j]]):
             where = f"component {j + 1} of {comps.count}" if comps.count > 1 else "A"
+            if members.size > 1:
+                where += f" and of its {members.size - 1} identical components"
             raise InvalidInput(
                 f"the {size} constraint rows of {where} are not linearly independent")
     return A, b, np.arange(A.shape[0])
@@ -518,8 +575,10 @@ class _DenseRows:
         self.mats = smat(self.rows, k)
 
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
-        T = W @ self.mats @ W
-        M[np.ix_(self.touch, self.touch)] += self.rows @ svec(T).T
+        """Add the block's terms to the (C, m, m) stack M, with W the (C, k,
+        k) stack of the block's scaling matrices."""
+        T = W[:, None] @ self.mats @ W[:, None]
+        M[:, self.touch[:, None], self.touch] += self.rows @ svec(T).swapaxes(1, 2)
 
 
 class _SparseRows:
@@ -558,12 +617,14 @@ class _SparseRows:
                 self.batches.append((touch[g], P[idx], Q[idx], V[idx]))
 
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
+        """As _DenseRows.add_to."""
+        C = len(W)
         for cols, P, Q, V in self.batches:
-            # W F_b W for the batch's rows, as a (rows, k, k) stack
-            T = (W[P].conj() * V[..., None]).transpose(0, 2, 1) @ W[Q]
-            T = np.ascontiguousarray(T.reshape(cols.size, -1).view(float).T)
+            # W F_b W for the batch's rows, as a (C, rows, k, k) stack
+            T = (W[:, P].conj() * V[..., None]).swapaxes(-1, -2) @ W[:, Q]
+            T = np.ascontiguousarray(T.reshape(C * cols.size, -1).view(float).T)
             # M is symmetric: M[b, :] = M[:, b] writes whole rows
-            M[cols] += (self.contract @ T).T
+            M[:, cols] += (self.contract @ T).T.reshape(C, cols.size, -1)
 
 
 def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
@@ -581,47 +642,101 @@ def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
 
 
 class _BlockData:
-    """Per-block constraint data for the Schur complement: one _SparseRows
-    or _DenseRows per PSD block (None if no row touches it), its rows
-    numbered within its component, and per component the blocks it holds
-    and its LP columns of A as a dense array.  A is a CSR matrix."""
+    """The Schur complement data of one class of identical components (see
+    _Components), read from its template, the class's first component.
 
-    def __init__(self, A, cone: _Cone, comps: _Components):
-        m = A.shape[0]
-        nonzeros = np.repeat(np.arange(m), np.diff(A.indptr)), A.indices, A.data
-        self.comps = comps
-        self.entries = []
-        for k, sl, j in zip(cone.blocks, cone.slices, comps.block):
-            touch, pos, col, val = _entries(*nonzeros, sl)
-            touch = comps.local[touch]
+    blocks holds one (rows, group, place) per PSD block of the template
+    that some row touches: a _SparseRows or _DenseRows on the template's
+    rows numbered within the component, the block's order group, and, per
+    member, the place in that group's stacks of the member's block at the
+    same position.  lp_cols holds the template's LP columns of A as a dense
+    array, lp_idx[c] the LP columns of member c and rows[c] its rows.  A is
+    a CSR matrix."""
+
+    def __init__(self, A, cone: _Cone, comps: _Components, members: np.ndarray):
+        t = members[0]
+        self.members = members
+        self.size = size = comps.size[t]
+        sub = A if size == A.shape[0] else A[comps.rows[t]]
+        nonzeros = np.repeat(np.arange(size), np.diff(sub.indptr)), sub.indices, sub.data
+        self.blocks = []
+        for p, b in enumerate(comps.blocks_in[t]):
+            k = cone.blocks[b]
+            touch, pos, col, val = _entries(*nonzeros, cone.slices[b])
             if touch.size == 0:
-                self.entries.append(None)
-            elif _sparse_schur_pays(k, touch.size, val.size):
-                self.entries.append(_SparseRows(touch, pos, col, val, k, comps.size[j]))
+                continue
+            if _sparse_schur_pays(k, touch.size, val.size):
+                rows = _SparseRows(touch, pos, col, val, k, size)
             else:
-                self.entries.append(_DenseRows(touch, pos, col, val, k))
-        self.blocks = [[b for b, e in enumerate(self.entries)
-                        if e is not None and comps.block[b] == j]
-                       for j in range(comps.count)]
-        lp_cols = np.zeros((m, cone.lp_dim))
-        if cone.lp_dim:
-            touch, pos, col, val = _entries(*nonzeros, cone.lp_slice)
-            lp_cols[touch[pos], col] = val
-        self.lp_idx = [_span(np.flatnonzero(comps.lp == j)) for j in range(comps.count)]
-        self.lp_cols = [np.ascontiguousarray(lp_cols[rows][:, idx])
-                        for rows, idx in zip(comps.rows, self.lp_idx)]
+                rows = _DenseRows(touch, pos, col, val, k)
+            same = [comps.blocks_in[j][p] for j in members]
+            self.blocks.append((rows, cone.group[b], cone.place[same]))
+        lp = comps.lp_in[t]
+        self.lp_cols = (sub[:, cone.lp_slice.start + lp].toarray() if lp.size
+                        else np.zeros((size, 0)))
+        self.lp_idx = np.array([comps.lp_in[j] for j in members])
+        self.rows = (np.array([np.arange(A.shape[0])[comps.rows[j]] for j in members])
+                     if members.size > 1 else [comps.rows[t]])
 
 
-def _schur(bd: _BlockData, scal: _Scaling, j: int) -> np.ndarray:
-    """The Schur complement of component j, on its rows."""
-    size = bd.comps.size[j]
-    M = np.zeros((size, size))
-    for b in bd.blocks[j]:
-        bd.entries[b].add_to(M, scal.W[b])
-    lp = bd.lp_cols[j]
+def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray) -> np.ndarray:
+    """The Schur complements of the class members live (positions in
+    bd.members) on their rows, as a (C, m, m) stack."""
+    M = np.zeros((live.size, bd.size, bd.size))
+    for rows, group, place in bd.blocks:
+        rows.add_to(M, scal.Ws[group][place[live]])
+    lp = bd.lp_cols
     if lp.shape[1]:
-        M += (lp * scal.w_lp[bd.lp_idx[j]] ** 2) @ lp.T
-    return (M + M.T) / 2.0
+        M += (lp * scal.w_lp[bd.lp_idx[live]][:, None, :] ** 2) @ lp.T
+    return (M + M.swapaxes(1, 2)) / 2.0
+
+
+def _cho_factor(M: np.ndarray):
+    """scipy's cho_factor of M plus the first regularization of the ladder
+    1e-12, 1e-10, ... that works; None and the last one tried past 1e-4."""
+    reg = STATIC_REGULARIZATION
+    while True:
+        try:
+            return scipy.linalg.cho_factor(M + reg * np.eye(len(M)), lower=True,
+                                           check_finite=False), reg
+        except np.linalg.LinAlgError:
+            reg *= 100.0
+            if reg > 1e-4:
+                return None, reg / 100.0
+
+
+def _factor(M: np.ndarray, rows):
+    """Factor the (C, m, m) stack M of Schur matrices, those of the running
+    members of one class, whose rows are rows[c].
+
+    Returns a list of (rows, solve), solve mapping the right-hand sides on
+    rows to the solutions, and None; or None and (c, cause) when member c's
+    regularization runs past 1e-4.  Two or more matrices of order at most
+    _BATCHED_ORDER are factored by one batched Cholesky at the static
+    regularization, and solved through the inverses of the factors.  Each
+    member takes its own cho_factor and cho_solve otherwise: alone, large,
+    or when the batch fails, so that each member escalates on its own.  At
+    larger orders a batch saves only call overhead, and inverses would cost
+    more than the O(m^2) triangular solves.
+    """
+    C, m = M.shape[:2]
+    if 1 < C and m <= _BATCHED_ORDER:
+        try:
+            L = np.linalg.cholesky(M + STATIC_REGULARIZATION * np.eye(m))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            Linv = np.linalg.inv(L)
+            LinvT = Linv.swapaxes(1, 2)
+            return [(rows, lambda r: (LinvT @ (Linv @ r[..., None]))[..., 0])], None
+    pieces = []
+    for c, (Mc, r) in enumerate(zip(M, rows)):
+        chol, reg = _cho_factor(Mc)
+        if chol is None:
+            return None, (c, f"Cholesky regularization past 1e-4 (last tried {reg:.1e})")
+        pieces.append((r, functools.partial(scipy.linalg.cho_solve, chol,
+                                            check_finite=False)))
+    return pieces, None
 
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None,
@@ -637,7 +752,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     A, b, _ = _presolve(A, problem.b, comps)
     c = problem.c
     m = A.shape[0]
-    bd = _BlockData(A, cone, comps)
+    classes = [_BlockData(A, cone, comps, members) for members in comps.classes]
     if m * cone.dim <= _DENSE_PRODUCT_SIZE:
         A = A.toarray() if scipy.sparse.issparse(problem.A) else problem.A
     AT = A.T
@@ -694,32 +809,25 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         stopped = ~running
 
         scal = _Scaling(cone, comps, x, s)
-        chols = []
-        for j in live:
-            M = _schur(bd, scal, j)
-            chol = None
-            reg = STATIC_REGULARIZATION
-            while chol is None:
-                try:
-                    chol = scipy.linalg.cho_factor(
-                        M + reg * np.eye(comps.size[j]), lower=True, check_finite=False)
-                except np.linalg.LinAlgError:
-                    reg *= 100.0
-                    if reg > 1e-4:
-                        break
-            if chol is None:
-                failure = int(j), ("Cholesky regularization past 1e-4 "
-                                   f"(last tried {reg / 100.0:.1e})")
+        solves = []
+        for bd in classes:
+            alive = np.flatnonzero(running[bd.members])
+            if not alive.size:
+                continue
+            rows = bd.rows if bd.members.size == 1 else bd.rows[alive]
+            pieces, trouble = _factor(_schur(bd, scal, alive), rows)
+            if trouble:
+                failure = int(bd.members[alive[trouble[0]]]), trouble[1]
                 break
-            chols.append((comps.rows[j], chol))
+            solves += pieces
         if failure:
             break
 
         def newton(rc):
             rhs = rp - A @ (rc - scal.apply_G(rd))
             dy = np.zeros(m)  # a stopped component does not move
-            for rows, chol in chols:
-                dy[rows] = scipy.linalg.cho_solve(chol, rhs[rows], check_finite=False)
+            for rows, solve_rows in solves:
+                dy[rows] = solve_rows(rhs[rows])
             ds = rd - AT @ dy
             dx = rc - scal.apply_G(ds)
             return dx, dy, ds

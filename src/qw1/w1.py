@@ -37,8 +37,11 @@ shift, so the witness is unchanged.
 
 The Lipschitz constant ||H||_L = 2 max_i min_K ||H - I_i (x) K||_inf is one
 conic program with n independent row components, one per site, which the
-solver runs in lockstep; the optimization-free sandwich of
-lipschitz_estimate brackets it within a factor 2(d^2-1)/d^2.
+solver runs in lockstep.  lipschitz_constants puts the programs of many
+operators side by side in one solve; there the site programs of one layout
+and site are identical components, whose Schur matrices the solver
+assembles and factors as one stack.  The optimization-free sandwich of
+lipschitz_estimate brackets ||H||_L within a factor 2(d^2-1)/d^2.
 """
 
 from __future__ import annotations
@@ -287,34 +290,62 @@ def _lipschitz_rows(d: int, n: int):
          for rows in site], format="csr")
 
 
-def lipschitz_constant(h: HermitianOperator,
-                       options: SolverOptions | None = None) -> LipschitzResult:
-    """Exact ||H||_L.  Site i's value 2 min_K ||H - I_i (x) K||_inf is twice
-    the optimum of max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1,
-    Tr_i(P_i - Q_i) = 0, P_i, Q_i >= 0, whose multipliers of the
-    partial-trace rows give the optimal K.  The n site programs are solved
-    as one program with n independent row components.  At n = 1 the
+def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
+    """Exact ||H||_L of every operator of hs, from one solve.
+
+    Site i's value 2 min_K ||H - I_i (x) K||_inf is twice the optimum of
+    max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
+    P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
+    optimal K.  The site programs of all operators with n > 1 are one
+    block-diagonal program, whose row components the solver runs in
+    lockstep; the site programs of one layout and site have the same rows,
+    so the solver factors their Schur matrices as one stack.  At n = 1 the
     complement space is C, K is a scalar, and the value is
     lambda_max - lambda_min in closed form."""
-    d, n = h.d, h.n
-    if n == 1:
-        lam = np.linalg.eigvalsh(h.matrix)
-        value = float(lam[-1] - lam[0])
-        return LipschitzResult(value=value, site_values=[value],
-                               shifts=[np.array([[(lam[-1] + lam[0]) / 2.0]], dtype=complex)])
-    A = _lipschitz_rows(d, n)
-    nc = A.shape[0] // n - 1
-    eh = svec(h.matrix)
-    b = np.zeros((n, 1 + nc))
-    b[:, 0] = -1.0
-    c = np.tile(np.concatenate([-eh, eh]), n)
-    sol = conic._solved(ConicProblem((h.layout.dim,) * (2 * n), 0, A, b.ravel(), c),
-                        [f"Lipschitz SDP at site {i + 1}" for i in range(n)], options)
-    # site i's dual objective is -y at its trace row
-    y = sol.y.reshape(n, 1 + nc)
-    values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
-    shifts = [smat(yi[1:], d ** (n - 1)) for yi in y]
-    return LipschitzResult(value=max(values), site_values=values, shifts=shifts)
+    hs = list(hs)
+    results = [None] * len(hs)
+    blocks, rows, b, c, names, spans = [], [], [], [], [], []
+    first = 0
+    for j, h in enumerate(hs):
+        d, n = h.d, h.n
+        if n == 1:
+            lam = np.linalg.eigvalsh(h.matrix)
+            value = float(lam[-1] - lam[0])
+            results[j] = LipschitzResult(value=value, site_values=[value], shifts=[
+                np.array([[(lam[-1] + lam[0]) / 2.0]], dtype=complex)])
+            continue
+        A = _lipschitz_rows(d, n)
+        eh = svec(h.matrix)
+        bj = np.zeros((n, A.shape[0] // n))
+        bj[:, 0] = -1.0
+        blocks += [h.layout.dim] * (2 * n)
+        rows.append(A)
+        b.append(bj.ravel())
+        c.append(np.tile(np.concatenate([-eh, eh]), n))
+        of = f" of operator {j + 1}" if len(hs) > 1 else ""
+        names += [f"Lipschitz SDP{of} at site {i + 1}" for i in range(n)]
+        spans.append((j, first, A.shape[0]))
+        first += A.shape[0]
+    if not rows:
+        return results
+    A = scipy.sparse.block_diag(rows, format="csr")
+    sol = conic._solved(ConicProblem(blocks, 0, A, np.concatenate(b), np.concatenate(c)),
+                        names, options)
+    for j, first, size in spans:
+        h = hs[j]
+        # site i's dual objective is -y at its trace row
+        y = sol.y[first:first + size].reshape(h.n, -1)
+        values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
+        shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
+        results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
+    return results
+
+
+def lipschitz_constant(h: HermitianOperator,
+                       options: SolverOptions | None = None) -> LipschitzResult:
+    """Exact ||H||_L: lipschitz_constants of the one operator h, so its n
+    site programs are one program with n row components."""
+    return lipschitz_constants([h], options)[0]
 
 
 def lipschitz_estimate(h: HermitianOperator) -> tuple:

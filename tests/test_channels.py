@@ -234,6 +234,23 @@ def test_empirical_contraction_reproducible_and_bounded():
     assert rep.lower - 1e-7 <= emp <= rep.upper + 1e-7
 
 
+def test_neighboring_difference_transport_norm_is_half_trace_norm():
+    # the pairs empirical_contraction samples: two one-qudit channels on one
+    # site of a shared state, whose difference x has Tr_i x = 0
+    rng = np.random.default_rng(11)
+    for d, n in ((2, 2), (2, 3), (3, 2)):
+        lay = QuditLayout(d, n)
+        one = QuditLayout(d, 1)
+        for _ in range(3):
+            i = int(rng.integers(1, n + 1))
+            shared = random_density(lay, seed=rng)
+            lam1 = embed_channel(_random_channel(one, rng), lay, [i])
+            lam2 = embed_channel(_random_channel(one, rng), lay, [i])
+            x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
+            half = 0.5 * trace_norm(x)
+            assert abs(w1_primal(HermitianOperator(lay, x)).value - half) <= 1e-7 * half
+
+
 # --- circuits and light cones ------------------------------------------------
 
 def test_circuit_validation():

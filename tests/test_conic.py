@@ -204,6 +204,15 @@ def _dense_schur(A, cone, Ws, w_lp):
     return (M + M.T) / 2.0
 
 
+class _Scal:
+    """Scaling matrices W[b] per block, stacked by order as _Scaling.Ws."""
+
+    def __init__(self, cone, W, w_lp):
+        self.W = W
+        self.Ws = [np.stack([W[b] for b in group]) for group in cone.members]
+        self.w_lp = w_lp
+
+
 def _random_hpd(rng, k):
     g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     return g @ g.conj().T / k + 0.1 * np.eye(k)
@@ -263,17 +272,14 @@ def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
     csr = scipy.sparse.csr_matrix(A)
     comps = conic._Components(csr, cone)
     assert comps.count == 1  # the untouched block joins component 0
-    bd = conic._BlockData(csr, cone, comps)
+    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
     formula = conic._SparseRows if use_sparse else conic._DenseRows
-    assert bd.entries[seed % len(blocks)] is None
-    assert all(isinstance(e, formula) for e in bd.entries if e is not None)
+    assert len(bd.blocks) == len(blocks) - 1
+    assert all(isinstance(rows, formula) for rows, _, _ in bd.blocks)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in blocks], rng.uniform(0.5, 2.0, lp_dim))
 
-    class Scal:
-        W = [_random_hpd(rng, k) for k in blocks]
-        w_lp = rng.uniform(0.5, 2.0, lp_dim)
-
-    M = conic._schur(bd, Scal, 0)
-    ref = _dense_schur(A, cone, Scal.W, Scal.w_lp)
+    M, = conic._schur(bd, scal, np.array([0]))
+    ref = _dense_schur(A, cone, scal.W, scal.w_lp)
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     np.testing.assert_array_equal(M, M.T)
 
@@ -286,18 +292,15 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
     csr = scipy.sparse.csr_matrix(prob.A)
     comps = conic._Components(csr, cone)
     assert comps.count == 1
-    bd = conic._BlockData(csr, cone, comps)
+    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
     rng = np.random.default_rng(7)
-
-    class Scal:
-        W = [_random_hpd(rng, k) for k in prob.psd_blocks]
-        w_lp = np.ones(0)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks], np.ones(0))
 
     imag = np.flatnonzero(conic._coords(prob.psd_blocks[0]).imag)
     assert np.any(prob.A[:, imag] != 0.0)
 
-    M = conic._schur(bd, Scal, 0)
-    ref = _dense_schur(prob.A, cone, Scal.W, Scal.w_lp)
+    M, = conic._schur(bd, scal, np.array([0]))
+    ref = _dense_schur(prob.A, cone, scal.W, scal.w_lp)
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
@@ -385,7 +388,8 @@ def test_stacked_scaling_matches_per_block(seed):
     lp = cone.lp_slice
     refs = [_ref_block(k, x[sl], s[sl]) for k, sl in zip(cone.blocks, cone.slices)]
     for b, (R, Rinv, lam) in enumerate(refs):
-        np.testing.assert_allclose(scal.W[b], R @ R.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scal.Ws[cone.group[b]][cone.place[b]], R @ R.conj().T,
+                                   rtol=0, atol=1e-12)
 
     v = rng.standard_normal(cone.dim)
     ref_G = np.empty(cone.dim)
@@ -560,3 +564,163 @@ def test_failure_names_its_component():
     with pytest.raises(SolverFailure, match=r"^second LP ended with NumericalFailure "
                                             r"after 1 iterations: component 2 of 2"):
         conic._solved(prob, ["first LP", "second LP"])
+
+
+# ---------------------------------------------------------------------------
+# classes of identical components: one stacked Schur pass and Cholesky
+# ---------------------------------------------------------------------------
+
+def _copies(seed, count):
+    """count programs with one random constraint matrix (blocks of orders 3
+    and 2 and an LP tail of 2) but their own b and c, each strictly
+    feasible, and the program holding them side by side.  Returns the solo
+    programs, the joint one and each copy's coordinates in it."""
+    rng = np.random.default_rng(seed)
+    A = _random_program(rng, (3, 2), 2, 7).A
+    cone = conic._Cone((3, 2), 2)
+    solo = [ConicProblem((3, 2), 2, A, A @ _interior_point(rng, cone),
+                         A.T @ rng.standard_normal(7) + _interior_point(rng, cone))
+            for _ in range(count)]
+    joint = conic._Cone((3, 2) * count, 2 * count)
+    cols = [np.concatenate([np.arange(joint.slices[2 * i].start, joint.slices[2 * i + 1].stop),
+                            joint.lp_slice.start + 2 * i + np.arange(2)])
+            for i in range(count)]
+    big = np.zeros((7 * count, joint.dim))
+    c = np.zeros(joint.dim)
+    for i, (p, col) in enumerate(zip(solo, cols)):
+        big[7 * i:7 * (i + 1), col] = A
+        c[col] = p.c
+    b = np.concatenate([p.b for p in solo])
+    return solo, ConicProblem(joint.blocks, joint.lp_dim, big, b, c), cols
+
+
+@pytest.mark.parametrize("use_sparse", [True, False])
+def test_identical_components_share_one_stacked_schur(use_sparse, monkeypatch):
+    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
+    solo, joint, _ = _copies(0, 4)
+    cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
+    csr = scipy.sparse.csr_matrix(joint.A)
+    comps = conic._Components(csr, cone)
+    assert comps.count == 4
+    assert [members.tolist() for members in comps.classes] == [[0, 1, 2, 3]]
+    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
+    formula = conic._SparseRows if use_sparse else conic._DenseRows
+    assert [type(rows) for rows, _, _ in bd.blocks] == [formula, formula]
+    rng = np.random.default_rng(1)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
+                 rng.uniform(0.5, 2.0, cone.lp_dim))
+    M = conic._schur(bd, scal, np.arange(4))
+    assert M.shape == (4, 7, 7)
+    solo_cone = conic._Cone((3, 2), 2)
+    for i, p in enumerate(solo):
+        ref = _dense_schur(p.A, solo_cone, scal.W[2 * i:2 * i + 2], scal.w_lp[2 * i:2 * i + 2])
+        np.testing.assert_allclose(M[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # a subset of the members gives their matrices alone
+    np.testing.assert_array_equal(conic._schur(bd, scal, np.array([1, 3])), M[[1, 3]])
+
+
+@pytest.mark.parametrize("use_sparse", [True, False])
+def test_identical_components_match_solo_solves(use_sparse, monkeypatch):
+    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
+    solo, joint, cols = _copies(1, 5)
+    sol = solve(joint)
+    assert sol.optimal
+    for p, col in zip(solo, cols):
+        one = solve(p)
+        assert one.optimal
+        obj = float(joint.c[col] @ sol.x[col])
+        assert abs(obj - one.primal_objective) <= 1e-9 * (1.0 + abs(one.primal_objective))
+
+
+def test_member_whose_cholesky_fails_escalates_alone(monkeypatch):
+    solo, joint, cols = _copies(2, 3)
+    cholesky, cho_factor = np.linalg.cholesky, scipy.linalg.cho_factor
+    # the second batched factorization fails: in the first the cold start
+    # gives every member the same Schur matrix
+    batched = iter([True, False])
+    tried = []
+
+    def flaky_cholesky(a):
+        if next(batched, True):
+            return cholesky(a)
+        raise np.linalg.LinAlgError("synthetic")
+
+    def flaky_cho_factor(a, **kwargs):
+        tried.append(a.copy())
+        if len(tried) == 2:  # the second member's first try
+            raise np.linalg.LinAlgError("synthetic")
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky_cholesky)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", flaky_cho_factor)
+    sol = solve(joint)
+    assert sol.optimal
+    # in the second iteration one cho_factor per member at the static
+    # regularization, and one more for the second member, at the next rung
+    # (later calls come from the last iterations, with one member left)
+    step = tried[2] - tried[1]
+    np.testing.assert_array_equal(step - np.diag(np.diag(step)), 0.0)
+    np.testing.assert_allclose(np.diag(step), 1e-10 - 1e-12, rtol=1e-2)
+    for i, j in ((0, 1), (1, 3), (0, 3)):  # three different members
+        assert np.abs(tried[i] - tried[j]).max() > 1e-6
+    for p, col in zip(solo, cols):
+        one = solve(p)
+        obj = float(joint.c[col] @ sol.x[col])
+        assert abs(obj - one.primal_objective) <= 1e-9 * (1.0 + abs(one.primal_objective))
+
+
+def test_member_past_the_ladder_names_its_component(monkeypatch):
+    _, joint, _ = _copies(2, 3)
+    cho_factor = scipy.linalg.cho_factor
+    tried = []
+
+    def cho_factor_first_only(a, **kwargs):
+        tried.append(a)
+        if len(tried) > 1:
+            raise np.linalg.LinAlgError("synthetic")
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_first_only)
+    sol = solve(joint)
+    assert sol.status is SolverStatus.NumericalFailure
+    assert sol.iterations == 1 and sol.component == 1
+    assert sol.cause == ("component 2 of 3: Cholesky regularization past 1e-4 "
+                         "(last tried 1.0e-04)")
+    assert len(tried) == 6  # the first member once, the second on all five rungs
+
+
+def test_rank_test_runs_once_per_class(monkeypatch):
+    full_row_rank = conic._full_row_rank
+    tested = []
+
+    def spy(A):
+        tested.append(A.shape[0])
+        return full_row_rank(A)
+
+    monkeypatch.setattr(conic, "_full_row_rank", spy)
+    _, joint, _ = _copies(3, 4)
+    assert solve(joint).optimal
+    assert tested == [7]
+
+    # identical rank-deficient copies: one test, naming the first copy
+    base = _lp_problem()
+    A = np.vstack([base.A, base.A])
+    b = np.tile(base.b, 2)
+    copies = ConicProblem((), 6, scipy.sparse.block_diag([A] * 3), np.tile(b, 3),
+                          np.tile(base.c, 3))
+    tested.clear()
+    with pytest.raises(InvalidInput, match=r"^the 2 constraint rows of component 1 of 3 "
+                                           r"and of its 2 identical components are not"):
+        solve(copies)
+    assert tested == [2]
+
+    # one deficient component among good ones: its own class, named alone
+    good = ConicProblem((), 2, base.A, base.b, base.c)
+    mixed = ConicProblem((), 6, scipy.sparse.block_diag([good.A, good.A, A]),
+                         np.concatenate([good.b, good.b, b]), np.tile(base.c, 3))
+    tested.clear()
+    with pytest.raises(InvalidInput, match=r"^the 2 constraint rows of component 3 of 3 "
+                                           r"are not linearly independent"):
+        solve(mixed)
+    assert tested == [1, 2]

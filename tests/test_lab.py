@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qw1.lab as lab
-from qw1.errors import InvalidInput, QW1Error
+from qw1.errors import InvalidInput, QW1Error, SolverFailure
 from qw1.lab import (
     BatteryReport,
     CheckResult,
@@ -206,3 +206,27 @@ def test_non_library_errors_propagate(monkeypatch):
     monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", broken),))
     with pytest.raises(ValueError):
         run_battery(seed=0, trials=1, only={"duality-gap"})
+
+
+def test_lipschitz_family_batch_falls_back_to_single_instances(monkeypatch):
+    lipschitz_constants = lab.lipschitz_constants
+    sizes = []
+
+    def flaky(hs, options=None):
+        sizes.append(len(hs))
+        if len(hs) > 1 or len(sizes) == 3:  # the batch, then instance 1 alone
+            raise SolverFailure("synthetic trouble")
+        return lipschitz_constants(hs, options)
+
+    clean = run_battery(seed=5, trials=4, only={"concentration-mgf"})
+    assert clean.passed and len(clean.results) == 4
+    monkeypatch.setattr(lab, "lipschitz_constants", flaky)
+    rep = run_battery(seed=5, trials=4, only={"concentration-mgf"})
+    assert sizes == [4, 1, 1, 1, 1]
+    assert [r.instance["index"] for r in rep.results] == [0, 1, 2, 3]
+    failed = rep.results[1]
+    assert failed.flags == ("exception",) and "synthetic trouble" in failed.instance["error"]
+    for k in (0, 2, 3):
+        got, want = rep.results[k], clean.results[k]
+        assert got.name == want.name and got.instance == want.instance
+        assert abs(got.rhs - want.rhs) <= 1e-8 * want.rhs

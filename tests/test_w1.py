@@ -16,6 +16,7 @@ from qw1 import (
     embed_operator,
     is_neighboring,
     lipschitz_constant,
+    lipschitz_constants,
     lipschitz_estimate,
     local_hamiltonian_lipschitz_bound,
     maximally_entangled,
@@ -211,6 +212,34 @@ def test_lipschitz_one_site_closed_form(d):
         assert res.shifts[0].shape == (1, 1)
         shifted = h.matrix - res.shifts[0][0, 0] * np.eye(d)
         assert abs(2.0 * operator_norm(shifted) - res.value) <= 1e-12 * (1.0 + res.value)
+
+
+def test_lipschitz_constants_batch_matches_single_solves(monkeypatch):
+    # three operators per layout, interleaved: the (2,2) and (2,3) site
+    # programs form five classes of three identical row components each
+    hs = [random_traceless(QuditLayout(2, n), seed=500 + 10 * n + k)
+          for k in range(3) for n in (1, 2, 3)]
+    solo = [lipschitz_constant(h) for h in hs]
+    problems = []
+    solve = conic.solve
+
+    def spy(problem, *args, **kwargs):
+        problems.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", spy)
+    batch = lipschitz_constants(hs)
+    assert len(problems) == 1
+    assert problems[0].psd_blocks == tuple(
+        D for h in hs if h.n > 1 for D in [h.layout.dim] * (2 * h.n))
+    for h, one, res in zip(hs, solo, batch):
+        assert len(res.site_values) == len(res.shifts) == h.n
+        assert res.value == max(res.site_values)
+        for a, b in zip(res.site_values, one.site_values):
+            assert abs(a - b) <= 1e-9 * b
+        if h.n == 1:
+            assert res.value == one.value and res.shifts[0] == one.shifts[0]
+    assert lipschitz_constants([]) == []
 
 
 # --- neighboring states ----------------------------------------------------
