@@ -61,15 +61,15 @@ rows, in each component's own numbering), and reads a class's Schur data
 from its first component, the template, once per solve.  Identical
 components share one rank test too.  Per iteration the Schur matrices of
 a class's running members are assembled as one (C, m, m) stack, with each
-block's scaling matrices gathered as a (C, k, k) stack.  Up to order 64
-they are factored by one batched Cholesky and solved through the inverses
-of the factors.  A member that fails the batch escalates its
-regularization on its own, with scipy's cho_factor and cho_solve; so does
-every member of a larger order, and the lone running member of a class,
-which is every component of a program without repeats.  A member's
-iterates equal its solo iterates in exact arithmetic; in floating point
-they differ in the last bits, which can move its stopping test by an
-iteration.
+block's scaling matrices gathered as a (C, k, k) stack; the members are
+taken in chunks that keep each temporary within _SCHUR_BATCH entries, or
+within one member's when that is larger.  Each member's matrix is then
+factored by its own scipy cho_factor on its own regularization ladder, as
+a component of a program without repeats is.  A member's iterates equal
+its solo iterates in exact arithmetic; in floating point they can differ
+in the last bits where the solo program is small enough for dense
+products of A (see below), and the end game can magnify that into one
+iteration more or less.
 
 A may be given dense or as a SciPy sparse matrix; it is converted to CSR
 once per solve, and the component search, the rank test and the Schur
@@ -120,16 +120,14 @@ FULL_RANK_RCOND = 1e-10
 # below about this size a sparse product costs more in calls than in work
 _DENSE_PRODUCT_SIZE = 1 << 14
 STATIC_REGULARIZATION = 1e-12
-# entries of the W F_b W matrices formed at once by the sparse Schur formula:
-# small enough that one batch stays in cache while it is contracted
+# entries of the W F_b W matrices formed at once by the Schur formulas, over
+# the members of a class taken together (the dense formula forms at least one
+# member's): small enough that one batch stays in cache while it is contracted
 _SCHUR_BATCH = 1 << 16
 # cost of one batched numpy call in flops of a large matrix product (about
 # 30 us against 8e-11 s per flop on one core); see _sparse_schur_pays
 _CALL_FLOPS = 4e5
-# Schur order up to which the running members of a class are factored by one
-# batched Cholesky and solved by batched products with the inverse factors;
-# above it the O(m^3) work outweighs the per-member calls saved
-_BATCHED_ORDER = 64
+
 
 class SolverStatus(enum.Enum):
     Optimal = "Optimal"
@@ -564,6 +562,13 @@ def _entries(row, col, val, sl: slice):
     return touch, pos, col[inside] - sl.start, val[inside]
 
 
+def _chunks(count: int, per_member: int) -> list:
+    """Slices of the count members of a class, each holding as many members
+    as fit _SCHUR_BATCH temporary entries of per_member each, at least one."""
+    step = max(1, _SCHUR_BATCH // per_member)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 class _DenseRows:
     """Dense Schur formula for one block: the touching rows stacked as k x k
     matrices, each multiplied by W on both sides."""
@@ -577,8 +582,10 @@ class _DenseRows:
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
         """Add the block's terms to the (C, m, m) stack M, with W the (C, k,
         k) stack of the block's scaling matrices."""
-        T = W[:, None] @ self.mats @ W[:, None]
-        M[:, self.touch[:, None], self.touch] += self.rows @ svec(T).swapaxes(1, 2)
+        t, k = self.mats.shape[:2]
+        for sl in _chunks(len(W), t * k * k):
+            T = W[sl, None] @ self.mats @ W[sl, None]
+            M[sl, self.touch[:, None], self.touch] += self.rows @ svec(T).swapaxes(1, 2)
 
 
 class _SparseRows:
@@ -618,13 +625,16 @@ class _SparseRows:
 
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
         """As _DenseRows.add_to."""
-        C = len(W)
+        k = W.shape[-1]
         for cols, P, Q, V in self.batches:
-            # W F_b W for the batch's rows, as a (C, rows, k, k) stack
-            T = (W[:, P].conj() * V[..., None]).swapaxes(-1, -2) @ W[:, Q]
-            T = np.ascontiguousarray(T.reshape(C * cols.size, -1).view(float).T)
-            # M is symmetric: M[b, :] = M[:, b] writes whole rows
-            M[:, cols] += (self.contract @ T).T.reshape(C, cols.size, -1)
+            for sl in _chunks(len(W), cols.size * k * k):
+                Wc = W[sl]
+                C = len(Wc)
+                # W F_b W for the batch's rows, as a (C, rows, k, k) stack
+                T = (Wc[:, P].conj() * V[..., None]).swapaxes(-1, -2) @ Wc[:, Q]
+                T = np.ascontiguousarray(T.reshape(C * cols.size, -1).view(float).T)
+                # M is symmetric: M[b, :] = M[:, b] writes whole rows
+                M[sl, cols] += (self.contract @ T).T.reshape(C, cols.size, -1)
 
 
 def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
@@ -635,6 +645,12 @@ def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
     sparse one costs a complex k x k rank-one term per matrix entry (at most
     two per svec nonzero) plus one batched call per _SCHUR_BATCH entries of
     W F_b W.  A complex multiply-add is 8 flops.
+
+    A class of identical components makes the choice once, with one
+    member's costs, so a member takes the formula of its solo program.  In
+    a stacked pass small batches share their calls, which this overstates;
+    counting that would switch the Lipschitz programs' order-8 blocks at
+    (2,3) to the sparse formula, which measured no faster.
     """
     dense = 16.0 * t * k ** 3
     sparse = 16.0 * nnz * k * k + _CALL_FLOPS * math.ceil(t * k * k / _SCHUR_BATCH)
@@ -707,28 +723,12 @@ def _cho_factor(M: np.ndarray):
 
 def _factor(M: np.ndarray, rows):
     """Factor the (C, m, m) stack M of Schur matrices, those of the running
-    members of one class, whose rows are rows[c].
+    members of one class, whose rows are rows[c], one member at a time.
 
     Returns a list of (rows, solve), solve mapping the right-hand sides on
-    rows to the solutions, and None; or None and (c, cause) when member c's
-    regularization runs past 1e-4.  Two or more matrices of order at most
-    _BATCHED_ORDER are factored by one batched Cholesky at the static
-    regularization, and solved through the inverses of the factors.  Each
-    member takes its own cho_factor and cho_solve otherwise: alone, large,
-    or when the batch fails, so that each member escalates on its own.  At
-    larger orders a batch saves only call overhead, and inverses would cost
-    more than the O(m^2) triangular solves.
+    rows to the solutions, and None; or None and (c, cause) for the first
+    member c whose regularization runs past 1e-4.
     """
-    C, m = M.shape[:2]
-    if 1 < C and m <= _BATCHED_ORDER:
-        try:
-            L = np.linalg.cholesky(M + STATIC_REGULARIZATION * np.eye(m))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            Linv = np.linalg.inv(L)
-            LinvT = Linv.swapaxes(1, 2)
-            return [(rows, lambda r: (LinvT @ (Linv @ r[..., None]))[..., 0])], None
     pieces = []
     for c, (Mc, r) in enumerate(zip(M, rows)):
         chol, reg = _cho_factor(Mc)
@@ -810,17 +810,19 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
 
         scal = _Scaling(cone, comps, x, s)
         solves = []
+        trouble = []  # per failing class, its first failing member and cause
         for bd in classes:
             alive = np.flatnonzero(running[bd.members])
             if not alive.size:
                 continue
             rows = bd.rows if bd.members.size == 1 else bd.rows[alive]
-            pieces, trouble = _factor(_schur(bd, scal, alive), rows)
-            if trouble:
-                failure = int(bd.members[alive[trouble[0]]]), trouble[1]
-                break
-            solves += pieces
-        if failure:
+            pieces, failed = _factor(_schur(bd, scal, alive), rows)
+            if failed:
+                trouble.append((int(bd.members[alive[failed[0]]]), failed[1]))
+            else:
+                solves += pieces
+        if trouble:
+            failure = min(trouble)  # the lowest-numbered failing component
             break
 
         def newton(rc):

@@ -8,17 +8,16 @@ catching genuine violations.
 run_battery drives the whole catalogue on seeded random instances and emits
 a deterministic JSON-lines report.  Each instance is regenerated from
 (seed, family index, instance index) alone, so any line of the report can be
-reproduced in isolation: exactly, except in the three Lipschitz families
-(concentration-mgf, spectral-tail, lipschitz-sandwich).  Those draw all
-their instances first and take the Lipschitz constants from one
-lipschitz_constants solve, which differs from a single instance's solve in
-the last bits of its arithmetic; the interior-point end game magnifies
-that, and can move a site's stopping test by an iteration.  So such a line
-is reproduced to the solver's 1e-8 relative gap: at seed 42 with 100
-trials, the batched site values match single solves within 1.9e-9
-relative, and 10 of the 495 site programs stop one iteration apart.  If a
-batch raises, its instances are solved one at a time, so each failure
-gets its own line.
+reproduced in isolation: exactly, except some lines of the three Lipschitz
+families (concentration-mgf, spectral-tail, lipschitz-sandwich).  Those
+families draw all their instances first and take the Lipschitz constants
+from one lipschitz_constants solve.  Each site program in it follows the
+iterates of its single solve, but a single program small enough for dense
+products of A (two qubits, among the default layouts) rounds differently
+from the batch's sparse products: at seed 42 with 100 trials those site
+values match single solves within 6.4e-11 relative, stopping at the same
+iteration, and the three-qubit ones match bit for bit.  If a batch raises,
+its instances are solved one at a time, so each failure gets its own line.
 """
 
 from __future__ import annotations

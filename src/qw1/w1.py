@@ -40,7 +40,7 @@ conic program with n independent row components, one per site, which the
 solver runs in lockstep.  lipschitz_constants puts the programs of many
 operators side by side in one solve; there the site programs of one layout
 and site are identical components, whose Schur matrices the solver
-assembles and factors as one stack.  The optimization-free sandwich of
+assembles as one stack.  The optimization-free sandwich of
 lipschitz_estimate brackets ||H||_L within a factor 2(d^2-1)/d^2.
 """
 
@@ -299,7 +299,7 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
     optimal K.  The site programs of all operators with n > 1 are one
     block-diagonal program, whose row components the solver runs in
     lockstep; the site programs of one layout and site have the same rows,
-    so the solver factors their Schur matrices as one stack.  At n = 1 the
+    so the solver assembles their Schur matrices as one stack.  At n = 1 the
     complement space is C, K is a scalar, and the value is
     lambda_max - lambda_min in closed form."""
     hs = list(hs)

@@ -634,35 +634,37 @@ def test_identical_components_match_solo_solves(use_sparse, monkeypatch):
 
 def test_member_whose_cholesky_fails_escalates_alone(monkeypatch):
     solo, joint, cols = _copies(2, 3)
-    cholesky, cho_factor = np.linalg.cholesky, scipy.linalg.cho_factor
-    # the second batched factorization fails: in the first the cold start
-    # gives every member the same Schur matrix
-    batched = iter([True, False])
-    tried = []
+    cho_factor = scipy.linalg.cho_factor
+    clean, tried = [], []
 
-    def flaky_cholesky(a):
-        if next(batched, True):
-            return cholesky(a)
-        raise np.linalg.LinAlgError("synthetic")
+    def spy(a, **kwargs):
+        clean.append(a.copy())
+        return cho_factor(a, **kwargs)
 
     def flaky_cho_factor(a, **kwargs):
         tried.append(a.copy())
-        if len(tried) == 2:  # the second member's first try
+        # the second member's first try in the second iteration: in the
+        # first the cold start gives every member the same Schur matrix
+        if len(tried) == 5:
             raise np.linalg.LinAlgError("synthetic")
         return cho_factor(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", flaky_cholesky)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    solve(joint)
     monkeypatch.setattr(scipy.linalg, "cho_factor", flaky_cho_factor)
     sol = solve(joint)
     assert sol.optimal
-    # in the second iteration one cho_factor per member at the static
-    # regularization, and one more for the second member, at the next rung
-    # (later calls come from the last iterations, with one member left)
-    step = tried[2] - tried[1]
+    # up to the failure the iterates are those of the clean solve; then the
+    # second member alone retries one rung up, and the third member goes on
+    # at the static regularization
+    for i in range(5):
+        np.testing.assert_array_equal(tried[i], clean[i])
+    step = tried[5] - clean[4]
     np.testing.assert_array_equal(step - np.diag(np.diag(step)), 0.0)
     np.testing.assert_allclose(np.diag(step), 1e-10 - 1e-12, rtol=1e-2)
-    for i, j in ((0, 1), (1, 3), (0, 3)):  # three different members
-        assert np.abs(tried[i] - tried[j]).max() > 1e-6
+    np.testing.assert_array_equal(tried[6], clean[5])
+    for i, j in ((3, 4), (4, 5), (3, 5)):  # three different members
+        assert np.abs(clean[i] - clean[j]).max() > 1e-6
     for p, col in zip(solo, cols):
         one = solve(p)
         obj = float(joint.c[col] @ sol.x[col])
@@ -680,7 +682,6 @@ def test_member_past_the_ladder_names_its_component(monkeypatch):
             raise np.linalg.LinAlgError("synthetic")
         return cho_factor(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
     monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_first_only)
     sol = solve(joint)
     assert sol.status is SolverStatus.NumericalFailure
@@ -688,6 +689,64 @@ def test_member_past_the_ladder_names_its_component(monkeypatch):
     assert sol.cause == ("component 2 of 3: Cholesky regularization past 1e-4 "
                          "(last tried 1.0e-04)")
     assert len(tried) == 6  # the first member once, the second on all five rungs
+
+
+def test_failure_names_the_lowest_component_over_classes(monkeypatch):
+    # components 1 and 3 form a class whose template comes first, and
+    # component 2 is alone; when components 2 and 3 both fail, the report
+    # names component 2, as a program without repeats would
+    base = _lp_problem()
+    other = ConicProblem((), 3, np.array([[1.0, 1.0, 1.0]]), np.array([2.0]),
+                         np.array([1.0, 2.0, 3.0]))
+    prob = ConicProblem((), 7, scipy.sparse.block_diag([base.A, other.A, base.A]),
+                        np.concatenate([base.b, other.b, base.b]),
+                        np.concatenate([base.c, other.c, base.c]))
+    cho_factor = scipy.linalg.cho_factor
+    tried = []
+
+    def cho_factor_first_only(a, **kwargs):
+        tried.append(a)
+        if len(tried) > 1:
+            raise np.linalg.LinAlgError("synthetic")
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_first_only)
+    sol = solve(prob)
+    assert sol.status is SolverStatus.NumericalFailure
+    assert sol.component == 1
+    assert sol.cause.startswith("component 2 of 3: Cholesky regularization past 1e-4")
+    assert len(tried) == 11  # component 1 once, 3 and 2 on all five rungs
+
+
+@pytest.mark.parametrize("use_sparse", [True, False])
+def test_stacked_schur_in_member_chunks(use_sparse, monkeypatch):
+    # temporaries limited to about two members' worth give the same stack
+    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
+    _, joint, _ = _copies(4, 5)
+    cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
+    csr = scipy.sparse.csr_matrix(joint.A)
+    comps = conic._Components(csr, cone)
+    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
+    rng = np.random.default_rng(5)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
+                 rng.uniform(0.5, 2.0, cone.lp_dim))
+    whole = conic._schur(bd, scal, np.arange(5))
+    batch = 2 * 7 * 9  # two members' terms of the order-3 block
+    calls = []
+    chunked = conic._chunks
+
+    def spy(count, per_member):
+        calls.append((count, per_member, chunked(count, per_member)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(conic, "_SCHUR_BATCH", batch)
+    monkeypatch.setattr(conic, "_chunks", spy)
+    np.testing.assert_array_equal(conic._schur(bd, scal, np.arange(5)), whole)
+    assert any(len(slices) > 1 for _, _, slices in calls)
+    for count, per_member, slices in calls:
+        sizes = [len(range(count)[sl]) for sl in slices]
+        assert sum(sizes) == count
+        assert max(sizes) * per_member <= batch or max(sizes) == 1
 
 
 def test_rank_test_runs_once_per_class(monkeypatch):
