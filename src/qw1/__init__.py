@@ -36,16 +36,20 @@ from .w1 import (
     w1_distance,
     w1_dual,
     w1_primal,
+    w1_primals,
 )
 from .classical import (
     Distribution,
     classical_marton_bound,
     classical_w1,
     classical_w1_dual,
+    classical_w1_duals,
+    classical_w1s,
     diagonal_distribution,
     diagonal_state,
     hamming,
     shannon_continuity_bound,
+    transport_lps,
 )
 from .channels import (
     Circuit,

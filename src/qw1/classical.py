@@ -1,10 +1,15 @@
 """Classical transportation distance on [d]^n with Hamming cost, its
 Kantorovich dual, and the classical entropy bounds used for comparison.
 
-The primal is the dense transportation LP over couplings; the dual is a
+The primal is the transportation LP over couplings; the dual is a
 min-cost-flow LP over ordered pairs whose equality multipliers are exactly
 the Kantorovich potential (valid because Hamming is a metric).  Both run
-on the conic solver's LP path.  Entropies are in nats.
+on the conic solver's LP path, with constraint rows built once per layout
+as CSR matrices.  transport_lps solves many LPs, of any layouts and either
+side, as one block-diagonal program; classical_w1s and classical_w1_duals
+are its one-sided forms, and classical_w1 and classical_w1_dual their
+one-element cases, which reach the solver with their single program as it
+is.  Entropies are in nats.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from . import conic
 from .conic import ConicProblem, SolverOptions
@@ -114,6 +120,71 @@ def _same_layout(p: Distribution, q: Distribution):
         raise LayoutMismatch(f"{p.layout} vs {q.layout}")
 
 
+@lru_cache(maxsize=8)
+def _coupling_rows(d: int, n: int):
+    """Constraints and cost of the transport LP of a layout: A (CSR) takes
+    the D x D coupling, row-major, to its row sums and its column sums but
+    the last; c is the Hamming cost."""
+    D = d ** n
+    eye, ones = scipy.sparse.identity(D), np.ones((1, D))
+    A = scipy.sparse.vstack([scipy.sparse.kron(eye, ones), scipy.sparse.kron(ones, eye)])
+    return A.tocsr()[:-1], _hamming_cost(d, n).ravel()
+
+
+@lru_cache(maxsize=8)
+def _flow_rows(d: int, n: int):
+    """Constraints and cost of the min-cost-flow LP of a layout: one column
+    per ordered pair (i, j), i != j, in row-major order; A (CSR) is the flow
+    conservation at every point but 0, c the pair's Hamming cost."""
+    D = d ** n
+    i, j = np.nonzero(~np.eye(D, dtype=bool))
+    k = np.arange(i.size)
+    A = scipy.sparse.csr_matrix(
+        (np.concatenate([np.ones(i.size), -np.ones(i.size)]),
+         (np.concatenate([i, j]), np.concatenate([k, k]))), shape=(D, i.size))
+    return A[1:], _hamming_cost(d, n)[i, j]
+
+
+def transport_lps(requests, options: SolverOptions | None = None) -> list:
+    """The transport LPs of requests, (p, q, dual) triples, from one solve of
+    them side by side (conic._solved_batch): per triple classical_w1(p, q)
+    if dual is false, else classical_w1_dual(p, q).  The LPs of one layout
+    and side have the same rows, so the solver assembles their Schur
+    matrices as one stack."""
+    requests = list(requests)
+    problems, names = [], []
+    for j, (p, q, dual) in enumerate(requests):
+        _same_layout(p, q)
+        if dual:
+            A, c = _flow_rows(p.d, p.n)
+            b = (p.weights - q.weights)[1:]
+            name = "transport dual LP"
+        else:
+            A, c = _coupling_rows(p.d, p.n)
+            b = np.concatenate([p.weights, q.weights])[:-1]
+            name = "transport LP"
+        problems.append(ConicProblem((), A.shape[1], A, b, c))
+        names.append(f"{name} of pair {j + 1}" if len(requests) > 1 else name)
+    out = []
+    for (p, _, dual), sol in zip(requests, conic._solved_batch(problems, names, options)):
+        if dual:
+            out.append((max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])))
+        else:
+            D = p.layout.dim
+            out.append((max(sol.primal_objective, 0.0), np.maximum(sol.x.reshape(D, D), 0.0)))
+    return out
+
+
+def classical_w1s(pairs, options: SolverOptions | None = None) -> list:
+    """classical_w1 of every (p, q) of pairs, from one solve."""
+    return transport_lps([(p, q, False) for p, q in pairs], options)
+
+
+def classical_w1_duals(pairs, options: SolverOptions | None = None) -> list:
+    """classical_w1_dual of every (p, q) of pairs, from one solve."""
+    return transport_lps([(p, q, True) for p, q in pairs], options)
+
+
 def classical_w1(p: Distribution, q: Distribution,
                  options: SolverOptions | None = None):
     """Minimal expected Hamming cost over couplings; returns (value, coupling).
@@ -122,18 +193,7 @@ def classical_w1(p: Distribution, q: Distribution,
     coupling, less the last column sum: the row sums and the column sums
     share the total mass, so it is implied by the others.
     """
-    _same_layout(p, q)
-    D = p.layout.dim
-    cost = _hamming_cost(p.d, p.n)
-    A = np.zeros((2 * D, D * D))
-    for i in range(D):
-        A[i, i * D:(i + 1) * D] = 1.0       # row sums -> p
-        A[D + i, i::D] = 1.0                # column sums -> q
-    b = np.concatenate([p.weights, q.weights])
-    sol = conic._solved(ConicProblem((), D * D, A[:-1], b[:-1], cost.ravel()),
-                        "transport LP", options)
-    coupling = np.maximum(sol.x.reshape(D, D), 0.0)
-    return max(sol.primal_objective, 0.0), coupling
+    return classical_w1s([(p, q)], options)[0]
 
 
 def classical_w1_dual(p: Distribution, q: Distribution,
@@ -146,20 +206,7 @@ def classical_w1_dual(p: Distribution, q: Distribution,
     conservation rows sum to zero, so the row of point 0 is omitted, which
     fixes its multiplier f[0] at 0.
     """
-    _same_layout(p, q)
-    D = p.layout.dim
-    cost = _hamming_cost(p.d, p.n)
-    pairs = [(i, j) for i in range(D) for j in range(D) if i != j]
-    A = np.zeros((D, len(pairs)))
-    c = np.empty(len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        A[i, k] = 1.0
-        A[j, k] = -1.0
-        c[k] = cost[i, j]
-    b = p.weights - q.weights
-    sol = conic._solved(ConicProblem((), len(pairs), A[1:], b[1:], c),
-                        "transport dual LP", options)
-    return max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])
+    return classical_w1_duals([(p, q)], options)[0]
 
 
 def binary_entropy(t: float) -> float:
@@ -176,7 +223,10 @@ def shannon_continuity_bound(p: Distribution, q: Distribution,
                              options: SolverOptions | None = None):
     """(|S(p) - S(q)|, n h2(W1/n) + W1 ln(d-1)); the log term dies at d = 2."""
     _same_layout(p, q)
-    w1, _ = classical_w1(p, q, options)
+    return _shannon_check(p, q, classical_w1(p, q, options)[0])
+
+
+def _shannon_check(p: Distribution, q: Distribution, w1: float):
     lhs = abs(p.entropy() - q.entropy())
     rhs = p.n * binary_entropy(w1 / p.n) + w1 * math.log(p.d - 1)
     return lhs, rhs
@@ -196,6 +246,8 @@ def classical_marton_bound(p: Distribution, q_factors,
     """(W1(p, q), sqrt(n/2 KL(p||q))) for a product q given by its factors."""
     q = product_distribution(q_factors)
     _same_layout(p, q)
-    kl = kl_divergence(p, q)
-    w1, _ = classical_w1(p, q, options)
-    return w1, math.sqrt(p.n / 2.0 * kl)
+    return _marton_check(p, q, classical_w1(p, q, options)[0])
+
+
+def _marton_check(p: Distribution, q: Distribution, w1: float):
+    return w1, math.sqrt(p.n / 2.0 * kl_divergence(p, q))

@@ -17,7 +17,7 @@ import click
 from . import classical as cl
 from . import channels as ch
 from .errors import EigenFailure, InvalidInput, NoFixedPoint, QW1Error, SolverFailure
-from .lab import concentration_mgf, run_battery, spectral_tail, _FAMILIES
+from .lab import run_battery, _FAMILIES, _mgf_check, _tail_check
 from .operators import QuditLayout, load_operator, maximally_mixed
 from .w1 import lipschitz_constant, lipschitz_estimate, w1_distance
 
@@ -154,8 +154,9 @@ def cmd_concentration(hamiltonian, ts, deltas, output):
     h = load_operator(hamiltonian, as_state=False)
     if not ts and not deltas:
         ts, deltas = (1.0,), (1.0,)
-    checks = [concentration_mgf(h, t).to_json() for t in ts]
-    checks += [spectral_tail(h, delta).to_json() for delta in deltas]
+    lip = lipschitz_constant(h).value
+    checks = [_mgf_check(h, t, lip, None).to_json() for t in ts]
+    checks += [_tail_check(h, delta, lip, None).to_json() for delta in deltas]
     _emit({"checks": checks}, output)
 
 

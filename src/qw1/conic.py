@@ -71,6 +71,12 @@ in the last bits where the solo program is small enough for dense
 products of A (see below), and the end game can magnify that into one
 iteration more or less.
 
+_solved_batch builds such programs from independent ones: it stacks their
+blocks, A block diagonally, b, c and x0 hints, makes one solve, and hands
+each program its slices of the solution, its own objectives and the
+iteration at which its last component stopped.  The Lipschitz constants,
+the W1 primals and the transport LPs of many inputs go through it.
+
 A may be given dense or as a SciPy sparse matrix; it is converted to CSR
 once per solve, and the component search, the rank test and the Schur
 complement read its rows from that copy.  Every A x, A^T y and residual is
@@ -199,6 +205,10 @@ class ConicSolution:
     # the component (numbered from 0) whose trouble ended a NumericalFailure,
     # or the first one still running at MaxIterations
     component: int | None = None
+    # the component of each row, and per component the iteration at which it
+    # stopped (the last iteration for one that never did)
+    row_components: np.ndarray | None = None
+    stopped_at: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -786,6 +796,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         y = np.zeros(m)
 
     running = np.ones(comps.count, dtype=bool)
+    stopped_at = np.zeros(comps.count, dtype=int)
     failure = None  # (component, cause)
     it = 0
 
@@ -799,6 +810,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
                        mu[j], gap, pres, dres)
             if gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
                 running[j] = False
+                stopped_at[j] = it
             elif not (np.isfinite(mu[j]) and np.isfinite(pobj) and np.isfinite(dobj)):
                 failure = int(j), (f"non-finite mu {mu[j]:.3e} or objective "
                               f"(primal {pobj:.3e}, dual {dobj:.3e})")
@@ -880,12 +892,20 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         component, cause = None, ""
     _, _, stats = measure(x, y, s)
     gap, pres, dres = (max(col) for col in list(zip(*stats))[2:])
+    stopped_at[running] = it
     return ConicSolution(
         status=status, x=x, y=y, s=s,
         primal_objective=float(c @ x), dual_objective=float(b @ y), gap=gap,
         primal_residual=float(pres), dual_residual=float(dres),
         iterations=it, cause=cause, component=component,
+        row_components=comps.of_row, stopped_at=stopped_at,
     )
+
+
+def _raise_failure(sol: ConicSolution, program: str):
+    cause = f": {sol.cause}" if sol.cause else ""
+    raise SolverFailure(f"{program} ended with {sol.status.value} "
+                        f"after {sol.iterations} iterations{cause}")
 
 
 def _solved(problem: ConicProblem, program, options: SolverOptions | None = None,
@@ -894,9 +914,59 @@ def _solved(problem: ConicProblem, program, options: SolverOptions | None = None
     names the program in that message, or is a list naming each component."""
     sol = solve(problem, options, x0=x0, y0=y0)
     if not sol.optimal:
-        if not isinstance(program, str):
-            program = program[sol.component]
-        cause = f": {sol.cause}" if sol.cause else ""
-        raise SolverFailure(f"{program} ended with {sol.status.value} "
-                            f"after {sol.iterations} iterations{cause}")
+        _raise_failure(sol, program if isinstance(program, str) else program[sol.component])
     return sol
+
+
+def _solved_batch(problems, names, options: SolverOptions | None = None,
+                  x0s=None) -> list:
+    """_solved of independent programs, from one solve of the program that
+    stacks them: their blocks in turn, A block diagonal, b, c and the x0
+    hints concatenated.  Each program is one or more row components of the
+    stack, which keep their own iterates (see the module docstring).
+
+    Returns one ConicSolution per program, with its slices of x, y and s, its
+    own objectives and gap, the batch's largest residuals, and as iterations
+    the one at which its last component stopped.  names[i] names program i
+    as program does for _solved; a failure raises SolverFailure naming the
+    failing program.  x0s is None or holds a hint for every program.  The
+    programs must be all PSD-only or all LP-only, so that the stack keeps
+    its LP tail after its blocks; InvalidInput refuses a mix.  A one-program
+    batch goes to _solved as it is."""
+    problems = list(problems)
+    if len(problems) <= 1:
+        return [_solved(p, names[0], options, x0=None if x0s is None else x0s[0])
+                for p in problems]
+    if not (all(p.lp_dim == 0 for p in problems) or all(not p.psd_blocks for p in problems)):
+        raise InvalidInput("a batch takes PSD-only or LP-only programs, not a mix")
+    rows = np.cumsum([0] + [p.A.shape[0] for p in problems])
+    coords = np.cumsum([0] + [p.num_vars for p in problems])
+    stack = ConicProblem([k for p in problems for k in p.psd_blocks],
+                         sum(p.lp_dim for p in problems),
+                         scipy.sparse.block_diag([p.A for p in problems], format="csr"),
+                         np.concatenate([p.b for p in problems]),
+                         np.concatenate([p.c for p in problems]))
+    x0 = None if x0s is None else np.concatenate(x0s)
+    sol = solve(stack, options, x0=x0)
+    # each program's components, numbered in the stack
+    owned = [np.unique(sol.row_components[lo:hi]) for lo, hi in zip(rows, rows[1:])]
+    if not sol.optimal:
+        i = int(np.searchsorted(rows, np.flatnonzero(sol.row_components == sol.component)[0],
+                                side="right")) - 1
+        name = names[i]
+        if not isinstance(name, str):
+            name = name[int(np.searchsorted(owned[i], sol.component))]
+        _raise_failure(sol, name)
+    out = []
+    for i, comps in enumerate(owned):
+        r, v = slice(rows[i], rows[i + 1]), slice(coords[i], coords[i + 1])
+        pobj, dobj = float(stack.c[v] @ sol.x[v]), float(stack.b[r] @ sol.y[r])
+        out.append(ConicSolution(
+            status=sol.status, x=sol.x[v], y=sol.y[r], s=sol.s[v],
+            primal_objective=pobj, dual_objective=dobj,
+            gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+            primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
+            iterations=int(sol.stopped_at[comps].max(initial=0)),
+            row_components=np.searchsorted(comps, sol.row_components[r]),
+            stopped_at=sol.stopped_at[comps]))
+    return out

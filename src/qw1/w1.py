@@ -16,9 +16,14 @@ Dual program (same value):
 
 The dual program is the conic dual of the primal one, so both are one
 conic program: w1_primal solves it from a feasible decomposition, w1_dual
-from the zero witness, and each reports its own side's objective.  Every
-P_i, Q_i is one Hermitian PSD block of the layout's order D, in the svec
-coordinates of conic, which are the coordinates Tr[F_a X] along
+from the zero witness, and each reports its own side's objective.
+w1_primals solves the programs of many operators, of any layouts, as one
+block-diagonal program, each from its own decomposition; w1_primal is its
+one-element case, which reaches the solver with its single program as it
+is.
+
+Every P_i, Q_i is one Hermitian PSD block of the layout's order D, in the
+svec coordinates of conic, which are the coordinates Tr[F_a X] along
 hermitian_basis(D).  Every constraint row is one basis element paired
 against the variables: a full-space row is the unit vector of one
 coordinate, a site row is svec(I_i (x) f) for f in hermitian_basis(d^(n-1)).
@@ -214,15 +219,28 @@ def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1
     )
 
 
+def w1_primals(xs, options: SolverOptions | None = None) -> list:
+    """w1_primal of every operator of xs, from one solve of their programs
+    side by side (conic._solved_batch); each starts from its telescoping
+    decomposition.  The programs of one layout have the same rows, so the
+    solver assembles their Schur matrices as one stack."""
+    xs = list(xs)
+    for x in xs:
+        x.require_traceless()
+    programs = [_w1_program(x) for x in xs]
+    x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(x)
+                           for part in _positive_parts(xi)]) for x in xs]
+    names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
+             for j in range(len(xs))]
+    sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
+    return [_certificate(x, sol, first_full, sol.primal_objective)
+            for x, (_, first_full), sol in zip(xs, programs, sols)]
+
+
 def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
     """Minimal-decomposition side, started from the telescoping
     decomposition; the witness comes from the multipliers."""
-    x.require_traceless()
-    problem, first_full = _w1_program(x)
-    x0 = np.concatenate([svec(part) for xi in _telescoping_hint(x)
-                         for part in _positive_parts(xi)])
-    sol = conic._solved(problem, "W1 primal SDP", options, x0=x0)
-    return _certificate(x, sol, first_full, sol.primal_objective)
+    return w1_primals([x], options)[0]
 
 
 def w1_dual(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
@@ -304,8 +322,7 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
     lambda_max - lambda_min in closed form."""
     hs = list(hs)
     results = [None] * len(hs)
-    blocks, rows, b, c, names, spans = [], [], [], [], [], []
-    first = 0
+    solved, problems, names = [], [], []
     for j, h in enumerate(hs):
         d, n = h.d, h.n
         if n == 1:
@@ -316,25 +333,17 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
             continue
         A = _lipschitz_rows(d, n)
         eh = svec(h.matrix)
-        bj = np.zeros((n, A.shape[0] // n))
-        bj[:, 0] = -1.0
-        blocks += [h.layout.dim] * (2 * n)
-        rows.append(A)
-        b.append(bj.ravel())
-        c.append(np.tile(np.concatenate([-eh, eh]), n))
+        b = np.zeros((n, A.shape[0] // n))
+        b[:, 0] = -1.0
+        problems.append(ConicProblem([h.layout.dim] * (2 * n), 0, A, b.ravel(),
+                                     np.tile(np.concatenate([-eh, eh]), n)))
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
-        names += [f"Lipschitz SDP{of} at site {i + 1}" for i in range(n)]
-        spans.append((j, first, A.shape[0]))
-        first += A.shape[0]
-    if not rows:
-        return results
-    A = scipy.sparse.block_diag(rows, format="csr")
-    sol = conic._solved(ConicProblem(blocks, 0, A, np.concatenate(b), np.concatenate(c)),
-                        names, options)
-    for j, first, size in spans:
+        names.append([f"Lipschitz SDP{of} at site {i + 1}" for i in range(n)])
+        solved.append(j)
+    for j, sol in zip(solved, conic._solved_batch(problems, names, options)):
         h = hs[j]
         # site i's dual objective is -y at its trace row
-        y = sol.y[first:first + size].reshape(h.n, -1)
+        y = sol.y.reshape(h.n, -1)
         values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
         shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
         results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)

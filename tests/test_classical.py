@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from qw1 import conic
 from qw1.classical import (
@@ -12,6 +13,8 @@ from qw1.classical import (
     classical_marton_bound,
     classical_w1,
     classical_w1_dual,
+    classical_w1_duals,
+    classical_w1s,
     diagonal_distribution,
     diagonal_state,
     distribution_from_json,
@@ -19,6 +22,7 @@ from qw1.classical import (
     kl_divergence,
     product_distribution,
     shannon_continuity_bound,
+    transport_lps,
 )
 from qw1.errors import InvalidInput, LengthMismatch, SupportViolation
 from qw1.operators import HermitianOperator, QuditLayout, random_density
@@ -83,7 +87,7 @@ def test_dual_matches_primal_with_lipschitz_potential():
 
 
 def _lp_constraints(monkeypatch, program, p, q):
-    """The constraint matrix `program` hands to the solver."""
+    """The constraint matrix `program` hands to the solver, as a dense array."""
     captured = []
 
     def capture(problem, *args, **kwargs):
@@ -94,7 +98,8 @@ def _lp_constraints(monkeypatch, program, p, q):
         mp.setattr(conic, "solve", capture)
         with pytest.raises(RuntimeError):
             program(p, q)
-    return captured[0]
+    A = captured[0]
+    return A.toarray() if scipy.sparse.issparse(A) else A
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -120,6 +125,62 @@ def test_lp_rows_full_rank_and_omitted_row_dependent(monkeypatch, program, d, n)
     if program is classical_w1_dual:
         _, f = program(p, q)
         assert f[0] == 0.0
+
+
+LP_LAYOUTS = [(2, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def _pairs(rng, d, n, count):
+    lay = QuditLayout(d, n)
+    return [(Distribution(lay, rng.dirichlet(np.ones(lay.dim))),
+             Distribution(lay, rng.dirichlet(np.ones(lay.dim)))) for _ in range(count)]
+
+
+def _check_coupling(coupling, p, q):
+    np.testing.assert_allclose(coupling.sum(axis=1), p.weights, atol=1e-8)
+    np.testing.assert_allclose(coupling.sum(axis=0), q.weights, atol=1e-8)
+
+
+@pytest.mark.parametrize("d,n", LP_LAYOUTS)
+def test_batched_transport_lps_match_single_solves(d, n):
+    pairs = _pairs(np.random.default_rng(70 + 10 * d + n), d, n, 4)
+    primal, dual = classical_w1s(pairs), classical_w1_duals(pairs)
+    assert len(primal) == len(dual) == len(pairs)
+    for (p, q), (v, coupling), (vd, f) in zip(pairs, primal, dual):
+        sv, _ = classical_w1(p, q)
+        svd, _ = classical_w1_dual(p, q)
+        assert abs(v - sv) <= 1e-12 * sv
+        assert abs(vd - svd) <= 1e-12 * svd
+        assert coupling.shape == (p.layout.dim,) * 2 and f.shape == (p.layout.dim,)
+        _check_coupling(coupling, p, q)
+        assert f[0] == 0.0
+
+
+def test_transport_lps_of_mixed_layouts_and_sides_in_one_solve(monkeypatch):
+    rng = np.random.default_rng(9)
+    pairs = [pair for d, n in LP_LAYOUTS for pair in _pairs(rng, d, n, 2)]
+    requests = [(p, q, dual) for p, q in pairs for dual in (False, True)]
+    solves = []
+    solve = conic.solve
+
+    def spy(problem, *args, **kwargs):
+        solves.append(problem.A.shape)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", spy)
+    got = transport_lps(requests)
+    assert len(solves) == 1 and len(got) == len(requests)
+    monkeypatch.undo()
+    # a single LP this small, like the batches of one layout above, multiplies
+    # by a dense copy of A; the mixed batch is large enough for sparse products
+    for (p, q, dual), (value, extra) in zip(requests, got):
+        want, _ = (classical_w1_dual if dual else classical_w1)(p, q)
+        assert abs(value - want) <= 1e-10 * want
+        if dual:
+            assert extra[0] == 0.0
+        else:
+            _check_coupling(extra, p, q)
+    assert transport_lps([]) == []
 
 
 def test_distribution_validation():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qw1.cli
+from qw1 import conic
 from qw1.errors import SolverFailure
 from qw1.lab import BatteryReport, CheckResult
 from qw1.operators import QuditLayout
@@ -188,3 +189,21 @@ def test_failing_battery_exits_three(monkeypatch, capsys):
     assert exc.value.code == 3
     lines = capsys.readouterr().out.strip().splitlines()
     assert json.loads(lines[-1])["failures"] == 1
+
+
+def test_concentration_solves_the_lipschitz_program_once(monkeypatch, capsys):
+    calls = []
+    solve = conic.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting)
+    qw1.cli.main(["concentration", fx("sigma_z_sum_n3"), "--t", "0.5", "--t", "1.0",
+                  "--delta", "1.0"])
+    assert len(calls) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["concentration-mgf"] * 2 + ["spectral-tail"]
+    assert [c["instance"] for c in checks] == [{"t": 0.5}, {"t": 1.0}, {"delta": 1.0}]
+    assert all(c["passed"] for c in checks)

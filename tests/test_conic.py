@@ -783,3 +783,71 @@ def test_rank_test_runs_once_per_class(monkeypatch):
                                            r"are not linearly independent"):
         solve(mixed)
     assert tested == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# batches of independent programs: _solved_batch
+# ---------------------------------------------------------------------------
+
+def test_batch_of_one_is_the_direct_solve(monkeypatch):
+    w1 = _w1_problem(monkeypatch)
+    hint = _interior_point(np.random.default_rng(2), conic._Cone(w1.psd_blocks, 0))
+    for prob, x0 in ((_lp_problem(), None), (w1, hint)):
+        (got,) = conic._solved_batch([prob], ["program"], x0s=None if x0 is None else [x0])
+        want = solve(prob, x0=x0)
+        assert want.optimal
+        for name in ("x", "y", "s"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.primal_objective, got.dual_objective, got.gap, got.iterations) == \
+            (want.primal_objective, want.dual_objective, want.gap, want.iterations)
+    assert conic._solved_batch([], []) == []
+
+
+@pytest.mark.parametrize("psd", [True, False])
+def test_batch_members_match_solo_solves(psd):
+    rng = np.random.default_rng(8)
+    shapes = [((3, 2), 0, 6), ((4,), 0, 5), ((3, 2), 0, 6)] if psd else \
+        [((), 5, 3), ((), 4, 2), ((), 5, 3)]
+    programs = [_random_program(rng, *shape) for shape in shapes]
+    hints = [_interior_point(rng, conic._Cone(p.psd_blocks, p.lp_dim)) for p in programs]
+    solo = [solve(p, x0=h) for p, h in zip(programs, hints)]
+    assert all(s.optimal for s in solo)
+    assert len({s.iterations for s in solo}) > 1
+    batch = conic._solved_batch(programs, ["a", "b", "c"], x0s=hints)
+    for p, want, got in zip(programs, solo, batch):
+        assert got.optimal and got.iterations == want.iterations
+        assert got.x.shape == want.x.shape and got.s.shape == want.s.shape
+        assert got.y.shape == want.y.shape
+        scale = 1.0 + abs(want.primal_objective)
+        assert abs(got.primal_objective - want.primal_objective) <= 1e-9 * scale
+        assert abs(got.dual_objective - want.dual_objective) <= 1e-9 * scale
+        assert abs(got.primal_objective - p.c @ got.x) <= 1e-12 * scale
+        assert abs(got.dual_objective - p.b @ got.y) <= 1e-12 * scale
+        np.testing.assert_allclose(p.A @ got.x, p.b, atol=1e-7 * (1 + abs(p.b).max()))
+        assert got.gap <= 1e-8 and got.primal_residual <= 1e-8 and got.dual_residual <= 1e-8
+        assert got.row_components.tolist() == [0] * p.A.shape[0]
+        assert got.stopped_at.tolist() == [want.iterations]
+
+
+def test_batch_failure_names_its_program():
+    base = _lp_problem()
+    bad = ConicProblem((), 2, base.A, base.b, np.array([np.nan, 0.0]))
+    with pytest.raises(SolverFailure, match=r"^LP 3 ended with NumericalFailure "
+                                            r"after 1 iterations: component 3 of 3"):
+        conic._solved_batch([base, base, bad], ["LP 1", "LP 2", "LP 3"])
+    # a program of two components, named one by one; its second one fails
+    pair = ConicProblem((), 4, scipy.sparse.block_diag([base.A, base.A]),
+                        np.tile(base.b, 2), np.concatenate([base.c, bad.c]))
+    with pytest.raises(SolverFailure, match=r"^pair, second LP ended with NumericalFailure"):
+        conic._solved_batch([base, pair, base],
+                            ["single", ["pair, first LP", "pair, second LP"], "single"])
+
+
+def test_batch_refuses_psd_and_lp_programs_together(monkeypatch):
+    rng = np.random.default_rng(4)
+    lp, w1 = _lp_problem(), _w1_problem(monkeypatch)
+    both = _random_program(rng, (2,), 1, 2)
+    for mix in ([w1, lp], [lp, w1], [both, both]):
+        with pytest.raises(InvalidInput, match="PSD-only or LP-only"):
+            conic._solved_batch(mix, ["first", "second"])
+    assert conic._solved_batch([both], ["alone"])[0].optimal

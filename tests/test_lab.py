@@ -230,3 +230,29 @@ def test_lipschitz_family_batch_falls_back_to_single_instances(monkeypatch):
         got, want = rep.results[k], clean.results[k]
         assert got.name == want.name and got.instance == want.instance
         assert abs(got.rhs - want.rhs) <= 1e-8 * want.rhs
+
+
+def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
+    transport_lps = lab.cl.transport_lps
+    sizes = []
+
+    def flaky(requests, options=None):
+        requests = list(requests)
+        sizes.append(len(requests))
+        if len(requests) > 2 or len(sizes) == 3:  # the batch, then instance 1 alone
+            raise SolverFailure("synthetic trouble")
+        return transport_lps(requests, options)
+
+    clean = run_battery(seed=5, trials=4, only={"classical-duality"})
+    assert clean.passed and len(clean.results) == 4
+    monkeypatch.setattr(lab.cl, "transport_lps", flaky)
+    rep = run_battery(seed=5, trials=4, only={"classical-duality"})
+    # each instance is one primal and one dual LP
+    assert sizes == [8, 2, 2, 2, 2]
+    assert [r.instance["index"] for r in rep.results] == [0, 1, 2, 3]
+    failed = rep.results[1]
+    assert failed.flags == ("exception",) and "synthetic trouble" in failed.instance["error"]
+    for k in (0, 2, 3):
+        got, want = rep.results[k], clean.results[k]
+        assert got.name == want.name and got.instance == want.instance
+        assert got.passed and abs(got.lhs - want.lhs) <= 1e-12

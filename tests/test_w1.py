@@ -28,6 +28,7 @@ from qw1 import (
     w1_distance,
     w1_dual,
     w1_primal,
+    w1_primals,
 )
 from qw1 import conic
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
@@ -240,6 +241,35 @@ def test_lipschitz_constants_batch_matches_single_solves(monkeypatch):
         if h.n == 1:
             assert res.value == one.value and res.shifts[0] == one.shifts[0]
     assert lipschitz_constants([]) == []
+
+
+def test_w1_primals_of_mixed_layouts_match_single_solves(monkeypatch):
+    layouts = [(2, 1), (2, 2), (3, 1), (2, 3), (2, 2), (2, 3)]
+    xs = [random_traceless(QuditLayout(d, n), seed=700 + k)
+          for k, (d, n) in enumerate(layouts)]
+    hints = []
+    solve = conic.solve
+
+    def spy(problem, *args, **kwargs):
+        hints.append(kwargs["x0"])
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", spy)
+    solo = [w1_primal(x) for x in xs]
+    batch = w1_primals(xs)
+    # one solve, started from every member's own telescoping decomposition
+    assert len(hints) == len(xs) + 1
+    assert hints[-1].tobytes() == np.concatenate(hints[:-1]).tobytes()
+    for x, one, cert in zip(xs, solo, batch):
+        assert abs(cert.value - one.value) <= 1e-9 * one.value
+        assert abs(cert.dual - one.dual) <= 1e-9 * one.value
+        assert len(cert.decomposition) == x.n
+        assert cert.witness.layout == x.layout
+        res = cert.residuals(x)
+        assert res["sum"] < 1e-7 and res["marginal"] < 1e-7
+        assert res["gap"] <= 1e-8 * (1.0 + abs(cert.primal) + abs(cert.dual))
+        assert cert.iterations == one.iterations
+    assert w1_primals([]) == []
 
 
 # --- neighboring states ----------------------------------------------------
