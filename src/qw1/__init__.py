@@ -43,8 +43,6 @@ from .classical import (
     classical_marton_bound,
     classical_w1,
     classical_w1_dual,
-    classical_w1_duals,
-    classical_w1s,
     diagonal_distribution,
     diagonal_state,
     hamming,

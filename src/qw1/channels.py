@@ -50,7 +50,7 @@ from .operators import (
     trace_norm,
     _rng,
 )
-from .w1 import hermitian_basis, w1_primals
+from .w1 import hermitian_basis, _w1_primal_runs
 
 TP_TOL = 1e-9
 UNITARY_TOL = 1e-9
@@ -440,8 +440,11 @@ def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
     applied to a shared random state).  Both channels act on one site i, so
     the pair's difference x has Tr_i x = 0 and its transport norm is
     0.5 ||x||_1 in closed form; only the image of x needs a W1 solve.  All
-    samples are drawn first, and the images of those with a nonzero x take
-    one w1_primals solve."""
+    samples are drawn first, in the same rng order, and the images of those
+    with a nonzero x take one batched W1 call (w1._w1_primal_runs).  That
+    solves them in runs of bounded memory (conic._batch_chunks), about 30
+    images a run at (2, 3) and one from (2, 4) up, and keeps no certificate,
+    so memory does not grow with samples."""
     layout = phi.layout
     one = QuditLayout(layout.d, 1)
     rng = _rng(seed)
@@ -458,7 +461,7 @@ def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
         images.append(HermitianOperator(layout, phi.apply_matrix(x)))
         dens.append(den)
     best = 0.0
-    for num, den in zip(w1_primals(images, options), dens):
+    for num, den in zip(_w1_primal_runs(images, options), dens):
         best = max(best, num.value / den)
     return best
 

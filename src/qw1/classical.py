@@ -6,10 +6,9 @@ min-cost-flow LP over ordered pairs whose equality multipliers are exactly
 the Kantorovich potential (valid because Hamming is a metric).  Both run
 on the conic solver's LP path, with constraint rows built once per layout
 as CSR matrices.  transport_lps solves many LPs, of any layouts and either
-side, as one block-diagonal program; classical_w1s and classical_w1_duals
-are its one-sided forms, and classical_w1 and classical_w1_dual their
-one-element cases, which reach the solver with their single program as it
-is.  Entropies are in nats.
+side, as block-diagonal programs of bounded memory; classical_w1 and
+classical_w1_dual are its one-element cases, which reach the solver with
+their single program as it is.  Entropies are in nats.
 """
 
 from __future__ import annotations
@@ -146,43 +145,43 @@ def _flow_rows(d: int, n: int):
 
 
 def transport_lps(requests, options: SolverOptions | None = None) -> list:
-    """The transport LPs of requests, (p, q, dual) triples, from one solve of
-    them side by side (conic._solved_batch): per triple classical_w1(p, q)
-    if dual is false, else classical_w1_dual(p, q).  The LPs of one layout
-    and side have the same rows, so the solver assembles their Schur
-    matrices as one stack."""
+    """The transport LPs of requests, (p, q, dual) triples, from batched
+    solves of them side by side (conic._solved_batch): per triple
+    classical_w1(p, q) if dual is false, else classical_w1_dual(p, q).
+    conic._batch_chunks splits the requests into runs of bounded memory,
+    each built only when it is solved.  The LPs of one layout and side have
+    the same rows, so the solver assembles their Schur matrices as one
+    stack.  A failure names the LP by the number of its (p, q) pair among
+    the distinct pairs of requests, when there is more than one."""
     requests = list(requests)
-    problems, names = [], []
-    for j, (p, q, dual) in enumerate(requests):
+    pairs = {}
+    for p, q, _ in requests:
         _same_layout(p, q)
-        if dual:
-            A, c = _flow_rows(p.d, p.n)
-            b = (p.weights - q.weights)[1:]
-            name = "transport dual LP"
-        else:
-            A, c = _coupling_rows(p.d, p.n)
-            b = np.concatenate([p.weights, q.weights])[:-1]
-            name = "transport LP"
-        problems.append(ConicProblem((), A.shape[1], A, b, c))
-        names.append(f"{name} of pair {j + 1}" if len(requests) > 1 else name)
+        pairs.setdefault((id(p), id(q)), len(pairs) + 1)
+    rows = [(_flow_rows if dual else _coupling_rows)(p.d, p.n) for p, _, dual in requests]
     out = []
-    for (p, _, dual), sol in zip(requests, conic._solved_batch(problems, names, options)):
-        if dual:
-            out.append((max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])))
-        else:
-            D = p.layout.dim
-            out.append((max(sol.primal_objective, 0.0), np.maximum(sol.x.reshape(D, D), 0.0)))
+    for run in conic._batch_chunks([A.shape for A, _ in rows]):
+        problems, names = [], []
+        for j in run:
+            p, q, dual = requests[j]
+            A, c = rows[j]
+            if dual:
+                b = (p.weights - q.weights)[1:]
+                name = "transport dual LP"
+            else:
+                b = np.concatenate([p.weights, q.weights])[:-1]
+                name = "transport LP"
+            problems.append(ConicProblem((), A.shape[1], A, b, c))
+            names.append(f"{name} of pair {pairs[id(p), id(q)]}" if len(pairs) > 1 else name)
+        for j, sol in zip(run, conic._solved_batch(problems, names, options)):
+            p, _, dual = requests[j]
+            if dual:
+                out.append((max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])))
+            else:
+                D = p.layout.dim
+                out.append((max(sol.primal_objective, 0.0),
+                            np.maximum(sol.x.reshape(D, D), 0.0)))
     return out
-
-
-def classical_w1s(pairs, options: SolverOptions | None = None) -> list:
-    """classical_w1 of every (p, q) of pairs, from one solve."""
-    return transport_lps([(p, q, False) for p, q in pairs], options)
-
-
-def classical_w1_duals(pairs, options: SolverOptions | None = None) -> list:
-    """classical_w1_dual of every (p, q) of pairs, from one solve."""
-    return transport_lps([(p, q, True) for p, q in pairs], options)
 
 
 def classical_w1(p: Distribution, q: Distribution,
@@ -193,7 +192,7 @@ def classical_w1(p: Distribution, q: Distribution,
     coupling, less the last column sum: the row sums and the column sums
     share the total mass, so it is implied by the others.
     """
-    return classical_w1s([(p, q)], options)[0]
+    return transport_lps([(p, q, False)], options)[0]
 
 
 def classical_w1_dual(p: Distribution, q: Distribution,
@@ -206,7 +205,7 @@ def classical_w1_dual(p: Distribution, q: Distribution,
     conservation rows sum to zero, so the row of point 0 is omitted, which
     fixes its multiplier f[0] at 0.
     """
-    return classical_w1_duals([(p, q)], options)[0]
+    return transport_lps([(p, q, True)], options)[0]
 
 
 def binary_entropy(t: float) -> float:
@@ -245,9 +244,9 @@ def classical_marton_bound(p: Distribution, q_factors,
                            options: SolverOptions | None = None):
     """(W1(p, q), sqrt(n/2 KL(p||q))) for a product q given by its factors."""
     q = product_distribution(q_factors)
-    _same_layout(p, q)
-    return _marton_check(p, q, classical_w1(p, q, options)[0])
+    kl = kl_divergence(p, q)
+    return _marton_check(p.n, classical_w1(p, q, options)[0], kl)
 
 
-def _marton_check(p: Distribution, q: Distribution, w1: float):
-    return w1, math.sqrt(p.n / 2.0 * kl_divergence(p, q))
+def _marton_check(n: int, w1: float, kl: float):
+    return w1, math.sqrt(n / 2.0 * kl)

@@ -75,7 +75,9 @@ _solved_batch builds such programs from independent ones: it stacks their
 blocks, A block diagonally, b, c and x0 hints, makes one solve, and hands
 each program its slices of the solution, its own objectives and the
 iteration at which its last component stopped.  The Lipschitz constants,
-the W1 primals and the transport LPs of many inputs go through it.
+the W1 primals and the transport LPs of many inputs go through it, in runs
+that _batch_chunks bounds by the memory of their dense A and Schur
+matrices, each run's programs built only when it is solved.
 
 A may be given dense or as a SciPy sparse matrix; it is converted to CSR
 once per solve, and the component search, the rank test and the Schur
@@ -133,6 +135,10 @@ _SCHUR_BATCH = 1 << 16
 # cost of one batched numpy call in flops of a large matrix product (about
 # 30 us against 8e-11 s per flop on one core); see _sparse_schur_pays
 _CALL_FLOPS = 4e5
+# entries (16 MB of float64) up to which _batch_chunks puts programs into one
+# batched solve: the battery's largest batch (0.85M entries at 100 trials)
+# fits, two W1 programs at (2, 4) (1.6M each) do not
+_BATCH_ENTRIES = 1 << 21
 
 
 class SolverStatus(enum.Enum):
@@ -206,7 +212,8 @@ class ConicSolution:
     # or the first one still running at MaxIterations
     component: int | None = None
     # the component of each row, and per component the iteration at which it
-    # stopped (the last iteration for one that never did)
+    # stopped (the last iteration for one that never did); None on the
+    # solution of one program of a _solved_batch
     row_components: np.ndarray | None = None
     stopped_at: np.ndarray | None = None
 
@@ -932,7 +939,8 @@ def _solved_batch(problems, names, options: SolverOptions | None = None,
     failing program.  x0s is None or holds a hint for every program.  The
     programs must be all PSD-only or all LP-only, so that the stack keeps
     its LP tail after its blocks; InvalidInput refuses a mix.  A one-program
-    batch goes to _solved as it is."""
+    batch goes to _solved as it is.  The stack holds every program at once:
+    callers split a batch of unbounded size with _batch_chunks."""
     problems = list(problems)
     if len(problems) <= 1:
         return [_solved(p, names[0], options, x0=None if x0s is None else x0s[0])
@@ -943,7 +951,8 @@ def _solved_batch(problems, names, options: SolverOptions | None = None,
     coords = np.cumsum([0] + [p.num_vars for p in problems])
     stack = ConicProblem([k for p in problems for k in p.psd_blocks],
                          sum(p.lp_dim for p in problems),
-                         scipy.sparse.block_diag([p.A for p in problems], format="csr"),
+                         scipy.sparse.block_diag([scipy.sparse.csr_matrix(p.A) for p in problems],
+                                                 format="csr"),
                          np.concatenate([p.b for p in problems]),
                          np.concatenate([p.c for p in problems]))
     x0 = None if x0s is None else np.concatenate(x0s)
@@ -966,7 +975,22 @@ def _solved_batch(problems, names, options: SolverOptions | None = None,
             primal_objective=pobj, dual_objective=dobj,
             gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
             primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
-            iterations=int(sol.stopped_at[comps].max(initial=0)),
-            row_components=np.searchsorted(comps, sol.row_components[r]),
-            stopped_at=sol.stopped_at[comps]))
+            iterations=int(sol.stopped_at[comps].max(initial=0))))
     return out
+
+
+def _batch_chunks(shapes) -> list:
+    """Split programs of the (rows, variables) shapes into runs of
+    consecutive indices, each for one _solved_batch.  A program of m rows
+    and v variables counts m (v + 2 m) entries: its A held dense, and its
+    Schur matrix and Cholesky factor.  A run holds programs up to
+    _BATCH_ENTRIES together, or one program that alone exceeds it."""
+    runs, used = [], 0
+    for i, (m, v) in enumerate(shapes):
+        size = m * (v + 2 * m)
+        if not runs or used + size > _BATCH_ENTRIES:
+            runs.append([])
+            used = 0
+        runs[-1].append(i)
+        used += size
+    return runs

@@ -16,11 +16,14 @@ lipschitz_constants solve, the W1 values of homogeneity, triangle,
 permutation-invariance and channel-contraction from one w1_primals solve,
 and the transport LPs of classical-duality (its primal and dual LPs
 together), classical-shannon, classical-marton, classical-product-tv and
-classical-neighboring from one transport_lps solve.  Each program in a
-batch follows the iterates of its single solve, but a single program small
-enough for dense products of A rounds differently from the batch's sparse
-products.  Among the default layouts those are the two-qubit and
-one-qubit SDPs and every transport LP.  At seed 42 with 100 trials the
+classical-neighboring from one transport_lps solve.  (Those calls split a
+batch whose dense A and Schur matrices would exceed 16 MB into several
+solves, conic._batch_chunks; the battery's batches at the default layouts
+and 100 trials stay within it.)  Each program in a batch follows the
+iterates of its single solve, but a single program small enough for dense
+products of A rounds differently from the batch's sparse products.
+Among the default layouts those are the two-qubit and one-qubit SDPs and
+every transport LP.  At seed 42 with 100 trials the
 batched values match their single solves within 4e-11 relative (the worst
 is a two-qubit triangle value), the transport LPs within 1.1e-11, and the
 three-qubit SDP values bit for bit.  An instance made alone batches only
@@ -201,12 +204,16 @@ def spectral_tail(h: HermitianOperator, delta: float,
                   instance: dict | None = None) -> CheckResult:
     """Number of eigenvalues above mean + delta sqrt(n) L, against
     d^n exp(-2 delta^2)."""
+    _require_delta(delta)
     return _tail_check(h, delta, lipschitz_constant(h, options=options).value, instance)
 
 
-def _tail_check(h: HermitianOperator, delta: float, lip: float, instance) -> CheckResult:
+def _require_delta(delta: float) -> None:
     if delta < 0:
         raise InvalidInput(f"delta = {delta} must be nonnegative")
+
+
+def _tail_check(h: HermitianOperator, delta: float, lip: float, instance) -> CheckResult:
     lam = np.linalg.eigvalsh(h.matrix)
     dim = h.layout.dim
     mean = lam.sum() / dim
@@ -662,9 +669,10 @@ def _draw_classical_marton(seed, fam, k, layouts):
     p = _random_distribution(layout, rng)
     one = QuditLayout(layout.d, 1)
     q = cl.product_distribution([_random_distribution(one, rng) for _ in range(layout.n)])
+    kl = cl.kl_divergence(p, q)
     inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [(p, q, False)], lambda w1: [
-        CheckResult("classical-marton", *cl._marton_check(p, q, w1), inst)]
+        CheckResult("classical-marton", *cl._marton_check(layout.n, w1, kl), inst)]
 
 
 def _draw_lipschitz_sandwich(seed, fam, k, layouts):

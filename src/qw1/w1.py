@@ -17,10 +17,10 @@ Dual program (same value):
 The dual program is the conic dual of the primal one, so both are one
 conic program: w1_primal solves it from a feasible decomposition, w1_dual
 from the zero witness, and each reports its own side's objective.
-w1_primals solves the programs of many operators, of any layouts, as one
-block-diagonal program, each from its own decomposition; w1_primal is its
-one-element case, which reaches the solver with its single program as it
-is.
+w1_primals solves the programs of many operators, of any layouts, as
+block-diagonal programs of bounded memory, each from its own
+decomposition; w1_primal is its one-element case, which reaches the
+solver with its single program as it is.
 
 Every P_i, Q_i is one Hermitian PSD block of the layout's order D, in the
 svec coordinates of conic, which are the coordinates Tr[F_a X] along
@@ -219,22 +219,39 @@ def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1
     )
 
 
+def _w1_shape(x: HermitianOperator):
+    """(rows, variables) of _w1_program(x), without building it."""
+    d, n = x.d, x.n
+    return n * d ** (2 * n - 2) + d ** (2 * n) - 1, 2 * n * d ** (2 * n)
+
+
 def w1_primals(xs, options: SolverOptions | None = None) -> list:
-    """w1_primal of every operator of xs, from one solve of their programs
-    side by side (conic._solved_batch); each starts from its telescoping
-    decomposition.  The programs of one layout have the same rows, so the
+    """w1_primal of every operator of xs, from batched solves of their
+    programs side by side (conic._solved_batch); each starts from its
+    telescoping decomposition.  conic._batch_chunks splits xs into runs
+    whose dense A and Schur matrices stay within a fixed memory, and each
+    run's programs are built only when it is solved; a large layout is
+    solved alone.  The programs of one layout have the same rows, so the
     solver assembles their Schur matrices as one stack."""
+    return list(_w1_primal_runs(xs, options))
+
+
+def _w1_primal_runs(xs, options: SolverOptions | None = None):
+    """w1_primals as a generator, which solves each run when its first
+    certificate is asked for: a caller that keeps only values holds no
+    certificate longer than it needs."""
     xs = list(xs)
     for x in xs:
         x.require_traceless()
-    programs = [_w1_program(x) for x in xs]
-    x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(x)
-                           for part in _positive_parts(xi)]) for x in xs]
-    names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
-             for j in range(len(xs))]
-    sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
-    return [_certificate(x, sol, first_full, sol.primal_objective)
-            for x, (_, first_full), sol in zip(xs, programs, sols)]
+    for run in conic._batch_chunks([_w1_shape(x) for x in xs]):
+        programs = [_w1_program(xs[j]) for j in run]
+        x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(xs[j])
+                               for part in _positive_parts(xi)]) for j in run]
+        names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
+                 for j in run]
+        sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
+        for j, (_, first_full), sol in zip(run, programs, sols):
+            yield _certificate(xs[j], sol, first_full, sol.primal_objective)
 
 
 def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
@@ -308,45 +325,55 @@ def _lipschitz_rows(d: int, n: int):
          for rows in site], format="csr")
 
 
+def _lipschitz_program(h: HermitianOperator) -> ConicProblem:
+    """The n site programs of h, n > 1, as one program: blocks P_1, Q_1,
+    P_2, Q_2, ..., rows _lipschitz_rows."""
+    d, n = h.d, h.n
+    A = _lipschitz_rows(d, n)
+    eh = svec(h.matrix)
+    b = np.zeros((n, A.shape[0] // n))
+    b[:, 0] = -1.0
+    return ConicProblem([h.layout.dim] * (2 * n), 0, A, b.ravel(),
+                        np.tile(np.concatenate([-eh, eh]), n))
+
+
 def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
-    """Exact ||H||_L of every operator of hs, from one solve.
+    """Exact ||H||_L of every operator of hs, from batched solves.
 
     Site i's value 2 min_K ||H - I_i (x) K||_inf is twice the optimum of
     max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
     P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
     optimal K.  The site programs of all operators with n > 1 are one
-    block-diagonal program, whose row components the solver runs in
+    block-diagonal program (split into runs of bounded memory by
+    conic._batch_chunks), whose row components the solver runs in
     lockstep; the site programs of one layout and site have the same rows,
     so the solver assembles their Schur matrices as one stack.  At n = 1 the
     complement space is C, K is a scalar, and the value is
     lambda_max - lambda_min in closed form."""
     hs = list(hs)
     results = [None] * len(hs)
-    solved, problems, names = [], [], []
+    solved, names = [], []
     for j, h in enumerate(hs):
-        d, n = h.d, h.n
-        if n == 1:
+        if h.n == 1:
             lam = np.linalg.eigvalsh(h.matrix)
             value = float(lam[-1] - lam[0])
             results[j] = LipschitzResult(value=value, site_values=[value], shifts=[
                 np.array([[(lam[-1] + lam[0]) / 2.0]], dtype=complex)])
             continue
-        A = _lipschitz_rows(d, n)
-        eh = svec(h.matrix)
-        b = np.zeros((n, A.shape[0] // n))
-        b[:, 0] = -1.0
-        problems.append(ConicProblem([h.layout.dim] * (2 * n), 0, A, b.ravel(),
-                                     np.tile(np.concatenate([-eh, eh]), n)))
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
-        names.append([f"Lipschitz SDP{of} at site {i + 1}" for i in range(n)])
+        names.append([f"Lipschitz SDP{of} at site {i + 1}" for i in range(h.n)])
         solved.append(j)
-    for j, sol in zip(solved, conic._solved_batch(problems, names, options)):
-        h = hs[j]
-        # site i's dual objective is -y at its trace row
-        y = sol.y.reshape(h.n, -1)
-        values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
-        shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
-        results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
+    for run in conic._batch_chunks([_lipschitz_rows(hs[j].d, hs[j].n).shape for j in solved]):
+        js = [solved[i] for i in run]
+        sols = conic._solved_batch([_lipschitz_program(hs[j]) for j in js],
+                                   [names[i] for i in run], options)
+        for j, sol in zip(js, sols):
+            h = hs[j]
+            # site i's dual objective is -y at its trace row
+            y = sol.y.reshape(h.n, -1)
+            values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
+            shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
+            results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
     return results
 
 

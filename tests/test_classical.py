@@ -13,8 +13,6 @@ from qw1.classical import (
     classical_marton_bound,
     classical_w1,
     classical_w1_dual,
-    classical_w1_duals,
-    classical_w1s,
     diagonal_distribution,
     diagonal_state,
     distribution_from_json,
@@ -24,7 +22,8 @@ from qw1.classical import (
     shannon_continuity_bound,
     transport_lps,
 )
-from qw1.errors import InvalidInput, LengthMismatch, SupportViolation
+from qw1.conic import SolverOptions
+from qw1.errors import InvalidInput, LengthMismatch, SolverFailure, SupportViolation
 from qw1.operators import HermitianOperator, QuditLayout, random_density
 from qw1.w1 import w1_primal
 
@@ -144,7 +143,8 @@ def _check_coupling(coupling, p, q):
 @pytest.mark.parametrize("d,n", LP_LAYOUTS)
 def test_batched_transport_lps_match_single_solves(d, n):
     pairs = _pairs(np.random.default_rng(70 + 10 * d + n), d, n, 4)
-    primal, dual = classical_w1s(pairs), classical_w1_duals(pairs)
+    primal = transport_lps([(p, q, False) for p, q in pairs])
+    dual = transport_lps([(p, q, True) for p, q in pairs])
     assert len(primal) == len(dual) == len(pairs)
     for (p, q), (v, coupling), (vd, f) in zip(pairs, primal, dual):
         sv, _ = classical_w1(p, q)
@@ -181,6 +181,40 @@ def test_transport_lps_of_mixed_layouts_and_sides_in_one_solve(monkeypatch):
         else:
             _check_coupling(extra, p, q)
     assert transport_lps([]) == []
+
+
+def test_transport_lps_split_into_runs_of_bounded_memory(monkeypatch):
+    rng = np.random.default_rng(12)
+    requests = [(p, q, dual) for p, q in _pairs(rng, 2, 3, 3) for dual in (False, True)]
+    whole = transport_lps(requests)
+    solves = []
+    solve = conic.solve
+
+    def spy(problem, *args, **kwargs):
+        solves.append(problem.A.shape[0])
+        return solve(problem, *args, **kwargs)
+
+    # room for a primal LP (15 x 64) and a dual one (7 x 56) of (2, 3) together
+    monkeypatch.setattr(conic, "_BATCH_ENTRIES", 15 * 94 + 7 * 70)
+    monkeypatch.setattr(conic, "solve", spy)
+    got = transport_lps(requests)
+    assert solves == [22, 22, 22]
+    for (value, extra), (want, want_extra) in zip(got, whole):
+        assert abs(value - want) <= 1e-10 * want
+        assert extra.shape == want_extra.shape
+
+
+def test_transport_lp_failures_name_pairs_not_requests():
+    rng = np.random.default_rng(13)
+    (p, q), (p2, q2) = _pairs(rng, 2, 2, 2)
+    short = SolverOptions(max_iterations=1)
+    # one pair on both sides, as one classical-duality instance asks
+    with pytest.raises(SolverFailure, match=r"^transport LP ended with MaxIterations"):
+        transport_lps([(p, q, False), (p, q, True)], short)
+    with pytest.raises(SolverFailure, match=r"^transport dual LP ended with MaxIterations"):
+        transport_lps([(p, q, True), (p, q, False)], short)
+    with pytest.raises(SolverFailure, match=r"^transport dual LP of pair 1 ended"):
+        transport_lps([(p, q, True), (p, q, False), (p2, q2, True), (p2, q2, False)], short)
 
 
 def test_distribution_validation():
@@ -250,6 +284,16 @@ def test_marton_single_site_is_pinsker():
     assert abs(w1 - 0.4) < 1e-8
     assert abs(bound - math.sqrt(kl / 2)) < 1e-12
     assert w1 <= bound
+
+
+def test_marton_refuses_a_support_violation_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input check")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
+    p = _dist(2, 1, [0.5, 0.5])
+    with pytest.raises(SupportViolation):
+        classical_marton_bound(p, [_dist(2, 1, [1.0, 0.0])])
 
 
 def test_kl_support_violation():

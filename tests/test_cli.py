@@ -207,3 +207,14 @@ def test_concentration_solves_the_lipschitz_program_once(monkeypatch, capsys):
     assert [c["name"] for c in checks] == ["concentration-mgf"] * 2 + ["spectral-tail"]
     assert [c["instance"] for c in checks] == [{"t": 0.5}, {"t": 1.0}, {"delta": 1.0}]
     assert all(c["passed"] for c in checks)
+
+
+def test_concentration_refuses_negative_delta_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input check")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        qw1.cli.main(["concentration", fx("sigma_z_sum_n3"), "--t", "0.5", "--delta", "-1.0"])
+    assert exc.value.code == 1
+    assert "delta = -1.0 must be nonnegative" in capsys.readouterr().err

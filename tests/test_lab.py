@@ -129,6 +129,15 @@ def test_spectral_tail_z_sum():
         spectral_tail(h, -0.5)
 
 
+def test_spectral_tail_refuses_negative_delta_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input check")
+
+    monkeypatch.setattr(lab, "lipschitz_constant", no_solve)
+    with pytest.raises(InvalidInput, match="delta = -0.5 must be nonnegative"):
+        spectral_tail(_z_sum(3), -0.5)
+
+
 def test_battery_trials_zero_is_empty_pass():
     rep = run_battery(seed=1, trials=0)
     assert rep.results == []
@@ -256,3 +265,11 @@ def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
         got, want = rep.results[k], clean.results[k]
         assert got.name == want.name and got.instance == want.instance
         assert got.passed and abs(got.lhs - want.lhs) <= 1e-12
+
+
+def test_one_classical_duality_instance_names_its_lp_without_a_pair(monkeypatch):
+    short = lab.SolverOptions(max_iterations=1)
+    rep = run_battery(seed=5, trials=1, only={"classical-duality"}, options=short)
+    (failed,) = rep.results
+    assert failed.flags == ("exception",)
+    assert failed.instance["error"].startswith("transport LP ended with MaxIterations")

@@ -33,7 +33,7 @@ from qw1 import (
 from qw1 import conic
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
 from qw1.operators import embed_matrix, operator_norm
-from qw1.w1 import _layout_data
+from qw1.w1 import _layout_data, _w1_program, _w1_shape
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -270,6 +270,31 @@ def test_w1_primals_of_mixed_layouts_match_single_solves(monkeypatch):
         assert res["gap"] <= 1e-8 * (1.0 + abs(cert.primal) + abs(cert.dual))
         assert cert.iterations == one.iterations
     assert w1_primals([]) == []
+
+
+def test_w1_primals_split_a_large_layout_batch_into_several_solves(monkeypatch):
+    xs = [random_traceless(QuditLayout(2, 4), seed=900 + k) for k in range(3)]
+    xs.append(random_traceless(QuditLayout(2, 2), seed=903))
+    for x in xs[2:]:
+        assert _w1_program(x)[0].A.shape == _w1_shape(x)
+    # 511 rows and 2048 variables at (2, 4): one program fits a run, two do not
+    assert conic._batch_chunks([_w1_shape(x) for x in xs]) == [[0], [1], [2, 3]]
+    # a (2, 5) program alone exceeds the run's memory and is solved by itself
+    big = _w1_shape(random_traceless(QuditLayout(2, 5), seed=904))
+    assert conic._batch_chunks([big, big, _w1_shape(xs[3])]) == [[0], [1], [2]]
+    solo = [w1_primal(x) for x in xs]
+    rows = []
+    solve = conic.solve
+
+    def spy(problem, *args, **kwargs):
+        rows.append(problem.A.shape[0])
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", spy)
+    batch = w1_primals(xs)
+    assert rows == [511, 511, 511 + 23]
+    for one, cert in zip(solo, batch):
+        assert abs(cert.value - one.value) <= 1e-9 * one.value
 
 
 # --- neighboring states ----------------------------------------------------
