@@ -244,14 +244,22 @@ def _w1_primal_runs(xs, options: SolverOptions | None = None):
     for x in xs:
         x.require_traceless()
     for run in conic._batch_chunks([_w1_shape(x) for x in xs]):
-        programs = [_w1_program(xs[j]) for j in run]
-        x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(xs[j])
-                               for part in _positive_parts(xi)]) for j in run]
-        names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
-                 for j in run]
-        sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
-        for j, (_, first_full), sol in zip(run, programs, sols):
-            yield _certificate(xs[j], sol, first_full, sol.primal_objective)
+        # solved by a call, so that its programs are freed before the next
+        # run's are built
+        yield from _w1_primal_run(xs, run, options)
+
+
+def _w1_primal_run(xs, run, options: SolverOptions | None) -> list:
+    """The certificates of the operators xs[j], j in run, from one
+    conic._solved_batch."""
+    programs = [_w1_program(xs[j]) for j in run]
+    x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(xs[j])
+                           for part in _positive_parts(xi)]) for j in run]
+    names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
+             for j in run]
+    sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
+    return [_certificate(xs[j], sol, first_full, sol.primal_objective)
+            for j, (_, first_full), sol in zip(run, programs, sols)]
 
 
 def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:

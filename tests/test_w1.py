@@ -2,6 +2,7 @@
 
 import functools
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qw1 import (
     w1_primals,
 )
 from qw1 import conic
+from qw1 import w1 as w1_module
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
 from qw1.operators import embed_matrix, operator_norm
 from qw1.w1 import _layout_data, _w1_program, _w1_shape
@@ -295,6 +297,22 @@ def test_w1_primals_split_a_large_layout_batch_into_several_solves(monkeypatch):
     assert rows == [511, 511, 511 + 23]
     for one, cert in zip(solo, batch):
         assert abs(cert.value - one.value) <= 1e-9 * one.value
+
+
+def test_w1_primals_free_each_run_before_building_the_next(monkeypatch):
+    monkeypatch.setattr(conic, "_BATCH_ENTRIES", 1)  # every program in a run alone
+    live = []
+    build = w1_module._w1_program
+
+    def tracked(x):
+        assert all(ref() is None for ref in live)
+        problem, first_full = build(x)
+        live.append(weakref.ref(problem))
+        return problem, first_full
+
+    monkeypatch.setattr(w1_module, "_w1_program", tracked)
+    xs = [random_traceless(QuditLayout(2, 2), seed=910 + k) for k in range(3)]
+    assert len(w1_primals(xs)) == len(live) == 3
 
 
 # --- neighboring states ----------------------------------------------------
