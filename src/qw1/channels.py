@@ -441,10 +441,8 @@ def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
     the pair's difference x has Tr_i x = 0 and its transport norm is
     0.5 ||x||_1 in closed form; only the image of x needs a W1 solve.  All
     samples are drawn first, in the same rng order, and the images of those
-    with a nonzero x take one batched W1 call (w1._w1_primal_runs).  That
-    solves them in runs of bounded memory (conic._batch_chunks), about 30
-    images a run at (2, 3) and one from (2, 4) up, and keeps no certificate,
-    so memory does not grow with samples."""
+    with a nonzero x take one batched W1 call (w1._w1_primal_runs, whose
+    runs conic._solved_batch sets), which keeps no certificate."""
     layout = phi.layout
     one = QuditLayout(layout.d, 1)
     rng = _rng(seed)

@@ -148,39 +148,33 @@ def transport_lps(requests, options: SolverOptions | None = None) -> list:
     """The transport LPs of requests, (p, q, dual) triples, from batched
     solves of them side by side (conic._solved_batch): per triple
     classical_w1(p, q) if dual is false, else classical_w1_dual(p, q).
-    conic._batch_chunks splits the requests into runs of bounded memory,
-    each built only when it is solved.  The LPs of one layout and side have
-    the same rows, so the solver assembles their Schur matrices as one
-    stack.  A failure names the LP by the number of its (p, q) pair among
-    the distinct pairs of requests, when there is more than one."""
+    The LPs of one layout and side have the same rows, so the solver
+    assembles their Schur matrices as one stack.  A failure names the LP by
+    the number of its (p, q) pair among the distinct pairs of requests,
+    when there is more than one."""
     requests = list(requests)
     pairs = {}
     for p, q, _ in requests:
         _same_layout(p, q)
         pairs.setdefault((id(p), id(q)), len(pairs) + 1)
-    rows = [(_flow_rows if dual else _coupling_rows)(p.d, p.n) for p, _, dual in requests]
+    problems, names = [], []
+    for p, q, dual in requests:
+        A, c = (_flow_rows if dual else _coupling_rows)(p.d, p.n)
+        if dual:
+            b = (p.weights - q.weights)[1:]
+            name = "transport dual LP"
+        else:
+            b = np.concatenate([p.weights, q.weights])[:-1]
+            name = "transport LP"
+        problems.append(ConicProblem((), A.shape[1], A, b, c))
+        names.append(f"{name} of pair {pairs[id(p), id(q)]}" if len(pairs) > 1 else name)
     out = []
-    for run in conic._batch_chunks([A.shape for A, _ in rows]):
-        problems, names = [], []
-        for j in run:
-            p, q, dual = requests[j]
-            A, c = rows[j]
-            if dual:
-                b = (p.weights - q.weights)[1:]
-                name = "transport dual LP"
-            else:
-                b = np.concatenate([p.weights, q.weights])[:-1]
-                name = "transport LP"
-            problems.append(ConicProblem((), A.shape[1], A, b, c))
-            names.append(f"{name} of pair {pairs[id(p), id(q)]}" if len(pairs) > 1 else name)
-        for j, sol in zip(run, conic._solved_batch(problems, names, options)):
-            p, _, dual = requests[j]
-            if dual:
-                out.append((max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])))
-            else:
-                D = p.layout.dim
-                out.append((max(sol.primal_objective, 0.0),
-                            np.maximum(sol.x.reshape(D, D), 0.0)))
+    for (p, _, dual), sol in zip(requests, conic._solved_batch(problems, names, options)):
+        if dual:
+            out.append((max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])))
+        else:
+            D = p.layout.dim
+            out.append((max(sol.primal_objective, 0.0), np.maximum(sol.x.reshape(D, D), 0.0)))
     return out
 
 

@@ -75,9 +75,10 @@ _solved_batch builds such programs from independent ones: it stacks their
 blocks, A block diagonally, b, c and x0 hints, makes one solve, and hands
 each program its slices of the solution, its own objectives and the
 iteration at which its last component stopped.  The Lipschitz constants,
-the W1 primals and the transport LPs of many inputs go through it, in runs
-that _batch_chunks bounds by the memory of their dense A and Schur
-matrices, each run's programs built only when it is solved.
+the W1 primals and the transport LPs of many inputs go through it, each
+caller with one call: _solved_batch itself splits a batch into runs that
+_batch_chunks bounds by the memory of their A, counted dense, and Schur
+matrices.
 
 A may be given dense or as a SciPy sparse matrix; it is converted to CSR
 once per solve, and the component search, the rank test and the Schur
@@ -927,26 +928,37 @@ def _solved(problem: ConicProblem, program, options: SolverOptions | None = None
 
 def _solved_batch(problems, names, options: SolverOptions | None = None,
                   x0s=None) -> list:
-    """_solved of independent programs, from one solve of the program that
-    stacks them: their blocks in turn, A block diagonal, b, c and the x0
-    hints concatenated.  Each program is one or more row components of the
+    """_solved of independent programs, from solves of the programs that
+    stack them: their blocks in turn, A block diagonal, b, c and the x0
+    hints concatenated.  Each program is one or more row components of its
     stack, which keep their own iterates (see the module docstring).
+    _batch_chunks splits the batch into runs of consecutive programs of
+    bounded memory, one stack and one solve each; a run of one program goes
+    to _solved as it is.
 
     Returns one ConicSolution per program, with its slices of x, y and s, its
-    own objectives and gap, the batch's largest residuals, and as iterations
+    own objectives and gap, its run's largest residuals, and as iterations
     the one at which its last component stopped.  names[i] names program i
     as program does for _solved; a failure raises SolverFailure naming the
     failing program.  x0s is None or holds a hint for every program.  The
-    programs must be all PSD-only or all LP-only, so that the stack keeps
-    its LP tail after its blocks; InvalidInput refuses a mix.  A one-program
-    batch goes to _solved as it is.  The stack holds every program at once:
-    callers split a batch of unbounded size with _batch_chunks."""
+    programs of a batch of more than one must be all PSD-only or all
+    LP-only, so that a stack keeps its LP tail after its blocks;
+    InvalidInput refuses a mix before any solve."""
     problems = list(problems)
-    if len(problems) <= 1:
-        return [_solved(p, names[0], options, x0=None if x0s is None else x0s[0])
-                for p in problems]
-    if not (all(p.lp_dim == 0 for p in problems) or all(not p.psd_blocks for p in problems)):
+    if len(problems) > 1 and not (all(p.lp_dim == 0 for p in problems)
+                                  or all(not p.psd_blocks for p in problems)):
         raise InvalidInput("a batch takes PSD-only or LP-only programs, not a mix")
+    out = []
+    for run in _batch_chunks([p.A.shape for p in problems]):
+        out += _solved_run([problems[i] for i in run], [names[i] for i in run], options,
+                           None if x0s is None else [x0s[i] for i in run])
+    return out
+
+
+def _solved_run(problems, names, options: SolverOptions | None, x0s) -> list:
+    """_solved_batch of one run, from one solve of its stack."""
+    if len(problems) == 1:
+        return [_solved(problems[0], names[0], options, x0=None if x0s is None else x0s[0])]
     rows = np.cumsum([0] + [p.A.shape[0] for p in problems])
     coords = np.cumsum([0] + [p.num_vars for p in problems])
     stack = ConicProblem([k for p in problems for k in p.psd_blocks],
@@ -981,9 +993,9 @@ def _solved_batch(problems, names, options: SolverOptions | None = None,
 
 def _batch_chunks(shapes) -> list:
     """Split programs of the (rows, variables) shapes into runs of
-    consecutive indices, each for one _solved_batch.  A program of m rows
-    and v variables counts m (v + 2 m) entries: its A held dense, and its
-    Schur matrix and Cholesky factor.  A run holds programs up to
+    consecutive indices, each for one solve of _solved_batch.  A program of
+    m rows and v variables counts m (v + 2 m) entries: its A counted dense,
+    and its Schur matrix and Cholesky factor.  A run holds programs up to
     _BATCH_ENTRIES together, or one program that alone exceeds it."""
     runs, used = [], 0
     for i, (m, v) in enumerate(shapes):

@@ -16,17 +16,16 @@ lipschitz_constants solve, the W1 values of homogeneity, triangle,
 permutation-invariance and channel-contraction from one w1_primals solve,
 and the transport LPs of classical-duality (its primal and dual LPs
 together), classical-shannon, classical-marton, classical-product-tv and
-classical-neighboring from one transport_lps solve.  (Those calls split a
-batch whose dense A and Schur matrices would exceed 16 MB into several
-solves, conic._batch_chunks; the battery's batches at the default layouts
-and 100 trials stay within it.)  Each program in a batch follows the
-iterates of its single solve, but a single program small enough for dense
-products of A rounds differently from the batch's sparse products.
+classical-neighboring from one transport_lps solve.  (conic._solved_batch
+sets how many solves a call takes; the battery's batches at the default
+layouts and 100 trials take one each.)  Each program in a batch follows
+the iterates of its single solve, but a single program small enough for
+dense products of A rounds differently from the batch's sparse products.
 Among the default layouts those are the two-qubit and one-qubit SDPs and
-every transport LP.  At seed 42 with 100 trials the
-batched values match their single solves within 4e-11 relative (the worst
-is a two-qubit triangle value), the transport LPs within 1.1e-11, and the
-three-qubit SDP values bit for bit.  An instance made alone batches only
+every transport LP.  At seed 42 with 100 trials the batched values match
+their single solves within 4e-11 relative (the worst is a two-qubit
+triangle value), the transport LPs within 1.1e-11, and the three-qubit SDP
+values bit for bit.  An instance made alone batches only
 its own two or three programs, which stay small enough for dense products:
 its values equal their single solves, but for classical-duality's stacked
 primal and dual LP, which match within 3e-16 relative.  If a batch raises,
@@ -832,7 +831,7 @@ def run_battery(seed: int = 42, trials: int = 100, layouts=None,
         if only is not None and fam_name not in only:
             continue
         ks = range(counts[weight])
-        if isinstance(fn, _BatchedFamily) and len(ks) > 1:
+        if isinstance(fn, _BatchedFamily):
             try:
                 for checks in fn.batch(seed, fam_idx, ks, layouts, options):
                     results.extend(checks)

@@ -17,10 +17,10 @@ Dual program (same value):
 The dual program is the conic dual of the primal one, so both are one
 conic program: w1_primal solves it from a feasible decomposition, w1_dual
 from the zero witness, and each reports its own side's objective.
-w1_primals solves the programs of many operators, of any layouts, as
-block-diagonal programs of bounded memory, each from its own
-decomposition; w1_primal is its one-element case, which reaches the
-solver with its single program as it is.
+w1_primals solves the programs of many operators, of any layouts,
+through conic._solved_batch, each from its own decomposition; w1_primal is
+its one-element case, which reaches the solver with its single program as
+it is.
 
 Every P_i, Q_i is one Hermitian PSD block of the layout's order D, in the
 svec coordinates of conic, which are the coordinates Tr[F_a X] along
@@ -98,17 +98,30 @@ def hermitian_basis(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _layout_data(d: int, n: int):
-    """Constraint rows of a layout: the full-space rows, one per basis
-    element of the whole space (the identity on a block), and per site i
-    the rows svec(I_i (x) f) for f in hermitian_basis(d^(n-1))."""
+    """The constraint matrices of a layout's W1 and Lipschitz programs, as
+    CSR on blocks P_1, Q_1, P_2, Q_2, ...  Both are made of the site rows
+    of each site i, svec(I_i (x) f) for f in hermitian_basis(d^(n-1)),
+    which have d nonzeros each.
+
+    W1: the site rows of every site, on P_i and negated on Q_i, then the
+    full-space rows, one per basis element of the whole space but E_00 (see
+    the module docstring), 1 at its coordinate of every P_i and -1 at that
+    of every Q_i.  Lipschitz: per site i its trace row -Tr[P_i + Q_i] and
+    its rows Tr_i[Q_i - P_i], the negated site rows on P_i and the site rows
+    on Q_i."""
     layout = QuditLayout(d, n)
-    full = np.eye(layout.dim ** 2)
     comp = hermitian_basis(d ** (n - 1))
-    site = []
-    for i in layout.sites():
-        rest = [j for j in layout.sites() if j != i]
-        site.append(np.stack([svec(embed_matrix(f, layout, rest)) for f in comp]))
-    return full, site
+    site = [scipy.sparse.csr_matrix(np.stack(
+        [svec(embed_matrix(f, layout, [j for j in layout.sites() if j != i])) for f in comp]))
+        for i in layout.sites()]
+    full = scipy.sparse.identity(layout.dim ** 2, format="csr")[1:]
+    trace = scipy.sparse.csr_matrix(-svec(np.eye(layout.dim)))
+    w1 = scipy.sparse.vstack(
+        [scipy.sparse.block_diag([scipy.sparse.hstack([rows, -rows]) for rows in site]),
+         scipy.sparse.hstack([full, -full] * n)], format="csr")
+    lipschitz = scipy.sparse.block_diag(
+        [scipy.sparse.bmat([[trace, trace], [-rows, rows]]) for rows in site], format="csr")
+    return w1, lipschitz
 
 
 @dataclass
@@ -182,23 +195,14 @@ def _positive_parts(m: np.ndarray):
 
 def _w1_program(x: HermitianOperator):
     """The conic program of both sides, and the index of its first
-    full-space row.  Blocks P_1, Q_1, P_2, Q_2, ...; rows: the site rows of
-    every site, then the full-space rows without E_00."""
-    d, n, D = x.d, x.n, x.layout.dim
-    full, site = _layout_data(d, n)
-    full = full[1:]  # E_00 omitted: see the module docstring
-    L = D * D
-    nc = site[0].shape[0]
-    A = np.zeros((n * nc + full.shape[0], 2 * n * L))
-    for i in range(n):
-        P, Q = slice(2 * i * L, (2 * i + 1) * L), slice((2 * i + 1) * L, (2 * i + 2) * L)
-        A[i * nc:(i + 1) * nc, P] = site[i]
-        A[i * nc:(i + 1) * nc, Q] = -site[i]
-        A[n * nc:, P] = full
-        A[n * nc:, Q] = -full
-    b = np.concatenate([np.zeros(n * nc), svec(x.matrix)[1:]])
+    full-space row: blocks P_1, Q_1, P_2, Q_2, ..., rows those of
+    _layout_data."""
+    D, n = x.layout.dim, x.n
+    A = _layout_data(x.d, n)[0]
+    first_full = A.shape[0] - (D * D - 1)
+    b = np.concatenate([np.zeros(first_full), svec(x.matrix)[1:]])
     c = np.tile(svec(np.eye(D)) / 2.0, 2 * n)
-    return ConicProblem((D,) * (2 * n), 0, A, b, c), n * nc
+    return ConicProblem((D,) * (2 * n), 0, A, b, c), first_full
 
 
 def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1Certificate:
@@ -219,47 +223,30 @@ def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1
     )
 
 
-def _w1_shape(x: HermitianOperator):
-    """(rows, variables) of _w1_program(x), without building it."""
-    d, n = x.d, x.n
-    return n * d ** (2 * n - 2) + d ** (2 * n) - 1, 2 * n * d ** (2 * n)
-
-
 def w1_primals(xs, options: SolverOptions | None = None) -> list:
     """w1_primal of every operator of xs, from batched solves of their
-    programs side by side (conic._solved_batch); each starts from its
-    telescoping decomposition.  conic._batch_chunks splits xs into runs
-    whose dense A and Schur matrices stay within a fixed memory, and each
-    run's programs are built only when it is solved; a large layout is
-    solved alone.  The programs of one layout have the same rows, so the
+    programs side by side (conic._solved_batch, which also decides how many
+    programs a solve takes); each starts from its telescoping
+    decomposition.  The programs of one layout have the same rows, so the
     solver assembles their Schur matrices as one stack."""
     return list(_w1_primal_runs(xs, options))
 
 
 def _w1_primal_runs(xs, options: SolverOptions | None = None):
-    """w1_primals as a generator, which solves each run when its first
-    certificate is asked for: a caller that keeps only values holds no
-    certificate longer than it needs."""
+    """w1_primals as a generator, which makes each certificate only when it
+    is asked for: a caller that keeps only values holds one certificate at
+    a time."""
     xs = list(xs)
     for x in xs:
         x.require_traceless()
-    for run in conic._batch_chunks([_w1_shape(x) for x in xs]):
-        # solved by a call, so that its programs are freed before the next
-        # run's are built
-        yield from _w1_primal_run(xs, run, options)
-
-
-def _w1_primal_run(xs, run, options: SolverOptions | None) -> list:
-    """The certificates of the operators xs[j], j in run, from one
-    conic._solved_batch."""
-    programs = [_w1_program(xs[j]) for j in run]
-    x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(xs[j])
-                           for part in _positive_parts(xi)]) for j in run]
+    programs = [_w1_program(x) for x in xs]
+    x0s = [np.concatenate([svec(part) for xi in _telescoping_hint(x)
+                           for part in _positive_parts(xi)]) for x in xs]
     names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
-             for j in run]
+             for j in range(len(xs))]
     sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
-    return [_certificate(xs[j], sol, first_full, sol.primal_objective)
-            for j, (_, first_full), sol in zip(run, programs, sols)]
+    for x, (_, first_full), sol in zip(xs, programs, sols):
+        yield _certificate(x, sol, first_full, sol.primal_objective)
 
 
 def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
@@ -321,23 +308,11 @@ class LipschitzResult:
         }
 
 
-@lru_cache(maxsize=8)
-def _lipschitz_rows(d: int, n: int):
-    """Constraint matrix of the Lipschitz program of a layout, as CSR: per
-    site i its trace row -Tr[P_i + Q_i] and its rows Tr_i[Q_i - P_i]
-    paired against each complement basis element, on blocks P_i, Q_i only."""
-    _, site = _layout_data(d, n)
-    id_sv = svec(np.eye(QuditLayout(d, n).dim))
-    return scipy.sparse.block_diag(
-        [scipy.sparse.csr_matrix(np.block([[-id_sv, -id_sv], [-rows, rows]]))
-         for rows in site], format="csr")
-
-
 def _lipschitz_program(h: HermitianOperator) -> ConicProblem:
     """The n site programs of h, n > 1, as one program: blocks P_1, Q_1,
-    P_2, Q_2, ..., rows _lipschitz_rows."""
+    P_2, Q_2, ..., rows the Lipschitz matrix of _layout_data."""
     d, n = h.d, h.n
-    A = _lipschitz_rows(d, n)
+    A = _layout_data(d, n)[1]
     eh = svec(h.matrix)
     b = np.zeros((n, A.shape[0] // n))
     b[:, 0] = -1.0
@@ -351,9 +326,8 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
     Site i's value 2 min_K ||H - I_i (x) K||_inf is twice the optimum of
     max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
     P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
-    optimal K.  The site programs of all operators with n > 1 are one
-    block-diagonal program (split into runs of bounded memory by
-    conic._batch_chunks), whose row components the solver runs in
+    optimal K.  The site programs of all operators with n > 1 go to one
+    conic._solved_batch call, whose row components the solver runs in
     lockstep; the site programs of one layout and site have the same rows,
     so the solver assembles their Schur matrices as one stack.  At n = 1 the
     complement space is C, K is a scalar, and the value is
@@ -371,17 +345,14 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
         names.append([f"Lipschitz SDP{of} at site {i + 1}" for i in range(h.n)])
         solved.append(j)
-    for run in conic._batch_chunks([_lipschitz_rows(hs[j].d, hs[j].n).shape for j in solved]):
-        js = [solved[i] for i in run]
-        sols = conic._solved_batch([_lipschitz_program(hs[j]) for j in js],
-                                   [names[i] for i in run], options)
-        for j, sol in zip(js, sols):
-            h = hs[j]
-            # site i's dual objective is -y at its trace row
-            y = sol.y.reshape(h.n, -1)
-            values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
-            shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
-            results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
+    sols = conic._solved_batch([_lipschitz_program(hs[j]) for j in solved], names, options)
+    for j, sol in zip(solved, sols):
+        h = hs[j]
+        # site i's dual objective is -y at its trace row
+        y = sol.y.reshape(h.n, -1)
+        values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
+        shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
+        results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
     return results
 
 

@@ -297,10 +297,10 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
     scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks], np.ones(0))
 
     imag = np.flatnonzero(conic._coords(prob.psd_blocks[0]).imag)
-    assert np.any(prob.A[:, imag] != 0.0)
+    assert np.any(prob.A.toarray()[:, imag] != 0.0)
 
     M, = conic._schur(bd, scal, np.array([0]))
-    ref = _dense_schur(prob.A, cone, scal.W, scal.w_lp)
+    ref = _dense_schur(prob.A.toarray(), cone, scal.W, scal.w_lp)
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
@@ -311,8 +311,9 @@ def test_schur_on_w1_program(use_sparse, monkeypatch):
 def test_full_rank_accepted_and_repeated_row_refused(monkeypatch):
     prob = _w1_problem(monkeypatch, n=3)
     assert solve(prob).optimal
+    A = prob.A.toarray()
     repeated = ConicProblem(prob.psd_blocks, prob.lp_dim,
-                            np.vstack([prob.A, prob.A[5]]), np.append(prob.b, prob.b[5]),
+                            np.vstack([A, A[5]]), np.append(prob.b, prob.b[5]),
                             prob.c)
     with pytest.raises(InvalidInput, match="not linearly independent"):
         solve(repeated)
@@ -539,6 +540,7 @@ def test_csr_constraints_give_identical_bytes(monkeypatch):
     # the CSR matrix itself
     _, joint, _ = _interleaved_program(0)
     w1 = _w1_problem(monkeypatch, n=3)
+    w1 = ConicProblem(w1.psd_blocks, w1.lp_dim, w1.A.toarray(), w1.b, w1.c)
     assert joint.A.size <= conic._DENSE_PRODUCT_SIZE < w1.A.size
     for prob in (joint, w1):
         sparse = ConicProblem(prob.psd_blocks, prob.lp_dim,
@@ -849,6 +851,14 @@ def test_batch_refuses_psd_and_lp_programs_together(monkeypatch):
         with pytest.raises(InvalidInput, match="PSD-only or LP-only"):
             conic._solved_batch(mix, ["first", "second"])
     assert conic._solved_batch([both], ["alone"])[0].optimal
+    # refused before any solve, also where the two kinds would land in
+    # different runs
+    monkeypatch.setattr(conic, "_BATCH_ENTRIES", 1)
+    mix = [lp, lp, w1]
+    assert conic._batch_chunks([p.A.shape for p in mix]) == [[0], [1], [2]]
+    monkeypatch.setattr(conic, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+    with pytest.raises(InvalidInput, match="PSD-only or LP-only"):
+        conic._solved_batch(mix, ["first", "second", "third"])
 
 
 def test_batch_chunks_bound_the_memory_of_a_run(monkeypatch):

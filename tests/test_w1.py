@@ -2,10 +2,11 @@
 
 import functools
 import operator
-import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,10 +33,9 @@ from qw1 import (
     w1_primals,
 )
 from qw1 import conic
-from qw1 import w1 as w1_module
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
 from qw1.operators import embed_matrix, operator_norm
-from qw1.w1 import _layout_data, _w1_program, _w1_shape
+from qw1.w1 import _layout_data, _w1_program, hermitian_basis
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -167,11 +167,19 @@ def test_lipschitz_estimate_brackets_exact():
 
 
 
+def _dense_site_rows(d, n):
+    """Per site i the rows svec(I_i (x) f) for f in hermitian_basis(d^(n-1)),
+    as a dense stack."""
+    lay = QuditLayout(d, n)
+    return [np.stack([conic.svec(embed_matrix(f, lay, [j for j in lay.sites() if j != i]))
+                      for f in hermitian_basis(d ** (n - 1))]) for i in lay.sites()]
+
+
 def _site_value_reference(h, i):
     """Site i's value from the single-site program alone, built as the
     Lipschitz constant was once built one site at a time."""
     D = h.layout.dim
-    _, site = _layout_data(h.d, h.n)
+    site = _dense_site_rows(h.d, h.n)
     L = D * D
     nc = site[i].shape[0]
     eh = conic.svec(h.matrix)
@@ -277,13 +285,13 @@ def test_w1_primals_of_mixed_layouts_match_single_solves(monkeypatch):
 def test_w1_primals_split_a_large_layout_batch_into_several_solves(monkeypatch):
     xs = [random_traceless(QuditLayout(2, 4), seed=900 + k) for k in range(3)]
     xs.append(random_traceless(QuditLayout(2, 2), seed=903))
-    for x in xs[2:]:
-        assert _w1_program(x)[0].A.shape == _w1_shape(x)
+    shapes = [_w1_program(x)[0].A.shape for x in xs]
     # 511 rows and 2048 variables at (2, 4): one program fits a run, two do not
-    assert conic._batch_chunks([_w1_shape(x) for x in xs]) == [[0], [1], [2, 3]]
+    assert shapes[0] == (511, 2048)
+    assert conic._batch_chunks(shapes) == [[0], [1], [2, 3]]
     # a (2, 5) program alone exceeds the run's memory and is solved by itself
-    big = _w1_shape(random_traceless(QuditLayout(2, 5), seed=904))
-    assert conic._batch_chunks([big, big, _w1_shape(xs[3])]) == [[0], [1], [2]]
+    big = _w1_program(random_traceless(QuditLayout(2, 5), seed=904))[0].A.shape
+    assert conic._batch_chunks([big, big, shapes[3]]) == [[0], [1], [2]]
     solo = [w1_primal(x) for x in xs]
     rows = []
     solve = conic.solve
@@ -299,20 +307,31 @@ def test_w1_primals_split_a_large_layout_batch_into_several_solves(monkeypatch):
         assert abs(cert.value - one.value) <= 1e-9 * one.value
 
 
-def test_w1_primals_free_each_run_before_building_the_next(monkeypatch):
-    monkeypatch.setattr(conic, "_BATCH_ENTRIES", 1)  # every program in a run alone
-    live = []
-    build = w1_module._w1_program
-
-    def tracked(x):
-        assert all(ref() is None for ref in live)
-        problem, first_full = build(x)
-        live.append(weakref.ref(problem))
-        return problem, first_full
-
-    monkeypatch.setattr(w1_module, "_w1_program", tracked)
-    xs = [random_traceless(QuditLayout(2, 2), seed=910 + k) for k in range(3)]
-    assert len(w1_primals(xs)) == len(live) == 3
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2)])
+def test_layout_data_matches_the_dense_constructions(d, n):
+    """Both CSR matrices hold, entry for entry, what the programs once built
+    dense from the same site rows, with no stored zeros."""
+    site = _dense_site_rows(d, n)
+    D = d ** n
+    L, nc = D * D, site[0].shape[0]
+    full = np.eye(L)[1:]
+    w1 = np.zeros((n * nc + L - 1, 2 * n * L))
+    for i in range(n):
+        P, Q = slice(2 * i * L, (2 * i + 1) * L), slice((2 * i + 1) * L, (2 * i + 2) * L)
+        w1[i * nc:(i + 1) * nc, P] = site[i]
+        w1[i * nc:(i + 1) * nc, Q] = -site[i]
+        w1[n * nc:, P] = full
+        w1[n * nc:, Q] = -full
+    id_sv = conic.svec(np.eye(D))
+    lipschitz = scipy.linalg.block_diag(
+        *[np.block([[-id_sv, -id_sv], [-rows, rows]]) for rows in site])
+    got = _layout_data(d, n)
+    for A, want in zip(got, (w1, lipschitz)):
+        assert A.format == "csr" and A.has_sorted_indices
+        assert A.shape == want.shape and A.nnz == np.count_nonzero(want)
+        assert np.array_equal(A.toarray(), want)
+    # a site row has d nonzeros on each of its two blocks
+    assert np.all(np.diff(got[0].indptr)[:n * nc] == 2 * d)
 
 
 # --- neighboring states ----------------------------------------------------
@@ -383,7 +402,7 @@ def _w1_constraints(monkeypatch, program, layout):
         mp.setattr(conic, "solve", capture)
         with pytest.raises(RuntimeError):
             program(x)
-    return captured[0]
+    return captured[0].toarray()
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -394,6 +413,6 @@ def test_w1_rows_full_rank_and_omitted_row_dependent(monkeypatch, program, d, n)
     assert rank == A.shape[0]
     # the omitted full-space E_00 row: +svec(E_00) on every P_i (or +)
     # block, -svec(E_00) on every Q_i (or -) block
-    e00 = _layout_data(d, n)[0][0]
+    e00 = np.eye(d ** (2 * n))[0]
     omitted = np.concatenate([np.concatenate([e00, -e00]) for _ in range(n)])
     assert np.linalg.matrix_rank(np.vstack([A, omitted])) == rank
