@@ -59,7 +59,12 @@ def cli():
 @click.argument("state_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("state_b", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["primal", "dual", "both"]),
-              default="both", show_default=True)
+              default="both", show_default=True,
+              help="primal: the minimal-decomposition SDP, value its objective; "
+                   "dual: the witness SDP, value its objective; both: one primal "
+                   "solve whose decomposition and witness are repaired to feasible "
+                   "points in floating point (not interval arithmetic), value the "
+                   "upper end primal, dual the lower end, gap = primal - dual")
 @_output_option
 def cmd_dist(state_a, state_b, method, output):
     """Transport distance between two density-matrix JSON files."""

@@ -22,6 +22,14 @@ through conic._solved_batch, each from its own decomposition; w1_primal is
 its one-element case, which reaches the solver with its single program as
 it is.
 
+w1_distance(method="both") makes one primal solve and brackets the value
+from it: it repairs the solve's decomposition and witness into feasible
+points, up to floating-point rounding and not in interval arithmetic (after
+Jansson, Chaykin and Keil, "Rigorous error bounds for the optimal value in
+semidefinite programming", SIAM J. Numer. Anal. 45 (2007)).  The repaired
+decomposition gives the upper end, the rescaled witness the lower end, and
+the gap is their difference; see _bracket.
+
 Every P_i, Q_i is one Hermitian PSD block of the layout's order D, in the
 svec coordinates of conic, which are the coordinates Tr[F_a X] along
 hermitian_basis(D).  Every constraint row is one basis element paired
@@ -130,6 +138,12 @@ class W1Certificate:
 
     decomposition: X^(1)..X^(n) with vanishing i-th marginals summing to X;
     witness: a traceless H feasible for the dual with Tr[HX] = dual.
+    Under method "both" the two come from one solve, each repaired to
+    feasibility in floating point: primal = 1/2 sum_i ||X^(i)||_1 is the
+    upper end of the bracket, dual = Tr[HX] its lower end, value = primal
+    and gap = primal - dual >= 0; shifts then holds per site i the K_i with
+    ||H - I_i (x) K_i||_inf <= 1/2, which show H feasible.  Otherwise
+    value and gap are those of the one solved side and shifts is None.
     """
 
     value: float
@@ -139,6 +153,7 @@ class W1Certificate:
     dual: float
     gap: float
     iterations: int = 0
+    shifts: list | None = None
 
     def residuals(self, x: HermitianOperator) -> dict:
         """Max violations of the certificate's defining identities."""
@@ -223,6 +238,47 @@ def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1
     )
 
 
+def _bracket(x: HermitianOperator, sol, first_full: int) -> W1Certificate:
+    """Both ends of the W1 bracket from one solve of x's program, from its
+    decomposition and witness repaired to feasibility in floating point.
+
+    Upper end: each piece P_i - Q_i loses I_i/d (x) Tr_i of itself (its
+    trace at n = 1), the residual X - sum_i X^(i) of that projection is
+    split by _telescoping_hint and added to the pieces, and primal =
+    1/2 sum_i ||X^(i)||_1.  Lower end: with H the traceless witness and K_i
+    the multipliers of site i's rows, the slack of the P_i, Q_i blocks
+    bounds H + I_i (x) K_i, whose spectrum spans 2 w_i; a scalar shift
+    centres it, so ||H||_L <= t = 2 max_i w_i, and H/t is feasible with
+    dual = Tr[HX]/t.  A zero H, where t = 0, gives the zero witness.  Both
+    ends hold up to floating-point rounding, not in interval arithmetic."""
+    layout, d, n = x.layout, x.d, x.n
+    cert = _certificate(x, sol, first_full, sol.primal_objective)
+    pieces = [xi.matrix - replace_with_maximally_mixed(xi, i).matrix
+              for i, xi in zip(layout.sites(), cert.decomposition)]
+    rest = HermitianOperator(layout, x.matrix - sum(pieces))
+    decomposition = [HermitianOperator(layout, p + t)
+                     for p, t in zip(pieces, _telescoping_hint(rest))]
+    # no trace-norm floor: every eigenvalue counts towards the upper end
+    primal = sum(float(np.abs(np.linalg.eigvalsh(xi.matrix)).sum())
+                 for xi in decomposition) / 2.0
+    h = cert.witness.matrix
+    ks = [smat(yi, d ** (n - 1)) for yi in sol.y[:first_full].reshape(n, -1)]
+    spans = [np.linalg.eigvalsh(
+        h + embed_matrix(k, layout, [j for j in layout.sites() if j != i]))[[0, -1]]
+        for i, k in zip(layout.sites(), ks)]
+    t = max(hi - lo for lo, hi in spans)
+    scale = 1.0 / t if t > 0 else 0.0
+    witness = HermitianOperator(layout, h * scale)
+    # the ends can cross only by rounding, which then collapses the bracket
+    dual = min(float(np.trace(witness.matrix @ x.matrix).real), primal)
+    return W1Certificate(
+        value=primal, decomposition=decomposition, witness=witness,
+        primal=primal, dual=dual, gap=primal - dual, iterations=sol.iterations,
+        shifts=[((lo + hi) / 2.0 * np.eye(d ** (n - 1)) - k) * scale
+                for (lo, hi), k in zip(spans, ks)],
+    )
+
+
 def w1_primals(xs, options: SolverOptions | None = None) -> list:
     """w1_primal of every operator of xs, from batched solves of their
     programs side by side (conic._solved_batch, which also decides how many
@@ -232,10 +288,11 @@ def w1_primals(xs, options: SolverOptions | None = None) -> list:
     return list(_w1_primal_runs(xs, options))
 
 
-def _w1_primal_runs(xs, options: SolverOptions | None = None):
+def _w1_primal_runs(xs, options: SolverOptions | None = None, bracket: bool = False):
     """w1_primals as a generator, which makes each certificate only when it
     is asked for: a caller that keeps only values holds one certificate at
-    a time."""
+    a time.  With bracket, each certificate is the repaired one of
+    _bracket."""
     xs = list(xs)
     for x in xs:
         x.require_traceless()
@@ -246,7 +303,8 @@ def _w1_primal_runs(xs, options: SolverOptions | None = None):
              for j in range(len(xs))]
     sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
     for x, (_, first_full), sol in zip(xs, programs, sols):
-        yield _certificate(x, sol, first_full, sol.primal_objective)
+        yield (_bracket(x, sol, first_full) if bracket
+               else _certificate(x, sol, first_full, sol.primal_objective))
 
 
 def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
@@ -266,7 +324,9 @@ def w1_dual(x: HermitianOperator, options: SolverOptions | None = None) -> W1Cer
 
 def w1_distance(rho, sigma, method: str = "primal",
                 options: SolverOptions | None = None) -> W1Certificate:
-    """W1 distance between two states; method picks the SDP side (or both)."""
+    """W1 distance between two states.  method "primal" or "dual" solves
+    from that side and reports its objective; "both" makes one primal solve
+    and reports the bracket of _bracket, value = primal >= dual."""
     if rho.layout != sigma.layout:
         raise LayoutMismatch(f"{rho.layout} vs {sigma.layout}")
     diff = rho.matrix - sigma.matrix
@@ -281,13 +341,7 @@ def w1_distance(rho, sigma, method: str = "primal",
         return w1_dual(x, options)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    cp = w1_primal(x, options)
-    cd = w1_dual(x, options)
-    return W1Certificate(
-        value=cp.value, decomposition=cp.decomposition, witness=cd.witness,
-        primal=cp.value, dual=cd.value, gap=abs(cp.value - cd.value),
-        iterations=cp.iterations + cd.iterations,
-    )
+    return next(_w1_primal_runs([x], options, bracket=True))
 
 
 # ---------------------------------------------------------------------------

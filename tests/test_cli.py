@@ -52,6 +52,16 @@ def test_dist_entangled_pair():
     assert abs(payload["value"] - 0.75) < 1e-6
 
 
+def test_dist_default_method_brackets_the_entangled_pair():
+    # the default --method both: one solve, both ends of the bracket
+    payload = json.loads(run_cli("dist", fx("entangled_pair"), fx("mixed_2q")).stdout)
+    primal, dual = payload["primal"], payload["dual"]
+    assert primal >= dual
+    assert payload["gap"] == pytest.approx(primal - dual, abs=1e-11)
+    assert dual - 1e-12 <= 0.75 <= primal + 1e-12
+    assert payload["value"] == primal
+
+
 def test_lip_identity_fixture_is_flat():
     proc = run_cli("lip", fx("identity_1q"))
     assert json.loads(proc.stdout)["value"] < 1e-7

@@ -2,6 +2,7 @@
 
 import functools
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +34,13 @@ from qw1 import (
     w1_primals,
 )
 from qw1 import conic
+from qw1.classical import Distribution, classical_w1, classical_w1_dual, diagonal_state
 from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
-from qw1.operators import embed_matrix, operator_norm
+from qw1.operators import embed_matrix, load_operator, operator_norm, partial_trace
 from qw1.w1 import _layout_data, _w1_program, hermitian_basis
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _qubits(n):
@@ -90,6 +93,108 @@ def test_duality_and_certificates_on_random_instances():
         assert res_d["witness_pairing"] < 1e-7
         # dual witnesses are feasible: Lipschitz constant at most one
         assert lipschitz_constant(cd.witness).value <= 1.0 + 1e-6
+
+
+# --- the bracket of method "both", from one solve -------------------------
+
+def _closed_form_pairs():
+    """pytest params (rho, sigma, exact W1) for pairs whose distance is known
+    without an SDP."""
+    out = []
+    for d, a, b, want in [(2, [0, 0], [1, 1], 2.0), (2, [0, 1], [0, 0], 1.0),
+                          (3, [0, 1], [2, 1], 1.0), (3, [0, 0], [1, 2], 2.0)]:
+        lay = QuditLayout(d, len(a))
+        out.append(pytest.param(basis_state(lay, a), basis_state(lay, b), want,
+                                id=f"basis {d} {a} {b}"))
+    for d, n in [(2, 2), (2, 3), (3, 2)]:
+        one = QuditLayout(d, 1)
+        rs = [random_density(one, seed=300 + 10 * n + i) for i in range(n)]
+        ss = [random_density(one, seed=400 + 10 * n + i) for i in range(n)]
+        want = sum(trace_norm(r.matrix - s.matrix) for r, s in zip(rs, ss)) / 2.0
+        out.append(pytest.param(functools.reduce(tensor_product, rs),
+                                functools.reduce(tensor_product, ss), want,
+                                id=f"product ({d},{n})"))
+    for d in (2, 4):
+        gamma = maximally_entangled(d)
+        out.append(pytest.param(gamma, maximally_mixed(gamma.layout), (d * d - 1.0) / (d * d),
+                                id=f"entangled d={d}"))
+    return out
+
+
+@pytest.mark.parametrize("rho,sigma,want", _closed_form_pairs())
+def test_both_brackets_the_closed_form(rho, sigma, want):
+    cert = w1_distance(rho, sigma, method="both")
+    slack = 1e-12 * (1.0 + want)
+    assert cert.dual - slack <= want <= cert.primal + slack
+    assert cert.value == cert.primal
+    assert cert.gap == cert.primal - cert.dual >= 0.0
+    assert cert.gap <= 1e-7 * (1.0 + cert.value)
+    x = HermitianOperator(rho.layout, rho.matrix - sigma.matrix)
+    assert abs(cert.value - w1_dual(x).value) <= 1e-6
+
+
+def test_both_bracket_meets_the_classical_transport_bracket():
+    # on diagonal states W1 is the Hamming transport cost, which the LPs of
+    # classical_w1 and classical_w1_dual bracket only to their own solver
+    # tolerance (classical_w1 reads 4e-10 above the exact optimum here), so
+    # both brackets must hold the value: they overlap
+    rng = np.random.default_rng(7)
+    lay = QuditLayout(2, 3)
+    p, q = (Distribution(lay, rng.dirichlet(np.ones(lay.dim))) for _ in range(2))
+    cert = w1_distance(diagonal_state(p), diagonal_state(q), method="both")
+    upper, _ = classical_w1(p, q)
+    lower, _ = classical_w1_dual(p, q)
+    slack = 1e-12 * (1.0 + upper)
+    assert cert.dual <= upper + slack and lower <= cert.primal + slack
+    assert cert.gap <= 1e-7 * (1.0 + cert.value)
+
+
+@pytest.mark.parametrize("k,d,n", [(0, 2, 1), (1, 3, 1), (2, 2, 2), (3, 3, 2), (4, 2, 3)])
+def test_both_certificate_is_feasible_as_reported(k, d, n):
+    lay = QuditLayout(d, n)
+    rho, sigma = random_density(lay, seed=500 + k), random_density(lay, seed=600 + k)
+    cert = w1_distance(rho, sigma, method="both")
+    x = rho.matrix - sigma.matrix
+    x = x - np.trace(x) / lay.dim * np.eye(lay.dim)
+    pieces = [xi.matrix for xi in cert.decomposition]
+    for i, xi in zip(lay.sites(), cert.decomposition):
+        marg = abs(xi.trace()) if n == 1 else np.abs(partial_trace(xi, i).matrix).max()
+        assert marg <= 1e-13
+    assert np.abs(sum(pieces) - x).max() <= 1e-13
+    half = sum(np.abs(np.linalg.eigvalsh(p)).sum() for p in pieces) / 2.0
+    assert abs(half - cert.primal) <= 1e-12
+    h = cert.witness.matrix
+    assert abs(np.trace(h @ x).real - cert.dual) <= 1e-12
+    assert abs(np.trace(h)) <= 1e-12
+    assert len(cert.shifts) == n
+    lip = 2.0 * max(
+        operator_norm(h - embed_matrix(k, lay, [j for j in lay.sites() if j != i]))
+        for i, k in zip(lay.sites(), cert.shifts))
+    assert lip <= 1.0 + 1e-12
+    assert cert.dual <= cert.primal <= cert.dual + 1e-7 * (1.0 + cert.primal)
+
+
+def test_both_of_equal_states_is_zero():
+    mixed = load_operator(str(FIXTURES / "mixed_2q.json"), as_state=True)
+    cert = w1_distance(mixed, mixed, method="both")
+    assert (cert.primal, cert.dual, cert.gap, cert.value) == (0.0, 0.0, 0.0, 0.0)
+    assert not np.any(cert.witness.matrix)
+    assert all(np.isfinite(k).all() for k in cert.shifts)
+
+
+def test_both_makes_one_solve(monkeypatch):
+    calls = []
+    solve = conic.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting)
+    gamma = maximally_entangled(2)
+    cert = w1_distance(gamma, maximally_mixed(gamma.layout), method="both")
+    assert len(calls) == 1
+    assert cert.dual <= 0.75 + 1e-12 and 0.75 <= cert.primal + 1e-12
 
 
 def test_not_traceless_rejected():
