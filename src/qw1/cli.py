@@ -117,9 +117,9 @@ def cmd_classical(dist_p, dist_q, output):
               help="qudit dimension for depolarizing")
 @click.option("--n", type=int, default=1, show_default=True,
               help="number of tensor factors")
-@click.option("--samples", type=int, default=0, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=0, show_default=True,
               help="if > 0, also sample an empirical contraction estimate")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_output_option
 def cmd_channel(name, p, d, n, samples, seed, output):
     """Tensor-power contraction bounds for a one-qudit channel."""

@@ -65,11 +65,9 @@ block's scaling matrices gathered as a (C, k, k) stack; the members are
 taken in chunks that keep each temporary within _SCHUR_BATCH entries, or
 within one member's when that is larger.  Each member's matrix is then
 factored by its own scipy cho_factor on its own regularization ladder, as
-a component of a program without repeats is.  A member's iterates equal
-its solo iterates in exact arithmetic; in floating point they can differ
-in the last bits where the solo program is small enough for dense
-products of A (see below), and the end game can magnify that into one
-iteration more or less.
+a component of a program without repeats is.  A member's iterates, and
+so its final point and iteration count, equal those of its solo program
+bit for bit.
 
 _solved_batch builds such programs from independent ones: it stacks their
 blocks, A block diagonally, b, c and x0 hints, makes one solve, and hands
@@ -80,12 +78,9 @@ caller with one call: _solved_batch itself splits a batch into runs that
 _batch_chunks bounds by the memory of their A, counted dense, and Schur
 matrices.
 
-A may be given dense or as a SciPy sparse matrix; it is converted to CSR
-once per solve, and the component search, the rank test and the Schur
-complement read its rows from that copy.  Every A x, A^T y and residual is
-a sparse product too, unless A has at most 2^14 entries counting zeros (m
-times the number of variables): there a dense product is cheaper than a
-sparse call.
+ConicProblem stores A as CSR, converting a dense input once.  The
+component search, the rank test, the Schur complement and every A x, A^T
+y and residual read that one matrix.
 
 The Schur complement of a PSD block comes from the nonzeros of each
 constraint row F_b (Fujisawa, Kojima and Nakata, "Exploiting sparsity in
@@ -93,9 +88,6 @@ primal-dual interior-point methods for semidefinite programming", Math.
 Prog. 79, 1997): W F_b W is a sum of rank-one terms W e_p e_q^T W, one per
 nonzero, and M[a, b] = Tr[F_a W F_b W] reads it only where F_a is nonzero.
 M is real: the trace of a product of two Hermitian matrices is real.
-Blocks where that costs more than the dense formula (stack every touching
-row as a k x k matrix, multiply by W on both sides) use the dense formula;
-the choice is made per block from its order, row count and nonzero count.
 
 A must have full row rank: the programs of w1 and classical omit their
 one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
@@ -125,17 +117,11 @@ from .errors import DimensionMismatch, InvalidInput, SolverFailure
 
 _log = logging.getLogger("qw1.conic")
 FULL_RANK_RCOND = 1e-10
-# entries of A up to which the iteration multiplies by a dense copy of it:
-# below about this size a sparse product costs more in calls than in work
-_DENSE_PRODUCT_SIZE = 1 << 14
 STATIC_REGULARIZATION = 1e-12
-# entries of the W F_b W matrices formed at once by the Schur formulas, over
-# the members of a class taken together (the dense formula forms at least one
-# member's): small enough that one batch stays in cache while it is contracted
+# entries of the W F_b W matrices formed at once by the Schur formula, over
+# the members of a class taken together (at least one member's rows of one
+# batch): small enough that one batch stays in cache while it is contracted
 _SCHUR_BATCH = 1 << 16
-# cost of one batched numpy call in flops of a large matrix product (about
-# 30 us against 8e-11 s per flop on one core); see _sparse_schur_pays
-_CALL_FLOPS = 4e5
 # entries (16 MB of float64) up to which _batch_chunks puts programs into one
 # batched solve: the battery's largest batch (0.85M entries at 100 trials)
 # fits, two W1 programs at (2, 4) (1.6M each) do not
@@ -158,31 +144,28 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """min c.x s.t. Ax = b, x in (PSD blocks, nonnegative tail).  A is a
-    dense array or a SciPy sparse matrix, which is kept as CSR."""
+    """min c.x s.t. Ax = b, x in (PSD blocks, nonnegative tail).  A may be
+    given as a dense array or a SciPy sparse matrix; it is stored as CSR."""
 
     psd_blocks: tuple
     lp_dim: int
-    A: np.ndarray | scipy.sparse.csr_matrix
+    A: scipy.sparse.csr_matrix
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "psd_blocks", tuple(int(k) for k in self.psd_blocks))
-        if scipy.sparse.issparse(self.A):
-            A = scipy.sparse.csr_matrix(self.A, dtype=float, copy=True)
-            A.sum_duplicates()
-            A.eliminate_zeros()
-        else:
-            A = np.ascontiguousarray(self.A, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=float))
-        object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
         if any(k < 1 for k in self.psd_blocks) or self.lp_dim < 0:
             raise InvalidInput("block sizes must be positive, lp_dim nonnegative")
         n = self.num_vars
-        if self.A.ndim != 2 or self.A.shape[1] != n:
-            raise DimensionMismatch(f"A has shape {self.A.shape}, expected (*, {n})")
+        if np.ndim(self.A) != 2 or np.shape(self.A)[1] != n:
+            raise DimensionMismatch(f"A has shape {np.shape(self.A)}, expected (*, {n})")
+        A = scipy.sparse.csr_matrix(self.A, dtype=float, copy=True)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=float))
+        object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
         if self.b.shape != (self.A.shape[0],):
             raise DimensionMismatch("b length does not match A rows")
         if self.c.shape != (n,):
@@ -587,25 +570,6 @@ def _chunks(count: int, per_member: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-class _DenseRows:
-    """Dense Schur formula for one block: the touching rows stacked as k x k
-    matrices, each multiplied by W on both sides."""
-
-    def __init__(self, touch, pos, col, val, k: int):
-        self.touch = touch
-        self.rows = np.zeros((touch.size, svec_len(k)))
-        self.rows[pos, col] = val
-        self.mats = smat(self.rows, k)
-
-    def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
-        """Add the block's terms to the (C, m, m) stack M, with W the (C, k,
-        k) stack of the block's scaling matrices."""
-        t, k = self.mats.shape[:2]
-        for sl in _chunks(len(W), t * k * k):
-            T = W[sl, None] @ self.mats @ W[sl, None]
-            M[sl, self.touch[:, None], self.touch] += self.rows @ svec(T).swapaxes(1, 2)
-
-
 class _SparseRows:
     """Sparse Schur formula for one block (Fujisawa-Kojima-Nakata).
 
@@ -642,7 +606,8 @@ class _SparseRows:
                 self.batches.append((touch[g], P[idx], Q[idx], V[idx]))
 
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
-        """As _DenseRows.add_to."""
+        """Add the block's terms to the (C, m, m) stack M, with W the (C, k,
+        k) stack of the block's scaling matrices."""
         k = W.shape[-1]
         for cols, P, Q, V in self.batches:
             for sl in _chunks(len(W), cols.size * k * k):
@@ -655,35 +620,15 @@ class _SparseRows:
                 M[sl, cols] += (self.contract @ T).T.reshape(C, cols.size, -1)
 
 
-def _sparse_schur_pays(k: int, t: int, nnz: int) -> bool:
-    """Is the sparse formula cheaper than the dense one for a block of
-    order k touched by t rows with nnz svec nonzeros?
-
-    The dense formula costs two complex k x k matrix products per row.  The
-    sparse one costs a complex k x k rank-one term per matrix entry (at most
-    two per svec nonzero) plus one batched call per _SCHUR_BATCH entries of
-    W F_b W.  A complex multiply-add is 8 flops.
-
-    A class of identical components makes the choice once, with one
-    member's costs, so a member takes the formula of its solo program.  In
-    a stacked pass small batches share their calls, which this overstates;
-    counting that would switch the Lipschitz programs' order-8 blocks at
-    (2,3) to the sparse formula, which measured no faster.
-    """
-    dense = 16.0 * t * k ** 3
-    sparse = 16.0 * nnz * k * k + _CALL_FLOPS * math.ceil(t * k * k / _SCHUR_BATCH)
-    return sparse < dense
-
-
 class _BlockData:
     """The Schur complement data of one class of identical components (see
     _Components), read from its template, the class's first component.
 
     blocks holds one (rows, group, place) per PSD block of the template
-    that some row touches: a _SparseRows or _DenseRows on the template's
-    rows numbered within the component, the block's order group, and, per
-    member, the place in that group's stacks of the member's block at the
-    same position.  lp_cols holds the template's LP columns of A as a dense
+    that some row touches: a _SparseRows on the template's rows numbered
+    within the component, the block's order group, and, per member, the
+    place in that group's stacks of the member's block at the same
+    position.  lp_cols holds the template's LP columns of A as a dense
     array, lp_idx[c] the LP columns of member c and rows[c] its rows.  A is
     a CSR matrix."""
 
@@ -699,12 +644,9 @@ class _BlockData:
             touch, pos, col, val = _entries(*nonzeros, cone.slices[b])
             if touch.size == 0:
                 continue
-            if _sparse_schur_pays(k, touch.size, val.size):
-                rows = _SparseRows(touch, pos, col, val, k, size)
-            else:
-                rows = _DenseRows(touch, pos, col, val, k)
             same = [comps.blocks_in[j][p] for j in members]
-            self.blocks.append((rows, cone.group[b], cone.place[same]))
+            self.blocks.append((_SparseRows(touch, pos, col, val, k, size),
+                                cone.group[b], cone.place[same]))
         lp = comps.lp_in[t]
         self.lp_cols = (sub[:, cone.lp_slice.start + lp].toarray() if lp.size
                         else np.zeros((size, 0)))
@@ -765,14 +707,11 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     its cause and component, instead."""
     opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
-    A = scipy.sparse.csr_matrix(problem.A)
-    comps = _Components(A, cone)
-    A, b, _ = _presolve(A, problem.b, comps)
+    comps = _Components(problem.A, cone)
+    A, b, _ = _presolve(problem.A, problem.b, comps)
     c = problem.c
     m = A.shape[0]
     classes = [_BlockData(A, cone, comps, members) for members in comps.classes]
-    if m * cone.dim <= _DENSE_PRODUCT_SIZE:
-        A = A.toarray() if scipy.sparse.issparse(problem.A) else problem.A
     AT = A.T
     parts = list(zip(comps.rows, comps.coords))
     bnorm = [1.0 + (np.abs(b[rows]).max() if b[rows].size else 0.0) for rows in comps.rows]
@@ -963,8 +902,7 @@ def _solved_run(problems, names, options: SolverOptions | None, x0s) -> list:
     coords = np.cumsum([0] + [p.num_vars for p in problems])
     stack = ConicProblem([k for p in problems for k in p.psd_blocks],
                          sum(p.lp_dim for p in problems),
-                         scipy.sparse.block_diag([scipy.sparse.csr_matrix(p.A) for p in problems],
-                                                 format="csr"),
+                         scipy.sparse.block_diag([p.A for p in problems], format="csr"),
                          np.concatenate([p.b for p in problems]),
                          np.concatenate([p.c for p in problems]))
     x0 = None if x0s is None else np.concatenate(x0s)

@@ -8,9 +8,8 @@ catching genuine violations.
 run_battery drives the whole catalogue on seeded random instances and emits
 a deterministic JSON-lines report.  Each instance is regenerated from
 (seed, family index, instance index) alone, so any line of the report can be
-reproduced in isolation: exactly, except some lines of the batched
-families.  These draw all their instances first and take the values of
-their solves from one batched call: the Lipschitz constants of
+reproduced in isolation, exactly.  The batched families draw all their
+instances first and take the values of their solves from one batched call: the Lipschitz constants of
 concentration-mgf, spectral-tail and lipschitz-sandwich from one
 lipschitz_constants solve, the W1 values of homogeneity, triangle,
 permutation-invariance and channel-contraction from one w1_primals solve,
@@ -19,16 +18,8 @@ together), classical-shannon, classical-marton, classical-product-tv and
 classical-neighboring from one transport_lps solve.  (conic._solved_batch
 sets how many solves a call takes; the battery's batches at the default
 layouts and 100 trials take one each.)  Each program in a batch follows
-the iterates of its single solve, but a single program small enough for
-dense products of A rounds differently from the batch's sparse products.
-Among the default layouts those are the two-qubit and one-qubit SDPs and
-every transport LP.  At seed 42 with 100 trials the batched values match
-their single solves within 4e-11 relative (the worst is a two-qubit
-triangle value), the transport LPs within 1.1e-11, and the three-qubit SDP
-values bit for bit.  An instance made alone batches only
-its own two or three programs, which stay small enough for dense products:
-its values equal their single solves, but for classical-duality's stacked
-primal and dual LP, which match within 3e-16 relative.  If a batch raises,
+the iterates of its single solve bit for bit, so a line of a batched
+family equals the line of its instance made alone.  If a batch raises,
 its instances are solved one at a time, so each failure gets its own line.
 """
 

@@ -149,8 +149,7 @@ def test_batched_transport_lps_match_single_solves(d, n):
     for (p, q), (v, coupling), (vd, f) in zip(pairs, primal, dual):
         sv, _ = classical_w1(p, q)
         svd, _ = classical_w1_dual(p, q)
-        assert abs(v - sv) <= 1e-12 * sv
-        assert abs(vd - svd) <= 1e-12 * svd
+        assert v == sv and vd == svd
         assert coupling.shape == (p.layout.dim,) * 2 and f.shape == (p.layout.dim,)
         _check_coupling(coupling, p, q)
         assert f[0] == 0.0

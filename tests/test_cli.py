@@ -172,6 +172,14 @@ def test_invalid_inputs_exit_one(tmp_path):
     run_cli("dist", fx("qubit_0"), expect=1)  # missing argument
 
 
+@pytest.mark.parametrize("flags", [("--samples", "-3"), ("--samples", "2", "--seed", "-1")])
+def test_channel_refuses_negative_samples_and_seed(flags):
+    # refused as verify refuses a negative seed: one error line, exit 1
+    proc = run_cli("channel", "--channel", "amplitude-damping", "--p", "0.1", *flags, expect=1)
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_dimension_cap_respected():
     proc = run_cli("dist", fx("mixed_4q"), fx("mixed_4q"),
                    env_extra={"QW1_DIM_CAP": "4"}, expect=1)

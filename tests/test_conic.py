@@ -5,7 +5,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from qw1 import HermitianOperator, QuditLayout, conic, random_density, w1_primal
+from qw1 import (
+    Distribution,
+    HermitianOperator,
+    QuditLayout,
+    conic,
+    random_density,
+    random_traceless,
+    w1_primal,
+)
+from qw1 import classical, w1
 from qw1.conic import (
     ConicProblem,
     SolverOptions,
@@ -261,21 +270,26 @@ def _structured_rows(rng, blocks, lp_dim, untouched):
     return cone, np.array(rows)
 
 
+def _stored(A, dense):
+    """A as ConicProblem stores it, handed over dense or as CSR."""
+    m, v = A.shape
+    return ConicProblem((), v, A if dense else scipy.sparse.csr_matrix(A),
+                        np.zeros(m), np.zeros(v)).A
+
+
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("use_sparse", [True, False])
-def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
+@pytest.mark.parametrize("dense", [True, False])
+def test_schur_matches_dense_formula(seed, dense):
     rng = np.random.default_rng(seed)
     blocks = (3, 6, 1, 5)[: 2 + seed % 3]
     lp_dim = (0, 3)[seed % 2]
     cone, A = _structured_rows(rng, blocks, lp_dim, untouched=seed % len(blocks))
-    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
-    csr = scipy.sparse.csr_matrix(A)
+    csr = _stored(A, dense)
     comps = conic._Components(csr, cone)
     assert comps.count == 1  # the untouched block joins component 0
     bd = conic._BlockData(csr, cone, comps, comps.classes[0])
-    formula = conic._SparseRows if use_sparse else conic._DenseRows
     assert len(bd.blocks) == len(blocks) - 1
-    assert all(isinstance(rows, formula) for rows, _, _ in bd.blocks)
+    assert all(isinstance(rows, conic._SparseRows) for rows, _, _ in bd.blocks)
     scal = _Scal(cone, [_random_hpd(rng, k) for k in blocks], rng.uniform(0.5, 2.0, lp_dim))
 
     M, = conic._schur(bd, scal, np.array([0]))
@@ -284,15 +298,15 @@ def test_schur_matches_dense_formula(seed, use_sparse, monkeypatch):
     np.testing.assert_array_equal(M, M.T)
 
 
-@pytest.mark.parametrize("use_sparse", [True, False])
-def test_schur_on_w1_program(use_sparse, monkeypatch):
+@pytest.mark.parametrize("dense", [True, False])
+def test_schur_on_w1_program(dense, monkeypatch):
     prob = _w1_problem(monkeypatch)
-    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
     cone = conic._Cone(prob.psd_blocks, prob.lp_dim)
-    csr = scipy.sparse.csr_matrix(prob.A)
+    csr = _stored(prob.A.toarray(), True) if dense else prob.A
     comps = conic._Components(csr, cone)
     assert comps.count == 1
     bd = conic._BlockData(csr, cone, comps, comps.classes[0])
+    assert all(isinstance(rows, conic._SparseRows) for rows, _, _ in bd.blocks)
     rng = np.random.default_rng(7)
     scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks], np.ones(0))
 
@@ -511,7 +525,7 @@ def _interleaved_program(seed):
     b = np.zeros(len(turns))
     c = np.zeros(cone.dim)
     for row, (r, p) in enumerate(turns):
-        A[row, cols[p]] = solo[p].A[r]
+        A[row, cols[p]] = solo[p].A[r].toarray()
         b[row] = solo[p].b[r]
     for p in range(3):
         c[cols[p]] = solo[p].c
@@ -522,7 +536,7 @@ def _interleaved_program(seed):
 def test_components_solved_in_lockstep_match_solo(seed):
     solo, joint, cols = _interleaved_program(seed)
     cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
-    comps = conic._Components(scipy.sparse.csr_matrix(joint.A), cone)
+    comps = conic._Components(joint.A, cone)
     assert comps.count == 3
     assert comps.block.tolist() == [0, 1, 0, 1] and comps.lp.tolist() == [2] * 5
     solo_sols = [solve(p) for p in solo]
@@ -531,22 +545,23 @@ def test_components_solved_in_lockstep_match_solo(seed):
     assert sol.optimal
     assert sol.iterations == max(s.iterations for s in solo_sols)
     for p, s in zip(cols, solo_sols):
-        obj = float(joint.c[p] @ sol.x[p])
-        assert abs(obj - s.primal_objective) <= 1e-9 * (1.0 + abs(s.primal_objective))
+        assert sol.x[p].tobytes() == s.x.tobytes()
+        assert sol.s[p].tobytes() == s.s.tobytes()
+        assert float(joint.c[p] @ sol.x[p]) == s.primal_objective
 
 
 def test_csr_constraints_give_identical_bytes(monkeypatch):
-    # the joint program multiplies by a dense copy of A, the W1 program by
-    # the CSR matrix itself
+    # a dense A is stored as CSR and solves to the bytes of the CSR input
     _, joint, _ = _interleaved_program(0)
-    w1 = _w1_problem(monkeypatch, n=3)
-    w1 = ConicProblem(w1.psd_blocks, w1.lp_dim, w1.A.toarray(), w1.b, w1.c)
-    assert joint.A.size <= conic._DENSE_PRODUCT_SIZE < w1.A.size
-    for prob in (joint, w1):
+    for prob in (joint, _w1_problem(monkeypatch, n=3)):
+        A = prob.A.toarray()
+        dense = ConicProblem(prob.psd_blocks, prob.lp_dim, A, prob.b, prob.c)
         sparse = ConicProblem(prob.psd_blocks, prob.lp_dim,
-                              scipy.sparse.csr_matrix(prob.A), prob.b, prob.c)
-        assert scipy.sparse.issparse(sparse.A)
-        a, b = solve(prob), solve(sparse)
+                              scipy.sparse.csr_matrix(A), prob.b, prob.c)
+        for stored in (dense.A, sparse.A):
+            assert scipy.sparse.issparse(stored) and stored.format == "csr"
+            np.testing.assert_array_equal(stored.toarray(), A)
+        a, b = solve(dense), solve(sparse)
         assert a.optimal and a.iterations == b.iterations
         assert a.x.tobytes() == b.x.tobytes()
         assert a.y.tobytes() == b.y.tobytes()
@@ -572,13 +587,14 @@ def test_failure_names_its_component():
 # classes of identical components: one stacked Schur pass and Cholesky
 # ---------------------------------------------------------------------------
 
-def _copies(seed, count):
+def _copies(seed, count, dense=True):
     """count programs with one random constraint matrix (blocks of orders 3
     and 2 and an LP tail of 2) but their own b and c, each strictly
-    feasible, and the program holding them side by side.  Returns the solo
-    programs, the joint one and each copy's coordinates in it."""
+    feasible, and the program holding them side by side, its A handed to
+    ConicProblem dense or as CSR.  Returns the solo programs, the joint one
+    and each copy's coordinates in it."""
     rng = np.random.default_rng(seed)
-    A = _random_program(rng, (3, 2), 2, 7).A
+    A = _random_program(rng, (3, 2), 2, 7).A.toarray()
     cone = conic._Cone((3, 2), 2)
     solo = [ConicProblem((3, 2), 2, A, A @ _interior_point(rng, cone),
                          A.T @ rng.standard_normal(7) + _interior_point(rng, cone))
@@ -593,21 +609,19 @@ def _copies(seed, count):
         big[7 * i:7 * (i + 1), col] = A
         c[col] = p.c
     b = np.concatenate([p.b for p in solo])
+    big = big if dense else scipy.sparse.csr_matrix(big)
     return solo, ConicProblem(joint.blocks, joint.lp_dim, big, b, c), cols
 
 
-@pytest.mark.parametrize("use_sparse", [True, False])
-def test_identical_components_share_one_stacked_schur(use_sparse, monkeypatch):
-    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
-    solo, joint, _ = _copies(0, 4)
+@pytest.mark.parametrize("dense", [True, False])
+def test_identical_components_share_one_stacked_schur(dense):
+    solo, joint, _ = _copies(0, 4, dense)
     cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
-    csr = scipy.sparse.csr_matrix(joint.A)
-    comps = conic._Components(csr, cone)
+    comps = conic._Components(joint.A, cone)
     assert comps.count == 4
     assert [members.tolist() for members in comps.classes] == [[0, 1, 2, 3]]
-    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
-    formula = conic._SparseRows if use_sparse else conic._DenseRows
-    assert [type(rows) for rows, _, _ in bd.blocks] == [formula, formula]
+    bd = conic._BlockData(joint.A, cone, comps, comps.classes[0])
+    assert [type(rows) for rows, _, _ in bd.blocks] == [conic._SparseRows] * 2
     rng = np.random.default_rng(1)
     scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
                  rng.uniform(0.5, 2.0, cone.lp_dim))
@@ -615,23 +629,23 @@ def test_identical_components_share_one_stacked_schur(use_sparse, monkeypatch):
     assert M.shape == (4, 7, 7)
     solo_cone = conic._Cone((3, 2), 2)
     for i, p in enumerate(solo):
-        ref = _dense_schur(p.A, solo_cone, scal.W[2 * i:2 * i + 2], scal.w_lp[2 * i:2 * i + 2])
+        ref = _dense_schur(p.A.toarray(), solo_cone, scal.W[2 * i:2 * i + 2], scal.w_lp[2 * i:2 * i + 2])
         np.testing.assert_allclose(M[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     # a subset of the members gives their matrices alone
     np.testing.assert_array_equal(conic._schur(bd, scal, np.array([1, 3])), M[[1, 3]])
 
 
-@pytest.mark.parametrize("use_sparse", [True, False])
-def test_identical_components_match_solo_solves(use_sparse, monkeypatch):
-    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
-    solo, joint, cols = _copies(1, 5)
+@pytest.mark.parametrize("dense", [True, False])
+def test_identical_components_match_solo_solves(dense):
+    solo, joint, cols = _copies(1, 5, dense)
     sol = solve(joint)
     assert sol.optimal
     for p, col in zip(solo, cols):
         one = solve(p)
         assert one.optimal
-        obj = float(joint.c[col] @ sol.x[col])
-        assert abs(obj - one.primal_objective) <= 1e-9 * (1.0 + abs(one.primal_objective))
+        assert sol.x[col].tobytes() == one.x.tobytes()
+        assert sol.s[col].tobytes() == one.s.tobytes()
+        assert float(joint.c[col] @ sol.x[col]) == one.primal_objective
 
 
 def test_member_whose_cholesky_fails_escalates_alone(monkeypatch):
@@ -720,15 +734,13 @@ def test_failure_names_the_lowest_component_over_classes(monkeypatch):
     assert len(tried) == 11  # component 1 once, 3 and 2 on all five rungs
 
 
-@pytest.mark.parametrize("use_sparse", [True, False])
-def test_stacked_schur_in_member_chunks(use_sparse, monkeypatch):
+@pytest.mark.parametrize("dense", [True, False])
+def test_stacked_schur_in_member_chunks(dense, monkeypatch):
     # temporaries limited to about two members' worth give the same stack
-    monkeypatch.setattr(conic, "_sparse_schur_pays", lambda *args: use_sparse)
-    _, joint, _ = _copies(4, 5)
+    _, joint, _ = _copies(4, 5, dense)
     cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
-    csr = scipy.sparse.csr_matrix(joint.A)
-    comps = conic._Components(csr, cone)
-    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
+    comps = conic._Components(joint.A, cone)
+    bd = conic._BlockData(joint.A, cone, comps, comps.classes[0])
     rng = np.random.default_rng(5)
     scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
                  rng.uniform(0.5, 2.0, cone.lp_dim))
@@ -766,7 +778,7 @@ def test_rank_test_runs_once_per_class(monkeypatch):
 
     # identical rank-deficient copies: one test, naming the first copy
     base = _lp_problem()
-    A = np.vstack([base.A, base.A])
+    A = scipy.sparse.vstack([base.A, base.A])
     b = np.tile(base.b, 2)
     copies = ConicProblem((), 6, scipy.sparse.block_diag([A] * 3), np.tile(b, 3),
                           np.tile(base.c, 3))
@@ -818,15 +830,66 @@ def test_batch_members_match_solo_solves(psd):
     batch = conic._solved_batch(programs, ["a", "b", "c"], x0s=hints)
     for p, want, got in zip(programs, solo, batch):
         assert got.optimal and got.iterations == want.iterations
-        assert got.x.shape == want.x.shape and got.s.shape == want.s.shape
-        assert got.y.shape == want.y.shape
+        for name in ("x", "y", "s"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.primal_objective == want.primal_objective
+        assert got.dual_objective == want.dual_objective
         scale = 1.0 + abs(want.primal_objective)
-        assert abs(got.primal_objective - want.primal_objective) <= 1e-9 * scale
-        assert abs(got.dual_objective - want.dual_objective) <= 1e-9 * scale
         assert abs(got.primal_objective - p.c @ got.x) <= 1e-12 * scale
         assert abs(got.dual_objective - p.b @ got.y) <= 1e-12 * scale
         np.testing.assert_allclose(p.A @ got.x, p.b, atol=1e-7 * (1 + abs(p.b).max()))
         assert got.gap <= 1e-8 and got.primal_residual <= 1e-8 and got.dual_residual <= 1e-8
+
+
+ISOLATION_LAYOUTS = [(2, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def _library_programs(kind, seed):
+    """Three programs of one kind per layout of ISOLATION_LAYOUTS, layouts
+    interleaved, as the library builds them: (problem, x0 hint) pairs.  W1
+    primals carry their telescoping hint; Lipschitz programs exist from n =
+    2 on; transport LPs come as primals and duals of random pairs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        for d, n in ISOLATION_LAYOUTS:
+            lay = QuditLayout(d, n)
+            if kind == "w1":
+                x = random_traceless(lay, seed=rng)
+                hint = np.concatenate([svec(part) for xi in w1._telescoping_hint(x)
+                                       for part in w1._positive_parts(xi)])
+                out.append((w1._w1_program(x)[0], hint))
+            elif kind == "lipschitz" and n > 1:
+                out.append((w1._lipschitz_program(random_traceless(lay, seed=rng)), None))
+            elif kind in ("transport", "transport-dual"):
+                p, q = (Distribution(lay, rng.dirichlet(np.ones(lay.dim))) for _ in range(2))
+                if kind == "transport":
+                    A, c = classical._coupling_rows(d, n)
+                    b = np.concatenate([p.weights, q.weights])[:-1]
+                else:
+                    A, c = classical._flow_rows(d, n)
+                    b = (p.weights - q.weights)[1:]
+                out.append((ConicProblem((), A.shape[1], A, b, c), None))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["w1", "lipschitz", "transport", "transport-dual"])
+def test_batched_library_programs_equal_their_single_solves(kind):
+    # every program of a batch ends at the bytes and the iteration count of
+    # its own solve, whatever its layout and size
+    programs = _library_programs(kind, seed=len(kind))
+    hints = [hint for _, hint in programs]
+    batch = conic._solved_batch([p for p, _ in programs], [kind] * len(programs),
+                                x0s=None if hints[0] is None else hints)
+    assert len(conic._batch_chunks([p.A.shape for p, _ in programs])) == 1
+    for (prob, hint), got in zip(programs, batch):
+        want = solve(prob, x0=hint)
+        assert want.optimal and got.optimal
+        assert got.iterations == want.iterations
+        for name in ("x", "y", "s"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.primal_objective, got.dual_objective) == \
+            (want.primal_objective, want.dual_objective)
 
 
 def test_batch_failure_names_its_program():

@@ -237,8 +237,7 @@ def test_lipschitz_family_batch_falls_back_to_single_instances(monkeypatch):
     assert failed.flags == ("exception",) and "synthetic trouble" in failed.instance["error"]
     for k in (0, 2, 3):
         got, want = rep.results[k], clean.results[k]
-        assert got.name == want.name and got.instance == want.instance
-        assert abs(got.rhs - want.rhs) <= 1e-8 * want.rhs
+        assert got.to_json() == want.to_json()
 
 
 def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
@@ -263,8 +262,22 @@ def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
     assert failed.flags == ("exception",) and "synthetic trouble" in failed.instance["error"]
     for k in (0, 2, 3):
         got, want = rep.results[k], clean.results[k]
-        assert got.name == want.name and got.instance == want.instance
-        assert got.passed and abs(got.lhs - want.lhs) <= 1e-12
+        assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("fam", [i for i, (_, _, fn) in enumerate(lab._FAMILIES)
+                                 if isinstance(fn, lab._BatchedFamily)])
+def test_batched_family_lines_equal_instances_made_alone(fam):
+    # any line of a batched family reproduces exactly from its instance alone
+    name, weight, fn = lab._FAMILIES[fam]
+    layouts = (QuditLayout(2, 1), QuditLayout(2, 2), QuditLayout(2, 3))
+    ks = range(4 if weight == "heavy" else 20)
+    batch = fn.batch(42, fam, ks, layouts, None)
+    assert len(batch) == len(ks)
+    for k, checks in zip(ks, batch):
+        alone = fn(42, fam, k, layouts, None)
+        assert [json.dumps(r.to_json(), sort_keys=True) for r in checks] == \
+            [json.dumps(r.to_json(), sort_keys=True) for r in alone], (name, k)
 
 
 def test_one_classical_duality_instance_names_its_lp_without_a_pair(monkeypatch):
