@@ -46,6 +46,8 @@ class Distribution:
         if w.shape != (self.layout.dim,):
             raise InvalidInput(
                 f"need {self.layout.dim} weights, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise InvalidInput("non-finite weight")
         if w.min() < -WEIGHT_SUM_TOL:
             raise InvalidInput(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:

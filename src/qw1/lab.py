@@ -8,19 +8,23 @@ catching genuine violations.
 run_battery drives the whole catalogue on seeded random instances and emits
 a deterministic JSON-lines report.  Each instance is regenerated from
 (seed, family index, instance index) alone, so any line of the report can be
-reproduced in isolation, exactly.  The batched families draw all their
-instances first and take the values of their solves from one batched call: the Lipschitz constants of
-concentration-mgf, spectral-tail and lipschitz-sandwich from one
-lipschitz_constants solve, the W1 values of homogeneity, triangle,
-permutation-invariance and channel-contraction from one w1_primals solve,
-and the transport LPs of classical-duality (its primal and dual LPs
-together), classical-shannon, classical-marton, classical-product-tv and
-classical-neighboring from one transport_lps solve.  (conic._solved_batch
-sets how many solves a call takes; the battery's batches at the default
-layouts and 100 trials take one each.)  Each program in a batch follows
-the iterates of its single solve bit for bit, so a line of a batched
-family equals the line of its instance made alone.  If a batch raises,
-its instances are solved one at a time, so each failure gets its own line.
+reproduced in isolation, exactly.
+
+Every family is one _Family: it draws all its instances first and takes
+the values of their solves from one batched call.  The W1 values of the 16
+W1 families (a state pair's through its traceless difference, as
+w1_distance solves it; duality-gap's primal side) come from one w1_primals
+call, the Lipschitz constants of concentration-mgf, spectral-tail and
+lipschitz-sandwich from one lipschitz_constants call, and the transport LPs
+of the five classical families (classical-duality's primal and dual LPs
+together) from one transport_lps call.  Other solves (w1_dual,
+classical_w1, diamond_norm, one_to_one_norm, empirical_contraction,
+check_marton) are single calls inside the draw; families that make only
+those have no batched call.  (conic._solved_batch sets how many solves a
+call takes.)  Each program in a batch follows the iterates of its single
+solve bit for bit, so a line of a family equals the line of its instance
+made alone.  If a batch raises, its instances are made one at a time, so
+each failure gets its own line.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -55,13 +60,13 @@ from .operators import (
     von_neumann_entropy,
 )
 from .w1 import (
+    _state_difference,
     is_neighboring,
     lipschitz_constant,
     lipschitz_constants,
     lipschitz_estimate,
     w1_distance,
     w1_dual,
-    w1_primal,
     w1_primals,
 )
 
@@ -124,7 +129,11 @@ def check_entropy_continuity(rho: DensityMatrix, sigma: DensityMatrix,
                              options: SolverOptions | None = None,
                              instance: dict | None = None) -> CheckResult:
     """|S(rho) - S(sigma)| against g(W1) + W1 ln(d^2 n)."""
-    w1 = w1_distance(rho, sigma, options=options).value
+    return _entropy_check(rho, sigma, w1_distance(rho, sigma, options=options).value,
+                          instance)
+
+
+def _entropy_check(rho, sigma, w1: float, instance) -> CheckResult:
     lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
     rhs = entropy_modulus(w1) + w1 * math.log(rho.d ** 2 * rho.n)
     return CheckResult("entropy-continuity", lhs, rhs, instance or {})
@@ -224,11 +233,16 @@ def _rng_for(seed: int, family: int, index: int):
     return np.random.default_rng([seed, family, index])
 
 
-def _pick_layout(layouts, index, min_sites=1):
+def _setup(seed, fam, k, layouts, min_sites=1):
+    """Instance k's layout, the k-th (cyclically) of the layouts of at least
+    min_sites sites, with its generator and its instance record."""
     ok = [l for l in layouts if l.n >= min_sites]
     if not ok:
-        return None
-    return ok[index % len(ok)]
+        raise InvalidInput(f"this family needs a layout of at least {min_sites} sites, "
+                           f"got {[[l.d, l.n] for l in layouts]}")
+    layout = ok[k % len(ok)]
+    return layout, _rng_for(seed, fam, k), {"seed": seed, "index": k,
+                                             "layout": [layout.d, layout.n]}
 
 
 def _neighboring_pair(layout: QuditLayout, rng):
@@ -250,280 +264,28 @@ def _eq(name, got, want, instance, scale=None):
     return CheckResult(name, abs(got - want), band, instance)
 
 
-# each family: (name(s), weight, generator(seed, fam_idx, k, layouts, options) -> [CheckResult])
-# weight "light" runs `trials` instances, "heavy" runs max(2, trials // 25).
+@dataclass(frozen=True)
+class _Family:
+    """A check family.  draw(seed, fam, k, layouts, options) makes instance
+    k: it returns (inputs, checks), the inputs of the instance's solves of
+    one kind and a function mapping their values, in order, to its
+    CheckResults.  values(inputs, options) maps a list of inputs to their
+    values by one batched call; a family without a batched solve has values
+    None, and its draws have no inputs.  batch makes the instances ks from
+    one values call over all their inputs."""
 
-def _fam_duality(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    p = w1_primal(x, options).value
-    d = w1_dual(x, options).value
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [CheckResult("duality-gap", abs(p - d), 1e-6 * (1.0 + p), inst)]
-
-
-def _draw_homogeneity(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    c = float(rng.uniform(-3.0, 3.0))
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "c": c}
-    return [x, c * x], lambda v, vc: [_eq("homogeneity", vc, abs(c) * v, inst)]
-
-
-def _draw_triangle(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    y = random_traceless(layout, seed=rng)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [x + y, x, y], lambda vxy, vx, vy: [CheckResult("triangle", vxy, vx + vy, inst)]
-
-
-def _fam_sandwich(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    v = w1_primal(x, options).value
-    tn = trace_norm(x.matrix)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [CheckResult("sandwich-lower", 0.5 * tn, v, inst),
-            CheckResult("sandwich-upper", v, 0.5 * layout.n * tn, inst)]
-
-
-def _fam_neighboring(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    rho, sigma, i = _neighboring_pair(layout, rng)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "site": i}
-    flags = () if is_neighboring(rho, sigma) is not None else ("not-detected",)
-    v = w1_distance(rho, sigma, options=options).value
-    half = 0.5 * trace_norm(rho.matrix - sigma.matrix)
-    return [CheckResult("neighboring-collapse", abs(v - half),
-                        1e-6 * (1.0 + v), inst, flags)]
-
-
-def _draw_permutation(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    perm = [int(p) + 1 for p in rng.permutation(layout.n)]
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "perm": perm}
-    return [x, permute_sites(x, perm)], \
-        lambda v, vp: [_eq("permutation-invariance", vp, v, inst)]
-
-
-def _fam_local_unitary(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    i = int(rng.integers(1, layout.n + 1))
-    u = embed_matrix(haar_unitary(layout.d, seed=rng), layout, [i])
-    v = w1_primal(x, options).value
-    vu = w1_primal(HermitianOperator(layout, u @ x.matrix @ u.conj().T), options).value
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "site": i}
-    return [_eq("local-unitary-invariance", vu, v, inst)]
-
-
-def _draw_channel_contraction(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    rho = random_density(layout, seed=rng)
-    sigma = random_density(layout, seed=rng)
-    i = int(rng.integers(1, layout.n + 1))
-    phi = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
-    x = rho.matrix - sigma.matrix
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "site": i}
-    return ([HermitianOperator(layout, x), HermitianOperator(layout, phi.apply_matrix(x))],
-            lambda before, after: [CheckResult("channel-contraction", after, before, inst)])
-
-
-def _fam_product_additivity(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
-    one = QuditLayout(layout.d, 1)
-    rhos = [random_density(one, seed=rng) for _ in range(layout.n)]
-    sigmas = [random_density(one, seed=rng) for _ in range(layout.n)]
-    rho, sigma = rhos[0], sigmas[0]
-    for r, s in zip(rhos[1:], sigmas[1:]):
-        rho, sigma = tensor_product(rho, r), tensor_product(sigma, s)
-    v = w1_distance(rho, sigma, options=options).value
-    want = sum(0.5 * trace_norm(r.matrix - s.matrix) for r, s in zip(rhos, sigmas))
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [_eq("product-additivity", v, want, inst)]
-
-
-def _fam_superadditivity(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    cut = int(rng.integers(1, layout.n))
-    a = list(range(1, cut + 1))
-    b = list(range(cut + 1, layout.n + 1))
-    lhs = w1_primal(partial_trace(x, b), options).value \
-        + w1_primal(partial_trace(x, a), options).value
-    rhs = w1_primal(x, options).value
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "cut": cut}
-    return [CheckResult("superadditivity", lhs, rhs, inst)]
-
-
-def _fam_locality(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
-    size = int(rng.integers(1, layout.n))
-    region = sorted(int(s) + 1 for s in rng.choice(layout.n, size=size, replace=False))
-    shared = random_density(layout, seed=rng)
-    small = QuditLayout(layout.d, size)
-    lam1 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
-    lam2 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
-    x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
-    v = w1_primal(HermitianOperator(layout, x), options).value
-    d2 = layout.d ** 2
-    factor = size * (d2 - 1.0) / d2
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n],
-            "region": region}
-    return [CheckResult("locality-region", v, factor * trace_norm(x), inst),
-            CheckResult("locality-absolute", v, 2.0 * factor, inst)]
-
-
-def _fam_diagonal(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    p = _random_distribution(layout, rng)
-    q = _random_distribution(layout, rng)
-    qv = w1_distance(cl.diagonal_state(p), cl.diagonal_state(q), options=options).value
-    cv, _ = cl.classical_w1(p, q, options)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [CheckResult("diagonal-restriction", abs(qv - cv), 1e-6 * (1.0 + cv), inst)]
-
-
-def _fam_replace_site(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    x = random_traceless(layout, seed=rng)
-    moved = x.matrix - replace_with_maximally_mixed(x, 1).matrix
-    d2 = layout.d ** 2
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [CheckResult("replace-site-trace-norm", trace_norm(moved),
-                        2.0 * (d2 - 1.0) / d2 * trace_norm(x.matrix), inst)]
-
-
-def _fam_matched_marginal_entropy(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
-    rho = random_density(layout, seed=rng)
-    tau = random_density(QuditLayout(layout.d, 1), seed=rng)
-    sigma = tensor_product(tau, partial_trace(rho, 1))
-    lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [CheckResult("matched-marginal-entropy", lhs, 2.0 * math.log(layout.d), inst)]
-
-
-def _draw_classical_neighboring(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
-    d, n = layout.d, layout.n
-    prefix = rng.dirichlet(np.ones(d ** (n - 1)))
-    c1 = rng.dirichlet(np.ones(d), size=d ** (n - 1))
-    c2 = rng.dirichlet(np.ones(d), size=d ** (n - 1))
-    p = cl.Distribution(layout, (prefix[:, None] * c1).ravel())
-    q = cl.Distribution(layout, (prefix[:, None] * c2).ravel())
-    inst = {"seed": seed, "index": k, "layout": [d, n]}
-    return [(p, q, False)], lambda v: [CheckResult("classical-neighboring", v, 1.0, inst)]
-
-
-def _fam_factor_bound(seed, fam, k, layouts, options):
-    rng = _rng_for(seed, fam, k)
-    d = layouts[0].d
-    nx, ny = (1, 1) if k % 2 == 0 else (1, 2)
-    x = random_traceless(QuditLayout(d, nx), seed=rng)
-    g = rng.standard_normal((d ** ny, d ** ny)) + 1j * rng.standard_normal((d ** ny, d ** ny))
-    y = HermitianOperator(QuditLayout(d, ny), (g + g.conj().T) / 2.0)
-    xy = HermitianOperator(QuditLayout(d, nx + ny), np.kron(x.matrix, y.matrix))
-    lhs = w1_primal(xy, options).value
-    rhs = w1_primal(x, options).value * trace_norm(y.matrix)
-    inst = {"seed": seed, "index": k, "nx": nx, "ny": ny, "d": d}
-    return [CheckResult("product-factor-bound", lhs, rhs, inst)]
-
-
-def _fam_entangled_pair(seed, fam, k, layouts, options):
-    d = layouts[0].d
-    gamma = maximally_entangled(d)
-    if k % 2 == 1:
-        rng = _rng_for(seed, fam, k)
-        u = np.kron(haar_unitary(d, seed=rng), haar_unitary(d, seed=rng))
-        gamma = DensityMatrix(gamma.layout, u @ gamma.matrix @ u.conj().T)
-    v = w1_distance(gamma, maximally_mixed(gamma.layout), options=options).value
-    want = (d * d - 1.0) / (d * d)
-    inst = {"seed": seed, "index": k, "d": d, "rotated": bool(k % 2)}
-    return [_eq("entangled-pair-value", v, want, inst)]
-
-
-def _fam_containment(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    rho = random_density(layout, seed=rng)
-    i = int(rng.integers(1, layout.n + 1))
-    phi = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
-    x = HermitianOperator(layout, rho.matrix - phi.apply_matrix(rho.matrix))
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n], "site": i}
-    return [CheckResult("channel-perturbation-containment",
-                        w1_primal(x, options).value, 1.0, inst)]
-
-
-def _fam_entropy(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    rho = random_density(layout, seed=rng)
-    sigma = random_density(layout, seed=rng)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [check_entropy_continuity(rho, sigma, options, inst)]
-
-
-def _fam_pinsker(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    rho = random_density(layout, seed=rng)
-    sigma = random_density(layout, seed=rng)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [check_pinsker(rho, sigma, inst)]
-
-
-def _fam_marton(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
-    rho = random_density(layout, seed=rng)
-    one = QuditLayout(layout.d, 1)
-    factors = [random_density(one, seed=rng) for _ in range(layout.n)]
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [check_marton(rho, factors, options, inst)]
-
-
-class _BatchedFamily:
-    """A family whose instance k draws the inputs of a few solves of one
-    kind and makes its checks from their values: draw(seed, fam, k,
-    layouts) returns (inputs, checks), checks mapping the values of the
-    inputs, in order, to the instance's CheckResults, and values(inputs,
-    options) maps a list of inputs to their values by one batched solve.
-    Called as a family it makes one instance; batch makes the instances ks
-    from one values call over all their inputs."""
-
-    def __init__(self, draw, values):
-        self.draw = draw
-        self.values = values
-
-    def __call__(self, seed, fam, k, layouts, options):
-        return self.batch(seed, fam, [k], layouts, options)[0]
+    draw: Callable
+    values: Callable | None = None
 
     def batch(self, seed, fam, ks, layouts, options) -> list:
-        drawn = [self.draw(seed, fam, k, layouts) for k in ks]
-        values = iter(self.values([x for inputs, _ in drawn for x in inputs], options))
-        return [checks(*(next(values) for _ in inputs)) for inputs, checks in drawn]
+        drawn = [self.draw(seed, fam, k, layouts, options) for k in ks]
+        inputs = [x for xs, _ in drawn for x in xs]
+        values = iter(self.values(inputs, options) if self.values else ())
+        return [checks(*(next(values) for _ in xs)) for xs, checks in drawn]
 
 
-# the batch calls of the batched families; each looks its solver up when
-# called, so a patched module attribute reaches it
+# the batch calls of the families; each looks its solver up when called, so a
+# patched module attribute reaches it
 def _lipschitz_values(hs, options):
     return [lip.value for lip in lipschitz_constants(hs, options)]
 
@@ -536,25 +298,228 @@ def _transport_values(requests, options):
     return [value for value, _ in cl.transport_lps(requests, options)]
 
 
-def _draw_mgf(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
+# each family's weight: "light" runs `trials` instances, "heavy" runs
+# max(2, trials // 25), "fixed2" runs 2.  A state pair's W1 input is its
+# traceless difference, as w1_distance solves it.
+
+def _draw_duality(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    x = random_traceless(layout, seed=rng)
+    d = w1_dual(x, options).value
+    return [x], lambda p: [CheckResult("duality-gap", abs(p - d), 1e-6 * (1.0 + p), inst)]
+
+
+def _draw_homogeneity(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    x = random_traceless(layout, seed=rng)
+    c = inst["c"] = float(rng.uniform(-3.0, 3.0))
+    return [x, c * x], lambda v, vc: [_eq("homogeneity", vc, abs(c) * v, inst)]
+
+
+def _draw_triangle(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    x = random_traceless(layout, seed=rng)
+    y = random_traceless(layout, seed=rng)
+    return [x + y, x, y], lambda vxy, vx, vy: [CheckResult("triangle", vxy, vx + vy, inst)]
+
+
+def _draw_sandwich(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    x = random_traceless(layout, seed=rng)
+    tn = trace_norm(x.matrix)
+    return [x], lambda v: [CheckResult("sandwich-lower", 0.5 * tn, v, inst),
+                           CheckResult("sandwich-upper", v, 0.5 * layout.n * tn, inst)]
+
+
+def _draw_neighboring(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    rho, sigma, inst["site"] = _neighboring_pair(layout, rng)
+    flags = () if is_neighboring(rho, sigma) is not None else ("not-detected",)
+    half = 0.5 * trace_norm(rho.matrix - sigma.matrix)
+    return [_state_difference(rho, sigma)], lambda v: [
+        CheckResult("neighboring-collapse", abs(v - half), 1e-6 * (1.0 + v), inst, flags)]
+
+
+def _draw_permutation(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
+    x = random_traceless(layout, seed=rng)
+    perm = inst["perm"] = [int(p) + 1 for p in rng.permutation(layout.n)]
+    return [x, permute_sites(x, perm)], \
+        lambda v, vp: [_eq("permutation-invariance", vp, v, inst)]
+
+
+def _draw_local_unitary(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    x = random_traceless(layout, seed=rng)
+    i = inst["site"] = int(rng.integers(1, layout.n + 1))
+    u = embed_matrix(haar_unitary(layout.d, seed=rng), layout, [i])
+    return [x, HermitianOperator(layout, u @ x.matrix @ u.conj().T)], \
+        lambda v, vu: [_eq("local-unitary-invariance", vu, v, inst)]
+
+
+def _draw_channel_contraction(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    rho = random_density(layout, seed=rng)
+    sigma = random_density(layout, seed=rng)
+    i = inst["site"] = int(rng.integers(1, layout.n + 1))
+    phi = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
+    x = rho.matrix - sigma.matrix
+    return ([HermitianOperator(layout, x), HermitianOperator(layout, phi.apply_matrix(x))],
+            lambda before, after: [CheckResult("channel-contraction", after, before, inst)])
+
+
+def _draw_product_additivity(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
+    one = QuditLayout(layout.d, 1)
+    rhos = [random_density(one, seed=rng) for _ in range(layout.n)]
+    sigmas = [random_density(one, seed=rng) for _ in range(layout.n)]
+    rho, sigma = rhos[0], sigmas[0]
+    for r, s in zip(rhos[1:], sigmas[1:]):
+        rho, sigma = tensor_product(rho, r), tensor_product(sigma, s)
+    want = sum(0.5 * trace_norm(r.matrix - s.matrix) for r, s in zip(rhos, sigmas))
+    return [_state_difference(rho, sigma)], lambda v: [_eq("product-additivity", v, want, inst)]
+
+
+def _draw_superadditivity(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
+    x = random_traceless(layout, seed=rng)
+    cut = inst["cut"] = int(rng.integers(1, layout.n))
+    a = list(range(1, cut + 1))
+    b = list(range(cut + 1, layout.n + 1))
+    return [partial_trace(x, b), partial_trace(x, a), x], \
+        lambda va, vb, v: [CheckResult("superadditivity", va + vb, v, inst)]
+
+
+def _draw_locality(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
+    size = int(rng.integers(1, layout.n))
+    region = inst["region"] = sorted(
+        int(s) + 1 for s in rng.choice(layout.n, size=size, replace=False))
+    shared = random_density(layout, seed=rng)
+    small = QuditLayout(layout.d, size)
+    lam1 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
+    lam2 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
+    x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
+    d2 = layout.d ** 2
+    factor = size * (d2 - 1.0) / d2
+    tn = trace_norm(x)
+    return [HermitianOperator(layout, x)], lambda v: [
+        CheckResult("locality-region", v, factor * tn, inst),
+        CheckResult("locality-absolute", v, 2.0 * factor, inst)]
+
+
+def _draw_diagonal(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    p = _random_distribution(layout, rng)
+    q = _random_distribution(layout, rng)
+    cv, _ = cl.classical_w1(p, q, options)
+    return [_state_difference(cl.diagonal_state(p), cl.diagonal_state(q))], lambda qv: [
+        CheckResult("diagonal-restriction", abs(qv - cv), 1e-6 * (1.0 + cv), inst)]
+
+
+def _draw_replace_site(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    x = random_traceless(layout, seed=rng)
+    moved = x.matrix - replace_with_maximally_mixed(x, 1).matrix
+    d2 = layout.d ** 2
+    return [], lambda: [CheckResult("replace-site-trace-norm", trace_norm(moved),
+                                    2.0 * (d2 - 1.0) / d2 * trace_norm(x.matrix), inst)]
+
+
+def _draw_matched_marginal_entropy(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
+    rho = random_density(layout, seed=rng)
+    tau = random_density(QuditLayout(layout.d, 1), seed=rng)
+    sigma = tensor_product(tau, partial_trace(rho, 1))
+    lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
+    return [], lambda: [CheckResult("matched-marginal-entropy", lhs,
+                                    2.0 * math.log(layout.d), inst)]
+
+
+def _draw_classical_neighboring(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
+    d, n = layout.d, layout.n
+    prefix = rng.dirichlet(np.ones(d ** (n - 1)))
+    c1 = rng.dirichlet(np.ones(d), size=d ** (n - 1))
+    c2 = rng.dirichlet(np.ones(d), size=d ** (n - 1))
+    p = cl.Distribution(layout, (prefix[:, None] * c1).ravel())
+    q = cl.Distribution(layout, (prefix[:, None] * c2).ravel())
+    return [(p, q, False)], lambda v: [CheckResult("classical-neighboring", v, 1.0, inst)]
+
+
+def _draw_factor_bound(seed, fam, k, layouts, options):
     rng = _rng_for(seed, fam, k)
+    d = layouts[0].d
+    nx, ny = (1, 1) if k % 2 == 0 else (1, 2)
+    x = random_traceless(QuditLayout(d, nx), seed=rng)
+    g = rng.standard_normal((d ** ny, d ** ny)) + 1j * rng.standard_normal((d ** ny, d ** ny))
+    y = HermitianOperator(QuditLayout(d, ny), (g + g.conj().T) / 2.0)
+    xy = HermitianOperator(QuditLayout(d, nx + ny), np.kron(x.matrix, y.matrix))
+    inst = {"seed": seed, "index": k, "nx": nx, "ny": ny, "d": d}
+    return [xy, x], lambda vxy, vx: [
+        CheckResult("product-factor-bound", vxy, vx * trace_norm(y.matrix), inst)]
+
+
+def _draw_entangled_pair(seed, fam, k, layouts, options):
+    d = layouts[0].d
+    gamma = maximally_entangled(d)
+    if k % 2 == 1:
+        rng = _rng_for(seed, fam, k)
+        u = np.kron(haar_unitary(d, seed=rng), haar_unitary(d, seed=rng))
+        gamma = DensityMatrix(gamma.layout, u @ gamma.matrix @ u.conj().T)
+    want = (d * d - 1.0) / (d * d)
+    inst = {"seed": seed, "index": k, "d": d, "rotated": bool(k % 2)}
+    return [_state_difference(gamma, maximally_mixed(gamma.layout))], \
+        lambda v: [_eq("entangled-pair-value", v, want, inst)]
+
+
+def _draw_containment(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    rho = random_density(layout, seed=rng)
+    i = inst["site"] = int(rng.integers(1, layout.n + 1))
+    phi = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
+    x = HermitianOperator(layout, rho.matrix - phi.apply_matrix(rho.matrix))
+    return [x], lambda v: [CheckResult("channel-perturbation-containment", v, 1.0, inst)]
+
+
+def _draw_entropy(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    rho = random_density(layout, seed=rng)
+    sigma = random_density(layout, seed=rng)
+    return [_state_difference(rho, sigma)], lambda w1: [_entropy_check(rho, sigma, w1, inst)]
+
+
+def _draw_pinsker(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    rho = random_density(layout, seed=rng)
+    sigma = random_density(layout, seed=rng)
+    return [], lambda: [check_pinsker(rho, sigma, inst)]
+
+
+def _draw_marton(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
+    rho = random_density(layout, seed=rng)
+    one = QuditLayout(layout.d, 1)
+    factors = [random_density(one, seed=rng) for _ in range(layout.n)]
+    result = check_marton(rho, factors, options, inst)
+    return [], lambda: [result]
+
+
+def _draw_mgf(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     h = random_traceless(layout, seed=rng)
     t = (0.5, 1.0, -0.5, -1.0)[k % 4]
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [h], lambda lip: [_mgf_check(h, t, lip, inst)]
 
 
-def _draw_tail(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
+def _draw_tail(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     h = random_traceless(layout, seed=rng)
     delta = (0.5, 1.0, 2.0)[k % 3]
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [h], lambda lip: [_tail_check(h, delta, lip, inst)]
 
 
-def _fam_diamond_dominates(seed, fam, k, layouts, options):
+def _draw_diamond_dominates(seed, fam, k, layouts, options):
     rng = _rng_for(seed, fam, k)
     one = QuditLayout(layouts[0].d, 1)
     phi = ch._random_channel(one, rng)
@@ -562,10 +527,10 @@ def _fam_diamond_dominates(seed, fam, k, layouts, options):
     lo = ch.one_to_one_norm(phi, psi, seed=rng)
     hi = ch.diamond_norm(phi, psi, options)
     inst = {"seed": seed, "index": k, "d": one.d}
-    return [CheckResult("diamond-dominates-one-to-one", lo, hi, inst)]
+    return [], lambda: [CheckResult("diamond-dominates-one-to-one", lo, hi, inst)]
 
 
-def _fam_contraction_bracket(seed, fam, k, layouts, options):
+def _draw_contraction_bracket(seed, fam, k, layouts, options):
     rng = _rng_for(seed, fam, k)
     d = layouts[0].d
     if k % 2 == 0 and d == 2:
@@ -580,13 +545,14 @@ def _fam_contraction_bracket(seed, fam, k, layouts, options):
     # rep.lower and emp both estimate the contraction coefficient from below,
     # so neither bounds the other.  The witness ratio is the ratio of one
     # input, and it is at least rep.lower because ||rho* - omega||_1 <= 2.
-    return [CheckResult("contraction-bracket-lower", rep.lower,
-                        max(emp, rep.witness_ratio), inst),
-            CheckResult("contraction-bracket-upper", emp, rep.upper, inst),
-            CheckResult("contraction-witness-ratio", rep.lower, rep.witness_ratio, inst)]
+    return [], lambda: [
+        CheckResult("contraction-bracket-lower", rep.lower,
+                    max(emp, rep.witness_ratio), inst),
+        CheckResult("contraction-bracket-upper", emp, rep.upper, inst),
+        CheckResult("contraction-witness-ratio", rep.lower, rep.witness_ratio, inst)]
 
 
-def _fam_depolarizing(seed, fam, k, layouts, options):
+def _draw_depolarizing(seed, fam, k, layouts, options):
     rng = _rng_for(seed, fam, k)
     d = layouts[0].d
     p = float(rng.uniform(0.1, 0.9))
@@ -596,15 +562,14 @@ def _fam_depolarizing(seed, fam, k, layouts, options):
     emp = ch.empirical_contraction(phi.tensor_power(2), samples=6,
                                    seed=rng, options=options)
     inst = {"seed": seed, "index": k, "d": d, "p": p}
-    return [CheckResult("depolarizing-exact", abs(rep.lower - p), 1e-6, inst),
-            CheckResult("depolarizing-empirical", emp, p, inst)]
+    return [], lambda: [CheckResult("depolarizing-exact", abs(rep.lower - p), 1e-6, inst),
+                        CheckResult("depolarizing-empirical", emp, p, inst)]
 
 
-def _fam_light_cone(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k, min_sites=3) or _pick_layout(layouts, k, min_sites=2)
-    if layout is None:
-        return []
-    rng = _rng_for(seed, fam, k)
+def _draw_light_cone(seed, fam, k, layouts, options):
+    # three sites where a layout has them, else two
+    layout, rng, inst = _setup(seed, fam, k, [l for l in layouts if l.n >= 3] or layouts,
+                               min_sites=2)
     gates = []
     for layer in range(2):
         start = 1 + (layer % 2)
@@ -614,119 +579,102 @@ def _fam_light_cone(seed, fam, k, layouts, options):
     cones, bound = ch.light_cone_bound(circuit)
     emp = ch.empirical_contraction(circuit.as_channel(), samples=5,
                                    seed=rng, options=options)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n],
-            "cones": cones}
-    return [CheckResult("light-cone-dominates", emp, bound, inst)]
+    inst["cones"] = cones
+    return [], lambda: [CheckResult("light-cone-dominates", emp, bound, inst)]
 
 
-def _draw_classical_duality(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
+def _draw_classical_duality(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     q = _random_distribution(layout, rng)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [(p, q, False), (p, q, True)], lambda v, vd: [
         CheckResult("classical-duality", abs(v - vd), 1e-8 * (1.0 + v), inst)]
 
 
-def _draw_classical_shannon(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
+def _draw_classical_shannon(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     q = _random_distribution(layout, rng)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [(p, q, False)], lambda w1: [
         CheckResult("classical-shannon", *cl._shannon_check(p, q, w1), inst)]
 
 
-def _draw_classical_product_tv(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k, min_sites=2)
-    rng = _rng_for(seed, fam, k)
+def _draw_classical_product_tv(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     one = QuditLayout(layout.d, 1)
     ps = [_random_distribution(one, rng) for _ in range(layout.n)]
     qs = [_random_distribution(one, rng) for _ in range(layout.n)]
     p = cl.product_distribution(ps)
     q = cl.product_distribution(qs)
     want = sum(0.5 * np.abs(a.weights - b.weights).sum() for a, b in zip(ps, qs))
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [(p, q, False)], lambda v: [
         CheckResult("classical-product-tv", abs(v - want), 1e-8 * (1.0 + want), inst)]
 
 
-def _draw_classical_marton(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
+def _draw_classical_marton(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     one = QuditLayout(layout.d, 1)
     q = cl.product_distribution([_random_distribution(one, rng) for _ in range(layout.n)])
     kl = cl.kl_divergence(p, q)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [(p, q, False)], lambda w1: [
         CheckResult("classical-marton", *cl._marton_check(layout.n, w1, kl), inst)]
 
 
-def _draw_lipschitz_sandwich(seed, fam, k, layouts):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
+def _draw_lipschitz_sandwich(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     h = random_traceless(layout, seed=rng)
     lo, hi = lipschitz_estimate(h)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
     return [h], lambda exact: [CheckResult("lipschitz-sandwich-lower", lo, exact, inst),
                                CheckResult("lipschitz-sandwich-upper", exact, hi, inst)]
 
 
-def _fam_norm_order(seed, fam, k, layouts, options):
-    layout = _pick_layout(layouts, k)
-    rng = _rng_for(seed, fam, k)
+def _draw_norm_order(seed, fam, k, layouts, options):
+    layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     op = operator_norm(x.matrix)
     tn = trace_norm(x.matrix)
-    inst = {"seed": seed, "index": k, "layout": [layout.d, layout.n]}
-    return [CheckResult("norm-order-lower", op, tn, inst),
-            CheckResult("norm-order-upper", tn, layout.dim * op, inst)]
+    return [], lambda: [CheckResult("norm-order-lower", op, tn, inst),
+                        CheckResult("norm-order-upper", tn, layout.dim * op, inst)]
 
 
 _FAMILIES = (
-    ("duality-gap", "heavy", _fam_duality),
-    ("homogeneity", "heavy", _BatchedFamily(_draw_homogeneity, _w1_values)),
-    ("triangle", "heavy", _BatchedFamily(_draw_triangle, _w1_values)),
-    ("sandwich", "heavy", _fam_sandwich),
-    ("neighboring-collapse", "heavy", _fam_neighboring),
-    ("permutation-invariance", "heavy", _BatchedFamily(_draw_permutation, _w1_values)),
-    ("local-unitary-invariance", "heavy", _fam_local_unitary),
-    ("channel-contraction", "heavy",
-     _BatchedFamily(_draw_channel_contraction, _w1_values)),
-    ("product-additivity", "heavy", _fam_product_additivity),
-    ("superadditivity", "heavy", _fam_superadditivity),
-    ("locality", "heavy", _fam_locality),
-    ("diagonal-restriction", "heavy", _fam_diagonal),
-    ("replace-site-trace-norm", "light", _fam_replace_site),
-    ("matched-marginal-entropy", "light", _fam_matched_marginal_entropy),
+    ("duality-gap", "heavy", _Family(_draw_duality, _w1_values)),
+    ("homogeneity", "heavy", _Family(_draw_homogeneity, _w1_values)),
+    ("triangle", "heavy", _Family(_draw_triangle, _w1_values)),
+    ("sandwich", "heavy", _Family(_draw_sandwich, _w1_values)),
+    ("neighboring-collapse", "heavy", _Family(_draw_neighboring, _w1_values)),
+    ("permutation-invariance", "heavy", _Family(_draw_permutation, _w1_values)),
+    ("local-unitary-invariance", "heavy", _Family(_draw_local_unitary, _w1_values)),
+    ("channel-contraction", "heavy", _Family(_draw_channel_contraction, _w1_values)),
+    ("product-additivity", "heavy", _Family(_draw_product_additivity, _w1_values)),
+    ("superadditivity", "heavy", _Family(_draw_superadditivity, _w1_values)),
+    ("locality", "heavy", _Family(_draw_locality, _w1_values)),
+    ("diagonal-restriction", "heavy", _Family(_draw_diagonal, _w1_values)),
+    ("replace-site-trace-norm", "light", _Family(_draw_replace_site)),
+    ("matched-marginal-entropy", "light", _Family(_draw_matched_marginal_entropy)),
     ("classical-neighboring", "light",
-     _BatchedFamily(_draw_classical_neighboring, _transport_values)),
-    ("product-factor-bound", "heavy", _fam_factor_bound),
-    ("entangled-pair-value", "fixed2", _fam_entangled_pair),
-    ("channel-perturbation-containment", "heavy", _fam_containment),
-    ("entropy-continuity", "heavy", _fam_entropy),
-    ("pinsker", "light", _fam_pinsker),
-    ("marton", "heavy", _fam_marton),
-    ("concentration-mgf", "light", _BatchedFamily(_draw_mgf, _lipschitz_values)),
-    ("spectral-tail", "light", _BatchedFamily(_draw_tail, _lipschitz_values)),
-    ("diamond-dominates-one-to-one", "heavy", _fam_diamond_dominates),
-    ("contraction-bracket", "fixed2", _fam_contraction_bracket),
-    ("depolarizing", "fixed2", _fam_depolarizing),
-    ("light-cone-dominates", "fixed2", _fam_light_cone),
-    ("classical-duality", "light",
-     _BatchedFamily(_draw_classical_duality, _transport_values)),
-    ("classical-shannon", "light",
-     _BatchedFamily(_draw_classical_shannon, _transport_values)),
+     _Family(_draw_classical_neighboring, _transport_values)),
+    ("product-factor-bound", "heavy", _Family(_draw_factor_bound, _w1_values)),
+    ("entangled-pair-value", "fixed2", _Family(_draw_entangled_pair, _w1_values)),
+    ("channel-perturbation-containment", "heavy", _Family(_draw_containment, _w1_values)),
+    ("entropy-continuity", "heavy", _Family(_draw_entropy, _w1_values)),
+    ("pinsker", "light", _Family(_draw_pinsker)),
+    ("marton", "heavy", _Family(_draw_marton)),
+    ("concentration-mgf", "light", _Family(_draw_mgf, _lipschitz_values)),
+    ("spectral-tail", "light", _Family(_draw_tail, _lipschitz_values)),
+    ("diamond-dominates-one-to-one", "heavy", _Family(_draw_diamond_dominates)),
+    ("contraction-bracket", "fixed2", _Family(_draw_contraction_bracket)),
+    ("depolarizing", "fixed2", _Family(_draw_depolarizing)),
+    ("light-cone-dominates", "fixed2", _Family(_draw_light_cone)),
+    ("classical-duality", "light", _Family(_draw_classical_duality, _transport_values)),
+    ("classical-shannon", "light", _Family(_draw_classical_shannon, _transport_values)),
     ("classical-product-tv", "light",
-     _BatchedFamily(_draw_classical_product_tv, _transport_values)),
-    ("classical-marton", "light",
-     _BatchedFamily(_draw_classical_marton, _transport_values)),
+     _Family(_draw_classical_product_tv, _transport_values)),
+    ("classical-marton", "light", _Family(_draw_classical_marton, _transport_values)),
     ("lipschitz-sandwich", "light",
-     _BatchedFamily(_draw_lipschitz_sandwich, _lipschitz_values)),
-    ("norm-order", "light", _fam_norm_order),
+     _Family(_draw_lipschitz_sandwich, _lipschitz_values)),
+    ("norm-order", "light", _Family(_draw_norm_order)),
 )
 
 # names that must appear in every nonempty report; a report missing one of
@@ -818,20 +766,19 @@ def run_battery(seed: int = 42, trials: int = 100, layouts=None,
     heavy = max(2, trials // 25)
     counts = {"light": trials, "heavy": min(heavy, trials), "fixed2": min(2, trials)}
     results = []
-    for fam_idx, (fam_name, weight, fn) in enumerate(_FAMILIES):
+    for fam_idx, (fam_name, weight, family) in enumerate(_FAMILIES):
         if only is not None and fam_name not in only:
             continue
         ks = range(counts[weight])
-        if isinstance(fn, _BatchedFamily):
-            try:
-                for checks in fn.batch(seed, fam_idx, ks, layouts, options):
-                    results.extend(checks)
-                continue
-            except QW1Error:
-                pass  # one instance at a time below, each failure on its own line
+        try:
+            for checks in family.batch(seed, fam_idx, ks, layouts, options):
+                results.extend(checks)
+            continue
+        except QW1Error:
+            pass  # one instance at a time below, each failure on its own line
         for k in ks:
             try:
-                results.extend(fn(seed, fam_idx, k, layouts, options))
+                results.extend(family.batch(seed, fam_idx, [k], layouts, options)[0])
             except QW1Error as exc:
                 results.append(CheckResult(
                     fam_name, 1.0, 0.0,

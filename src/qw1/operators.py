@@ -450,6 +450,8 @@ def matrix_from_json(rows, expect_dim: int | None = None) -> np.ndarray:
         raise InvalidInput(f"malformed matrix payload: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"matrix payload is not square: shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix payload has a non-finite entry")
     if expect_dim is not None and m.shape[0] != expect_dim:
         raise InvalidInput(f"matrix of dimension {m.shape[0]}, expected {expect_dim}")
     return m

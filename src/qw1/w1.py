@@ -86,22 +86,10 @@ def hermitian_basis(dim: int) -> np.ndarray:
     """Frobenius-orthonormal basis of the Hermitian dim x dim matrices.
 
     Order: for r <= c row-major, E_rr; then (E_rc + E_cr)/sqrt2 and
-    i(E_rc - E_cr)/sqrt2.  Tr[F_a F_b] = delta_ab.
+    i(E_rc - E_cr)/sqrt2.  Tr[F_a F_b] = delta_ab.  F_a = smat(e_a), as
+    svec(X)[a] = Tr[F_a X].
     """
-    out = np.zeros((dim * dim, dim, dim), dtype=complex)
-    k = 0
-    inv = 1.0 / np.sqrt(2.0)
-    for r in range(dim):
-        out[k, r, r] = 1.0
-        k += 1
-        for c in range(r + 1, dim):
-            out[k, r, c] = inv
-            out[k, c, r] = inv
-            k += 1
-            out[k, r, c] = 1j * inv
-            out[k, c, r] = -1j * inv
-            k += 1
-    return out
+    return smat(np.eye(dim * dim), dim)
 
 
 @lru_cache(maxsize=8)
@@ -322,19 +310,23 @@ def w1_dual(x: HermitianOperator, options: SolverOptions | None = None) -> W1Cer
     return _certificate(x, sol, first_full, sol.dual_objective)
 
 
+def _state_difference(rho, sigma) -> HermitianOperator:
+    """rho - sigma, the operator whose W1 norm is their W1 distance.  Both
+    traces are 1 only within tolerance; the residue is projected away so the
+    tracelessness precondition is met exactly."""
+    if rho.layout != sigma.layout:
+        raise LayoutMismatch(f"{rho.layout} vs {sigma.layout}")
+    diff = rho.matrix - sigma.matrix
+    D = rho.layout.dim
+    return HermitianOperator(rho.layout, diff - np.trace(diff) / D * np.eye(D))
+
+
 def w1_distance(rho, sigma, method: str = "primal",
                 options: SolverOptions | None = None) -> W1Certificate:
     """W1 distance between two states.  method "primal" or "dual" solves
     from that side and reports its objective; "both" makes one primal solve
     and reports the bracket of _bracket, value = primal >= dual."""
-    if rho.layout != sigma.layout:
-        raise LayoutMismatch(f"{rho.layout} vs {sigma.layout}")
-    diff = rho.matrix - sigma.matrix
-    # both traces are 1 only within tolerance; project the residue away so
-    # the tracelessness precondition is met exactly
-    D = rho.layout.dim
-    diff = diff - np.trace(diff) / D * np.eye(D)
-    x = HermitianOperator(rho.layout, diff)
+    x = _state_difference(rho, sigma)
     if method == "primal":
         return w1_primal(x, options)
     if method == "dual":

@@ -170,6 +170,22 @@ def test_invalid_inputs_exit_one(tmp_path):
     run_cli("channel", "--channel", "depolarizing", expect=1)  # missing --p
     run_cli("verify", "--suite", "unknown-family", expect=1)
     run_cli("dist", fx("qubit_0"), expect=1)  # missing argument
+    # NaN and Infinity parse as JSON numbers but are refused as entries
+    nan = float("nan")
+    payloads = {
+        "op_nan": {"d": 2, "n": 1, "matrix": [[[nan, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        "op_inf": {"d": 2, "n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, math.inf]]]},
+        "dist_nan": {"d": 2, "n": 1, "weights": [nan, 1.0]},
+        "kraus_nan": {"kind": "kraus", "d": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [nan, 0]]]]},
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    for args in [("lip", "op_nan"), ("concentration", "op_nan"), ("dist", "op_nan", fx("qubit_0")),
+                 ("dist", fx("qubit_0"), "op_inf"), ("classical", "dist_nan", fx("dist_point_0")),
+                 ("channel", "--channel", "kraus_nan")]:
+        args = [str(tmp_path / f"{a}.json") if a in payloads else a for a in args]
+        proc = run_cli(*args, expect=1)
+        assert proc.stderr.startswith("error:") and "non-finite" in proc.stderr, args
 
 
 @pytest.mark.parametrize("flags", [("--samples", "-3"), ("--samples", "2", "--seed", "-1")])

@@ -198,7 +198,7 @@ def test_family_exception_becomes_failing_result(monkeypatch):
     def boom(seed, fam, k, layouts, options):
         raise InvalidInput("synthetic breakage")
 
-    monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", boom),))
+    monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", lab._Family(boom)),))
     rep = run_battery(seed=0, trials=1, only={"duality-gap"})
     assert len(rep.results) == 1
     r = rep.results[0]
@@ -212,7 +212,7 @@ def test_non_library_errors_propagate(monkeypatch):
     def broken(seed, fam, k, layouts, options):
         raise ValueError("not a library error")
 
-    monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", broken),))
+    monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", lab._Family(broken)),))
     with pytest.raises(ValueError):
         run_battery(seed=0, trials=1, only={"duality-gap"})
 
@@ -240,6 +240,43 @@ def test_lipschitz_family_batch_falls_back_to_single_instances(monkeypatch):
         assert got.to_json() == want.to_json()
 
 
+def test_w1_family_batch_falls_back_to_single_instances(monkeypatch):
+    w1_primals = lab.w1_primals
+    sizes = []
+
+    def flaky(xs, options=None):
+        xs = list(xs)
+        sizes.append(len(xs))
+        if len(xs) > 1 or len(sizes) == 3:  # the batch, then instance 1 alone
+            raise SolverFailure("synthetic trouble")
+        return w1_primals(xs, options)
+
+    # trials 100 makes four heavy instances
+    clean = run_battery(seed=5, trials=100, only={"sandwich"})
+    assert clean.passed and len(clean.results) == 8
+    monkeypatch.setattr(lab, "w1_primals", flaky)
+    rep = run_battery(seed=5, trials=100, only={"sandwich"})
+    assert sizes == [4, 1, 1, 1, 1]
+    failed, *made = rep.results
+    assert failed.name == "sandwich" and failed.instance["index"] == 1
+    assert failed.flags == ("exception",) and "synthetic trouble" in failed.instance["error"]
+    assert [r.to_json() for r in made] == \
+        [r.to_json() for r in clean.results if r.instance["index"] != 1]
+
+
+def test_battery_refuses_a_family_its_layouts_lack_sites_for():
+    # one-site layouts only: a family that needs two sites makes an
+    # exception line per instance, naming the requirement
+    rep = run_battery(seed=1, trials=2, layouts=(QuditLayout(2, 1),),
+                      only={"superadditivity", "light-cone-dominates", "pinsker"})
+    errors = [r for r in rep.results if "exception" in r.flags]
+    assert sorted((r.name, r.instance["index"]) for r in errors) == [
+        ("light-cone-dominates", 0), ("light-cone-dominates", 1),
+        ("superadditivity", 0), ("superadditivity", 1)]
+    assert all("at least 2 sites" in r.instance["error"] for r in errors)
+    assert [r.name for r in rep.results if not r.flags] == ["pinsker", "pinsker"]
+
+
 def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
     transport_lps = lab.cl.transport_lps
     sizes = []
@@ -265,17 +302,17 @@ def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
         assert got.to_json() == want.to_json()
 
 
-@pytest.mark.parametrize("fam", [i for i, (_, _, fn) in enumerate(lab._FAMILIES)
-                                 if isinstance(fn, lab._BatchedFamily)])
+@pytest.mark.parametrize("fam", [i for i, (_, _, family) in enumerate(lab._FAMILIES)
+                                 if family.values is not None])
 def test_batched_family_lines_equal_instances_made_alone(fam):
     # any line of a batched family reproduces exactly from its instance alone
-    name, weight, fn = lab._FAMILIES[fam]
+    name, weight, family = lab._FAMILIES[fam]
     layouts = (QuditLayout(2, 1), QuditLayout(2, 2), QuditLayout(2, 3))
-    ks = range(4 if weight == "heavy" else 20)
-    batch = fn.batch(42, fam, ks, layouts, None)
+    ks = range(20 if weight == "light" else 4)
+    batch = family.batch(42, fam, ks, layouts, None)
     assert len(batch) == len(ks)
     for k, checks in zip(ks, batch):
-        alone = fn(42, fam, k, layouts, None)
+        (alone,) = family.batch(42, fam, [k], layouts, None)
         assert [json.dumps(r.to_json(), sort_keys=True) for r in checks] == \
             [json.dumps(r.to_json(), sort_keys=True) for r in alone], (name, k)
 
