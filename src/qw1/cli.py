@@ -17,7 +17,7 @@ import click
 from . import classical as cl
 from . import channels as ch
 from .errors import EigenFailure, InvalidInput, NoFixedPoint, QW1Error, SolverFailure
-from .lab import run_battery, _FAMILIES, _mgf_check, _require_delta, _tail_check
+from .lab import run_battery, _FAMILIES, _mgf_check, _require_delta, _require_finite, _tail_check
 from .operators import QuditLayout, load_operator, maximally_mixed
 from .w1 import lipschitz_constant, lipschitz_estimate, w1_distance
 
@@ -159,6 +159,8 @@ def cmd_concentration(hamiltonian, ts, deltas, output):
     h = load_operator(hamiltonian, as_state=False)
     if not ts and not deltas:
         ts, deltas = (1.0,), (1.0,)
+    for t in ts:
+        _require_finite("t", t)
     for delta in deltas:
         _require_delta(delta)
     lip = lipschitz_constant(h).value

@@ -42,45 +42,44 @@ as one (B, k, k) stack: an index array per order gathers their svec
 coordinates from the vector and scatters them back, wherever the blocks
 sit, and eigh, svd, eigvalsh and matrix products run over the stack.
 
-A program may hold independent programs side by side: the Lipschitz
-constant is n single-site programs, one pair of blocks and its rows each.
-solve finds the connected components of the rows, two rows being connected
-when they touch the same PSD block or LP column, and runs the components
-in lockstep.  The stacked passes above still cover every block at once,
-but each component keeps its own mu, sigma, step lengths, Schur matrix and
+A program may stack independent programs side by side, its parts: the
+Lipschitz constant of an operator is n single-site programs, one pair of
+blocks and its rows each.  Only _stack makes such a program, and it
+records the programs it stacks in ConicProblem.parts.  solve runs the
+parts in lockstep as its components, each a contiguous range of rows,
+blocks, LP columns and coordinates; a program without parts is one
+component.  The stacked passes above still cover every block at once, but
+each component keeps its own mu, sigma, step lengths, Schur matrix and
 Cholesky factor, regularization, scaled residuals, gap and stopping test,
 so in exact arithmetic it follows the iterates it would follow alone.  A
 component that has stopped keeps its point, and the solve ends when the
-last one stops.  The components are numbered by their first block or LP
-column, and a block or LP column that no row touches joins component 0.
+last one stops.
 
 Components often repeat: a batch of Lipschitz programs of one layout has
-the same rows at every copy of a site.  solve groups the components into
+the same rows at every copy of a site.  solve groups the parts into
 classes whose constraint data match exactly (block orders, LP width and
-rows, in each component's own numbering), and reads a class's Schur data
-from its first component, the template, once per solve.  Identical
-components share one rank test too.  Per iteration the Schur matrices of
-a class's running members are assembled as one (C, m, m) stack, with each
-block's scaling matrices gathered as a (C, k, k) stack; the members are
-taken in chunks that keep each temporary within _SCHUR_BATCH entries, or
-within one member's when that is larger.  Each member's matrix is then
-factored by its own scipy cho_factor on its own regularization ladder, as
-a component of a program without repeats is.  A member's iterates, and
-so its final point and iteration count, equal those of its solo program
-bit for bit.
+the CSR arrays of A), and reads a class's Schur data from its first
+component, the template, once per solve.  Identical components share one
+rank test too.  Per iteration the Schur matrices of a class's running
+members are assembled as one (C, m, m) stack, with each block's scaling
+matrices gathered as a (C, k, k) stack; the members are taken in chunks
+that keep each temporary within _SCHUR_BATCH entries, or within one
+member's when that is larger.  Each member's matrix is then factored by
+its own scipy cho_factor on its own regularization ladder, as a program
+alone is.  A member's iterates, and so its final point and iteration
+count, equal those of its solo program bit for bit.
 
-_solved_batch builds such programs from independent ones: it stacks their
-blocks, A block diagonally, b, c and x0 hints, makes one solve, and hands
-each program its slices of the solution, its own objectives and the
-iteration at which its last component stopped.  The Lipschitz constants,
-the W1 primals and the transport LPs of many inputs go through it, each
-caller with one call: _solved_batch itself splits a batch into runs that
+_solved_batch stacks independent programs with _stack, makes one solve,
+and hands each program its slices of the solution, its own objectives and
+the iteration at which it stopped.  The Lipschitz constants, the W1
+primals and the transport LPs of many inputs go through it, each caller
+with one call: _solved_batch itself splits a batch into runs that
 _batch_chunks bounds by the memory of their A, counted dense, and Schur
 matrices.
 
-ConicProblem stores A as CSR, converting a dense input once.  The
-component search, the rank test, the Schur complement and every A x, A^T
-y and residual read that one matrix.
+ConicProblem stores A as CSR, converting a dense input once.  The rank
+test, the Schur complement and every A x, A^T y and residual read that
+one matrix.
 
 The Schur complement of a PSD block comes from the nonzeros of each
 constraint row F_b (Fujisawa, Kojima and Nakata, "Exploiting sparsity in
@@ -145,13 +144,16 @@ class SolverOptions:
 @dataclass(frozen=True)
 class ConicProblem:
     """min c.x s.t. Ax = b, x in (PSD blocks, nonnegative tail).  A may be
-    given as a dense array or a SciPy sparse matrix; it is stored as CSR."""
+    given as a dense array or a SciPy sparse matrix; it is stored as CSR.
+    parts: the programs _stack put side by side, in order, or () for one;
+    they add up to the stack, and no part's blocks follow LP columns."""
 
     psd_blocks: tuple
     lp_dim: int
     A: scipy.sparse.csr_matrix
     b: np.ndarray
     c: np.ndarray
+    parts: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "psd_blocks", tuple(int(k) for k in self.psd_blocks))
@@ -170,6 +172,16 @@ class ConicProblem:
             raise DimensionMismatch("b length does not match A rows")
         if self.c.shape != (n,):
             raise DimensionMismatch("c length does not match variable count")
+        parts = self.parts
+        if parts and (sum(p.A.shape[0] for p in parts) != self.A.shape[0]
+                      or tuple(k for p in parts for k in p.psd_blocks) != self.psd_blocks
+                      or sum(p.lp_dim for p in parts) != self.lp_dim):
+            raise DimensionMismatch("the parts' rows, variables, blocks and LP "
+                                    "columns do not add up to the program's")
+        # so that each part's coordinates are one range
+        first_lp = next((i for i, p in enumerate(parts) if p.lp_dim), len(parts))
+        if any(p.psd_blocks for p in parts[first_lp + 1:]):
+            raise DimensionMismatch("a part's PSD blocks follow another part's LP columns")
 
     @property
     def num_vars(self) -> int:
@@ -178,8 +190,8 @@ class ConicProblem:
 
 @dataclass
 class ConicSolution:
-    """The final iterate.  Over several row components the objectives are
-    sums and the gap and residuals the largest component's."""
+    """The final iterate.  Over the parts of a stack the objectives are
+    sums and the gap and residuals the largest part's."""
 
     status: SolverStatus
     x: np.ndarray
@@ -192,13 +204,12 @@ class ConicSolution:
     dual_residual: float
     iterations: int
     cause: str = ""  # what ended a NumericalFailure, with its numbers
-    # the component (numbered from 0) whose trouble ended a NumericalFailure,
-    # or the first one still running at MaxIterations
+    # the component (part) whose trouble ended a NumericalFailure, or the
+    # first one still running at MaxIterations, numbered from 0
     component: int | None = None
-    # the component of each row, and per component the iteration at which it
-    # stopped (the last iteration for one that never did); None on the
-    # solution of one program of a _solved_batch
-    row_components: np.ndarray | None = None
+    # per component the iteration at which it stopped (the last iteration
+    # for one that never did); None on the solution of one program of a
+    # _solved_batch
     stopped_at: np.ndarray | None = None
 
     @property
@@ -318,93 +329,44 @@ class _Cone:
                             for k, idx in self.orders], 1.0)
 
 
-def _span(idx: np.ndarray):
-    """Sorted indices idx as a slice when they are one contiguous run."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def _groups(labels: np.ndarray, count: int):
-    """The indices holding each label 0 .. count-1, in increasing order, and
-    each index's rank among those of its label."""
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=count)
-    starts = np.cumsum(sizes) - sizes
-    rank = np.empty(labels.size, dtype=int)
-    rank[order] = np.arange(labels.size) - np.repeat(starts, sizes)
-    return np.split(order, starts[1:]), rank
-
-
 class _Components:
-    """The connected components of a program's rows (see the module
-    docstring), numbered by their first block or LP column, and their
-    classes of identical components.
+    """The components of a program, its parts (see the module docstring) or
+    the whole of one without parts, and their classes.
 
-    rows[j] and coords[j] index component j's rows and coordinates (slices
-    where contiguous), size[j] is its row count, nu[j] its barrier
-    parameter, and blocks_in[j] and lp_in[j] list its blocks and LP columns
-    in order.  block, lp, of_row and of_coord hold the component of each
-    block, LP column, row and coordinate, by_order[g] that of each block of
-    the cone's order group g, and local[r] is row r's index within its
-    component.
+    rows[j] and coords[j] are component j's rows and coordinates as slices,
+    size[j] its row count, nu[j] its barrier parameter, and blocks_in[j] and
+    lp_in[j] its blocks and LP columns, in order.  block, lp, of_row and
+    of_coord hold the component of each block, LP column, row and
+    coordinate, and by_order[g] that of each block of the cone's order
+    group g.
 
-    Two components are identical when their constraint data match exactly:
-    the same block orders in the same order, as many LP columns, and the
-    same rows, every nonzero at the same place in the component's own rows
-    and coordinates.  classes[i] lists the components of class i in order,
-    its first one being the class's template; the classes are ordered by
-    their templates."""
+    Two components are identical when their parts have the same block
+    orders, as many LP columns and the same CSR arrays of A.  classes[i]
+    lists the components of class i in order, its first one being the
+    class's template; the classes are ordered by their templates."""
 
-    def __init__(self, A, cone: _Cone):
-        m = A.shape[0]
-        sizes = [svec_len(k) for k in cone.blocks] + [1] * cone.lp_dim
-        nodes = len(sizes)
-        row = np.repeat(np.arange(m), np.diff(A.indptr))
-        node = np.repeat(np.arange(nodes), sizes)[A.indices]
-        # min-label propagation: every node ends with the smallest node of
-        # its component
-        label = np.arange(nodes)
-        while True:
-            row_label = np.full(m, nodes)
-            np.minimum.at(row_label, row, label[node])
-            new = label.copy()
-            np.minimum.at(new, node, row_label[row])
-            if np.array_equal(new, label):
-                break
-            label = new
-        touched = np.zeros(nodes, dtype=bool)
-        touched[node] = True
-        # the first touched node, which is its component's label
-        label[~touched] = np.argmax(touched)
-        # a component's smallest node is its label; number them in order
-        comp = (np.cumsum(label == np.arange(nodes)) - 1)[label]
-        self.count = count = int(comp.max(initial=0)) + 1
-        self.block = comp[:len(cone.blocks)]
-        self.lp = comp[len(cone.blocks):]
+    def __init__(self, problem: ConicProblem, cone: _Cone):
+        parts = problem.parts or (problem,)
+        self.count = count = len(parts)
+        # per part its rows, coordinates, blocks and LP columns, and the first
+        # of each; its coordinates are one range, as no part's blocks follow
+        # another's LP columns (ConicProblem)
+        sizes = np.array([(p.A.shape[0], p.num_vars, len(p.psd_blocks), p.lp_dim)
+                          for p in parts]).T
+        self.size, coords, blocks, lp = sizes
+        row0, coord0, block0, lp0 = np.cumsum(sizes, axis=1) - sizes
+        self.rows = [slice(r, r + m) for r, m in zip(row0, self.size)]
+        self.coords = [slice(c, c + v) for c, v in zip(coord0, coords)]
+        self.blocks_in = [range(b, b + k) for b, k in zip(block0, blocks)]
+        self.lp_in = [np.arange(q, q + k) for q, k in zip(lp0, lp)]
+        self.nu = np.array([sum(p.psd_blocks) + p.lp_dim for p in parts], dtype=float)
+        self.of_row, self.of_coord, self.block, self.lp = (np.repeat(np.arange(count), k)
+                                                           for k in sizes)
         self.by_order = [self.block[group] for group in cone.members]
-        self.of_coord = np.repeat(comp, sizes)
-        self.of_row = np.zeros(m, dtype=int)
-        self.of_row[row] = comp[node]
-        self.nu = np.bincount(comp, weights=cone.blocks + [1] * cone.lp_dim,
-                              minlength=count)
-        rows, self.local = _groups(self.of_row, count)
-        coords, local_coord = _groups(self.of_coord, count)
-        self.rows = [_span(r) for r in rows]
-        self.coords = [_span(c) for c in coords]
-        self.size = [r.size for r in rows]
-        self.blocks_in = _groups(self.block, count)[0]
-        self.lp_in = _groups(self.lp, count)[0]
-        if count == 1:
-            self.classes = [np.zeros(1, dtype=int)]
-            return
-        # each component's nonzeros, in CSR order, keyed in its own numbering
-        nonzeros = _groups(self.of_row[row], count)[0]
         classes = {}
-        for j, nz in enumerate(nonzeros):
-            key = (tuple(cone.blocks[b] for b in self.blocks_in[j]), self.lp_in[j].size,
-                   self.size[j], self.local[row[nz]].tobytes(),
-                   local_coord[A.indices[nz]].tobytes(), A.data[nz].tobytes())
+        for j, p in enumerate(parts):
+            key = (p.psd_blocks, p.lp_dim, p.A.indptr.tobytes(), p.A.indices.tobytes(),
+                   p.A.data.tobytes())
             classes.setdefault(key, []).append(j)
         self.classes = [np.array(members) for members in classes.values()]
 
@@ -651,8 +613,7 @@ class _BlockData:
         self.lp_cols = (sub[:, cone.lp_slice.start + lp].toarray() if lp.size
                         else np.zeros((size, 0)))
         self.lp_idx = np.array([comps.lp_in[j] for j in members])
-        self.rows = (np.array([np.arange(A.shape[0])[comps.rows[j]] for j in members])
-                     if members.size > 1 else [comps.rows[t]])
+        self.rows = [comps.rows[j] for j in members]
 
 
 def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray) -> np.ndarray:
@@ -701,22 +662,21 @@ def _factor(M: np.ndarray, rows):
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None,
           x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
-    """Run the interior-point method on the components of the program's
-    rows in lockstep.  Raises InvalidInput if A lacks full row rank; never
-    raises on numerical trouble, reports it through the status field, and
-    its cause and component, instead."""
+    """Run the interior-point method on the parts of the program, or on the
+    one program, in lockstep.  Raises InvalidInput if A lacks full row rank;
+    never raises on numerical trouble, reports it through the status field,
+    and its cause and component, instead."""
     opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
-    comps = _Components(problem.A, cone)
+    comps = _Components(problem, cone)
     A, b, _ = _presolve(problem.A, problem.b, comps)
     c = problem.c
     m = A.shape[0]
     classes = [_BlockData(A, cone, comps, members) for members in comps.classes]
     AT = A.T
     parts = list(zip(comps.rows, comps.coords))
-    bnorm = [1.0 + (np.abs(b[rows]).max() if b[rows].size else 0.0) for rows in comps.rows]
-    cnorm = [1.0 + (np.abs(c[coords]).max() if c[coords].size else 0.0)
-             for coords in comps.coords]
+    bnorm = [1.0 + np.abs(b[rows]).max(initial=0.0) for rows in comps.rows]
+    cnorm = [1.0 + np.abs(c[coords]).max(initial=0.0) for coords in comps.coords]
 
     def measure(x, y, s):
         """Residuals, then per component its objectives, relative gap and
@@ -774,8 +734,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
             alive = np.flatnonzero(running[bd.members])
             if not alive.size:
                 continue
-            rows = bd.rows if bd.members.size == 1 else bd.rows[alive]
-            pieces, failed = _factor(_schur(bd, scal, alive), rows)
+            pieces, failed = _factor(_schur(bd, scal, alive), [bd.rows[c] for c in alive])
             if failed:
                 trouble.append((int(bd.members[alive[failed[0]]]), failed[1]))
             else:
@@ -844,8 +803,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         status=status, x=x, y=y, s=s,
         primal_objective=float(c @ x), dual_objective=float(b @ y), gap=gap,
         primal_residual=float(pres), dual_residual=float(dres),
-        iterations=it, cause=cause, component=component,
-        row_components=comps.of_row, stopped_at=stopped_at,
+        iterations=it, cause=cause, component=component, stopped_at=stopped_at,
     )
 
 
@@ -855,34 +813,41 @@ def _raise_failure(sol: ConicSolution, program: str):
                         f"after {sol.iterations} iterations{cause}")
 
 
-def _solved(problem: ConicProblem, program, options: SolverOptions | None = None,
+def _solved(problem: ConicProblem, program: str, options: SolverOptions | None = None,
             x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
-    """solve, raising SolverFailure unless the status is Optimal.  program
-    names the program in that message, or is a list naming each component."""
+    """solve, raising SolverFailure naming the program unless the status
+    is Optimal."""
     sol = solve(problem, options, x0=x0, y0=y0)
     if not sol.optimal:
-        _raise_failure(sol, program if isinstance(program, str) else program[sol.component])
+        _raise_failure(sol, program)
     return sol
+
+
+def _stack(problems) -> ConicProblem:
+    """The program holding the programs side by side as its parts: their
+    blocks in turn, then their LP columns, A block diagonal, b and c
+    concatenated.  No program's blocks may follow another's LP columns,
+    which _solved_batch ensures by stacking PSD-only or LP-only programs."""
+    return ConicProblem([k for p in problems for k in p.psd_blocks],
+                        sum(p.lp_dim for p in problems),
+                        scipy.sparse.block_diag([p.A for p in problems], format="csr"),
+                        np.concatenate([p.b for p in problems]),
+                        np.concatenate([p.c for p in problems]), tuple(problems))
 
 
 def _solved_batch(problems, names, options: SolverOptions | None = None,
                   x0s=None) -> list:
-    """_solved of independent programs, from solves of the programs that
-    stack them: their blocks in turn, A block diagonal, b, c and the x0
-    hints concatenated.  Each program is one or more row components of its
-    stack, which keep their own iterates (see the module docstring).
-    _batch_chunks splits the batch into runs of consecutive programs of
-    bounded memory, one stack and one solve each; a run of one program goes
-    to _solved as it is.
+    """_solved of independent programs, each one part with its own iterates
+    of a _stack (see the module docstring).  _batch_chunks splits the batch
+    into runs of consecutive programs of bounded memory, one stack each.
 
     Returns one ConicSolution per program, with its slices of x, y and s, its
     own objectives and gap, its run's largest residuals, and as iterations
-    the one at which its last component stopped.  names[i] names program i
-    as program does for _solved; a failure raises SolverFailure naming the
-    failing program.  x0s is None or holds a hint for every program.  The
-    programs of a batch of more than one must be all PSD-only or all
-    LP-only, so that a stack keeps its LP tail after its blocks;
-    InvalidInput refuses a mix before any solve."""
+    the one at which it stopped.  names[i] names program i; a failure
+    raises SolverFailure naming the failing program.  x0s is None or holds
+    a hint for every program.  The programs of a batch of more than one
+    must be all PSD-only or all LP-only, so that a stack keeps its LP tail
+    after its blocks; InvalidInput refuses a mix before any solve."""
     problems = list(problems)
     if len(problems) > 1 and not (all(p.lp_dim == 0 for p in problems)
                                   or all(not p.psd_blocks for p in problems)):
@@ -896,28 +861,14 @@ def _solved_batch(problems, names, options: SolverOptions | None = None,
 
 def _solved_run(problems, names, options: SolverOptions | None, x0s) -> list:
     """_solved_batch of one run, from one solve of its stack."""
-    if len(problems) == 1:
-        return [_solved(problems[0], names[0], options, x0=None if x0s is None else x0s[0])]
+    stack = _stack(problems)
+    sol = solve(stack, options, x0=None if x0s is None else np.concatenate(x0s))
+    if not sol.optimal:
+        _raise_failure(sol, names[sol.component])
     rows = np.cumsum([0] + [p.A.shape[0] for p in problems])
     coords = np.cumsum([0] + [p.num_vars for p in problems])
-    stack = ConicProblem([k for p in problems for k in p.psd_blocks],
-                         sum(p.lp_dim for p in problems),
-                         scipy.sparse.block_diag([p.A for p in problems], format="csr"),
-                         np.concatenate([p.b for p in problems]),
-                         np.concatenate([p.c for p in problems]))
-    x0 = None if x0s is None else np.concatenate(x0s)
-    sol = solve(stack, options, x0=x0)
-    # each program's components, numbered in the stack
-    owned = [np.unique(sol.row_components[lo:hi]) for lo, hi in zip(rows, rows[1:])]
-    if not sol.optimal:
-        i = int(np.searchsorted(rows, np.flatnonzero(sol.row_components == sol.component)[0],
-                                side="right")) - 1
-        name = names[i]
-        if not isinstance(name, str):
-            name = name[int(np.searchsorted(owned[i], sol.component))]
-        _raise_failure(sol, name)
     out = []
-    for i, comps in enumerate(owned):
+    for i, stopped_at in enumerate(sol.stopped_at):
         r, v = slice(rows[i], rows[i + 1]), slice(coords[i], coords[i + 1])
         pobj, dobj = float(stack.c[v] @ sol.x[v]), float(stack.b[r] @ sol.y[r])
         out.append(ConicSolution(
@@ -925,7 +876,7 @@ def _solved_run(problems, names, options: SolverOptions | None, x0s) -> list:
             primal_objective=pobj, dual_objective=dobj,
             gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
             primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
-            iterations=int(sol.stopped_at[comps].max(initial=0))))
+            iterations=int(stopped_at)))
     return out
 
 

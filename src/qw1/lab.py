@@ -184,6 +184,7 @@ def concentration_mgf(h: HermitianOperator, t: float,
                       options: SolverOptions | None = None,
                       instance: dict | None = None) -> CheckResult:
     """Normalized Tr exp(t (H - mean)) against exp(n t^2 L^2 / 8)."""
+    _require_finite("t", t)
     return _mgf_check(h, t, lipschitz_constant(h, options=options).value, instance)
 
 
@@ -207,9 +208,14 @@ def spectral_tail(h: HermitianOperator, delta: float,
     return _tail_check(h, delta, lipschitz_constant(h, options=options).value, instance)
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidInput(f"{name} = {value} must be finite")
+
+
 def _require_delta(delta: float) -> None:
-    if delta < 0:
-        raise InvalidInput(f"delta = {delta} must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise InvalidInput(f"delta = {delta} must be nonnegative and finite")
 
 
 def _tail_check(h: HermitianOperator, delta: float, lip: float, instance) -> CheckResult:

@@ -48,13 +48,13 @@ multipliers by a common constant, which shifts the reconstructed witness by
 a multiple of I.  The traceless projection of the witness removes that
 shift, so the witness is unchanged.
 
-The Lipschitz constant ||H||_L = 2 max_i min_K ||H - I_i (x) K||_inf is one
-conic program with n independent row components, one per site, which the
-solver runs in lockstep.  lipschitz_constants puts the programs of many
-operators side by side in one solve; there the site programs of one layout
-and site are identical components, whose Schur matrices the solver
-assembles as one stack.  The optimization-free sandwich of
-lipschitz_estimate brackets ||H||_L within a factor 2(d^2-1)/d^2.
+The Lipschitz constant ||H||_L = 2 max_i min_K ||H - I_i (x) K||_inf is n
+independent conic programs, one per site, which conic._solved_batch stacks
+into one solve that runs them in lockstep.  lipschitz_constants stacks the
+site programs of many operators; there the site programs of one layout and
+site are identical parts, whose Schur matrices the solver assembles as one
+stack.  The optimization-free sandwich of lipschitz_estimate brackets
+||H||_L within a factor 2(d^2-1)/d^2.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def _layout_data(d: int, n: int):
     W1: the site rows of every site, on P_i and negated on Q_i, then the
     full-space rows, one per basis element of the whole space but E_00 (see
     the module docstring), 1 at its coordinate of every P_i and -1 at that
-    of every Q_i.  Lipschitz: per site i its trace row -Tr[P_i + Q_i] and
-    its rows Tr_i[Q_i - P_i], the negated site rows on P_i and the site rows
-    on Q_i."""
+    of every Q_i.  Lipschitz: one matrix per site i, on its own P_i, Q_i:
+    the trace row -Tr[P_i + Q_i] and the rows Tr_i[Q_i - P_i], the negated
+    site rows on P_i and the site rows on Q_i."""
     layout = QuditLayout(d, n)
     comp = hermitian_basis(d ** (n - 1))
     site = [scipy.sparse.csr_matrix(np.stack(
@@ -115,8 +115,8 @@ def _layout_data(d: int, n: int):
     w1 = scipy.sparse.vstack(
         [scipy.sparse.block_diag([scipy.sparse.hstack([rows, -rows]) for rows in site]),
          scipy.sparse.hstack([full, -full] * n)], format="csr")
-    lipschitz = scipy.sparse.block_diag(
-        [scipy.sparse.bmat([[trace, trace], [-rows, rows]]) for rows in site], format="csr")
+    lipschitz = [scipy.sparse.bmat([[trace, trace], [-rows, rows]], format="csr")
+                 for rows in site]
     return w1, lipschitz
 
 
@@ -354,16 +354,12 @@ class LipschitzResult:
         }
 
 
-def _lipschitz_program(h: HermitianOperator) -> ConicProblem:
-    """The n site programs of h, n > 1, as one program: blocks P_1, Q_1,
-    P_2, Q_2, ..., rows the Lipschitz matrix of _layout_data."""
-    d, n = h.d, h.n
-    A = _layout_data(d, n)[1]
+def _lipschitz_programs(h: HermitianOperator) -> list:
+    """The n site programs of h, n > 1: site i's on blocks P_i, Q_i, rows
+    its Lipschitz matrix of _layout_data."""
     eh = svec(h.matrix)
-    b = np.zeros((n, A.shape[0] // n))
-    b[:, 0] = -1.0
-    return ConicProblem([h.layout.dim] * (2 * n), 0, A, b.ravel(),
-                        np.tile(np.concatenate([-eh, eh]), n))
+    return [ConicProblem([h.layout.dim] * 2, 0, A, np.r_[-1.0, np.zeros(A.shape[0] - 1)],
+                         np.concatenate([-eh, eh])) for A in _layout_data(h.d, h.n)[1]]
 
 
 def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
@@ -373,14 +369,14 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
     max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
     P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
     optimal K.  The site programs of all operators with n > 1 go to one
-    conic._solved_batch call, whose row components the solver runs in
-    lockstep; the site programs of one layout and site have the same rows,
-    so the solver assembles their Schur matrices as one stack.  At n = 1 the
-    complement space is C, K is a scalar, and the value is
-    lambda_max - lambda_min in closed form."""
+    conic._solved_batch call, which runs them in lockstep; the site
+    programs of one layout and site have the same rows, so the solver
+    assembles their Schur matrices as one stack.  At n = 1 the complement
+    space is C, K is a scalar, and the value is lambda_max - lambda_min in
+    closed form."""
     hs = list(hs)
     results = [None] * len(hs)
-    solved, names = [], []
+    solved, programs, names = [], [], []
     for j, h in enumerate(hs):
         if h.n == 1:
             lam = np.linalg.eigvalsh(h.matrix)
@@ -389,13 +385,14 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
                 np.array([[(lam[-1] + lam[0]) / 2.0]], dtype=complex)])
             continue
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
-        names.append([f"Lipschitz SDP{of} at site {i + 1}" for i in range(h.n)])
+        names += [f"Lipschitz SDP{of} at site {i + 1}" for i in range(h.n)]
+        programs += _lipschitz_programs(h)
         solved.append(j)
-    sols = conic._solved_batch([_lipschitz_program(hs[j]) for j in solved], names, options)
-    for j, sol in zip(solved, sols):
+    sols = iter(conic._solved_batch(programs, names, options))
+    for j in solved:
         h = hs[j]
         # site i's dual objective is -y at its trace row
-        y = sol.y.reshape(h.n, -1)
+        y = [next(sols).y for _ in range(h.n)]
         values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
         shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
         results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
@@ -405,7 +402,7 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
 def lipschitz_constant(h: HermitianOperator,
                        options: SolverOptions | None = None) -> LipschitzResult:
     """Exact ||H||_L: lipschitz_constants of the one operator h, so its n
-    site programs are one program with n row components."""
+    site programs share one solve."""
     return lipschitz_constants([h], options)[0]
 
 

@@ -186,6 +186,11 @@ def test_invalid_inputs_exit_one(tmp_path):
         args = [str(tmp_path / f"{a}.json") if a in payloads else a for a in args]
         proc = run_cli(*args, expect=1)
         assert proc.stderr.startswith("error:") and "non-finite" in proc.stderr, args
+    # a non-finite t or delta is refused, not reported as a failing check
+    for flag, value in (("--delta", "nan"), ("--t", "nan"), ("--t", "inf")):
+        proc = run_cli("concentration", fx("sigma_z_sum_n2"), flag, value, expect=1)
+        assert proc.stderr.startswith(f"error: {flag[2:]} = {value} must be") and not proc.stdout
+        assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr
 
 
 @pytest.mark.parametrize("flags", [("--samples", "-3"), ("--samples", "2", "--seed", "-1")])

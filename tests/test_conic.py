@@ -1,5 +1,7 @@
 """Tests for the interior-point conic solver on tiny hand-checkable problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -270,11 +272,12 @@ def _structured_rows(rng, blocks, lp_dim, untouched):
     return cone, np.array(rows)
 
 
-def _stored(A, dense):
-    """A as ConicProblem stores it, handed over dense or as CSR."""
+def _stored(cone, A, dense):
+    """A program of the cone's blocks with constraint matrix A, handed to
+    ConicProblem dense or as CSR."""
     m, v = A.shape
-    return ConicProblem((), v, A if dense else scipy.sparse.csr_matrix(A),
-                        np.zeros(m), np.zeros(v)).A
+    return ConicProblem(cone.blocks, cone.lp_dim, A if dense else scipy.sparse.csr_matrix(A),
+                        np.zeros(m), np.zeros(v))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -284,10 +287,10 @@ def test_schur_matches_dense_formula(seed, dense):
     blocks = (3, 6, 1, 5)[: 2 + seed % 3]
     lp_dim = (0, 3)[seed % 2]
     cone, A = _structured_rows(rng, blocks, lp_dim, untouched=seed % len(blocks))
-    csr = _stored(A, dense)
-    comps = conic._Components(csr, cone)
-    assert comps.count == 1  # the untouched block joins component 0
-    bd = conic._BlockData(csr, cone, comps, comps.classes[0])
+    prob = _stored(cone, A, dense)
+    comps = conic._Components(prob, cone)
+    assert comps.count == 1  # a program without parts, the untouched block included
+    bd = conic._BlockData(prob.A, cone, comps, comps.classes[0])
     assert len(bd.blocks) == len(blocks) - 1
     assert all(isinstance(rows, conic._SparseRows) for rows, _, _ in bd.blocks)
     scal = _Scal(cone, [_random_hpd(rng, k) for k in blocks], rng.uniform(0.5, 2.0, lp_dim))
@@ -302,8 +305,8 @@ def test_schur_matches_dense_formula(seed, dense):
 def test_schur_on_w1_program(dense, monkeypatch):
     prob = _w1_problem(monkeypatch)
     cone = conic._Cone(prob.psd_blocks, prob.lp_dim)
-    csr = _stored(prob.A.toarray(), True) if dense else prob.A
-    comps = conic._Components(csr, cone)
+    csr = _stored(cone, prob.A.toarray(), True).A if dense else prob.A
+    comps = conic._Components(prob, cone)
     assert comps.count == 1
     bd = conic._BlockData(csr, cone, comps, comps.classes[0])
     assert all(isinstance(rows, conic._SparseRows) for rows, _, _ in bd.blocks)
@@ -377,26 +380,26 @@ def _interior_point(rng, cone):
     return v
 
 
-def _two_components(cone):
-    """Rows joining blocks 0 and 2, and block 1 with LP column 0: component
-    0 holds blocks 0 and 2 and the untouched LP columns 1 and 2, component
-    1 block 1 and LP column 0."""
-    A = np.zeros((2, cone.dim))
-    A[0, cone.slices[0].start] = A[0, cone.slices[2].start] = 1.0
-    A[1, cone.slices[1].start] = A[1, cone.lp_slice.start] = 1.0
-    comps = conic._Components(scipy.sparse.csr_matrix(A), cone)
-    assert comps.count == 2
-    assert comps.block.tolist() == [0, 1, 0] and comps.lp.tolist() == [1, 0, 0]
-    return comps
+def _three_parts(rng):
+    """The stack of three random programs, on a block of order 2, on blocks
+    of orders 3 and 2 and two LP columns, and on one LP column: the cone
+    (2, 3, 2) with an LP tail of 3, and its components."""
+    stack = conic._stack([_random_program(rng, (2,), 0, 2), _random_program(rng, (3, 2), 2, 3),
+                          _random_program(rng, (), 1, 1)])
+    cone = conic._Cone(stack.psd_blocks, stack.lp_dim)
+    comps = conic._Components(stack, cone)
+    assert comps.count == 3
+    assert comps.block.tolist() == [0, 1, 1] and comps.lp.tolist() == [1, 1, 2]
+    return cone, comps
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_scaling_matches_per_block(seed):
     rng = np.random.default_rng(seed)
-    cone = conic._Cone((2, 3, 2), 3)
+    cone, comps = _three_parts(rng)
+    assert (cone.blocks, cone.lp_dim) == ([2, 3, 2], 3)
     assert [k for k, _ in cone.orders] == [2, 3]
-    assert cone.members == [[0, 2], [1]]
-    comps = _two_components(cone)
+    assert cone.members == [[0, 2], [1]]  # blocks of components 0 and 1
     x = _interior_point(rng, cone)
     s = _interior_point(rng, cone)
     scal = conic._Scaling(cone, comps, x, s)
@@ -430,6 +433,7 @@ def test_stacked_scaling_matches_per_block(seed):
             assert abs(got[j] - ref) <= 1e-12 * ref
             assert np.all(np.isinf(np.delete(got, j)))
         dv = rng.standard_normal(cone.dim)
+        dv[lp] = -np.abs(dv[lp])  # a finite step for the LP-only component too
         got = scal.max_step(point, dv, primal)
         for j in range(comps.count):
             lp_j = np.flatnonzero(comps.lp == j)
@@ -442,7 +446,7 @@ def test_stacked_scaling_matches_per_block(seed):
 
     dxa = rng.standard_normal(cone.dim)
     dsa = rng.standard_normal(cone.dim)
-    sigma, mu = np.array([0.3, 0.6]), np.array([1.7, 0.9])
+    sigma, mu = np.array([0.3, 0.6, 0.45]), np.array([1.7, 0.9, 1.2])
     ref_rc = np.empty(cone.dim)
     for (R, Rinv, lam), k, sl, j in zip(refs, cone.blocks, cone.slices, comps.block):
         ref_rc[sl] = _ref_corrector(k, R, Rinv, lam, dxa[sl], dsa[sl], sigma[j], mu[j])
@@ -492,7 +496,7 @@ def test_sdp_interleaved_orders_known_optimum():
 
 
 # ---------------------------------------------------------------------------
-# independent components solved in lockstep
+# the parts of a stack, solved in lockstep as its components
 # ---------------------------------------------------------------------------
 
 def _random_program(rng, blocks, lp_dim, m):
@@ -505,59 +509,45 @@ def _random_program(rng, blocks, lp_dim, m):
     return ConicProblem(blocks, lp_dim, A, b, c)
 
 
-def _interleaved_program(seed):
-    """Three independent random programs in one: blocks of orders 3 and 2,
-    two blocks of order 4, and an LP tail, with the blocks interleaved as
-    (3, 4, 2, 4) and the rows dealt out in turn.  Returns the solo programs,
-    the joint one and each solo program's coordinates in the joint one."""
+def _three_programs(seed):
+    """Three independent random programs, on blocks of orders 3 and 2, on
+    two blocks of order 4 and on an LP tail, and their stack."""
     rng = np.random.default_rng(seed)
     solo = [_random_program(rng, (3, 2), 0, 6), _random_program(rng, (4, 4), 0, 9),
             _random_program(rng, (), 5, 3)]
-    blocks, lp_dim = (3, 4, 2, 4), 5
-    cone = conic._Cone(blocks, lp_dim)
-    placed = [[0, 2], [1, 3], []]  # joint block of each solo block
-    cols = [np.concatenate([np.arange(cone.slices[b].start, cone.slices[b].stop)
-                            for b in placed[p]] + [np.arange(cone.dim)[cone.lp_slice]
-                                                   if solo[p].lp_dim else []]).astype(int)
-            for p in range(3)]
-    turns = sorted((r, p) for p in range(3) for r in range(solo[p].A.shape[0]))
-    A = np.zeros((len(turns), cone.dim))
-    b = np.zeros(len(turns))
-    c = np.zeros(cone.dim)
-    for row, (r, p) in enumerate(turns):
-        A[row, cols[p]] = solo[p].A[r].toarray()
-        b[row] = solo[p].b[r]
-    for p in range(3):
-        c[cols[p]] = solo[p].c
-    return solo, ConicProblem(blocks, lp_dim, A, b, c), cols
+    return solo, conic._stack(solo)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_components_solved_in_lockstep_match_solo(seed):
-    solo, joint, cols = _interleaved_program(seed)
+    solo, joint = _three_programs(seed)
     cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
-    comps = conic._Components(joint.A, cone)
+    comps = conic._Components(joint, cone)
     assert comps.count == 3
-    assert comps.block.tolist() == [0, 1, 0, 1] and comps.lp.tolist() == [2] * 5
+    assert comps.block.tolist() == [0, 0, 1, 1] and comps.lp.tolist() == [2] * 5
+    assert comps.coords == [slice(0, 13), slice(13, 45), slice(45, 50)]
+    assert comps.rows == [slice(0, 6), slice(6, 15), slice(15, 18)]
     solo_sols = [solve(p) for p in solo]
     assert all(s.optimal for s in solo_sols)
+    assert len({s.iterations for s in solo_sols}) > 1
     sol = solve(joint)
     assert sol.optimal
     assert sol.iterations == max(s.iterations for s in solo_sols)
-    for p, s in zip(cols, solo_sols):
-        assert sol.x[p].tobytes() == s.x.tobytes()
-        assert sol.s[p].tobytes() == s.s.tobytes()
-        assert float(joint.c[p] @ sol.x[p]) == s.primal_objective
+    assert sol.stopped_at.tolist() == [s.iterations for s in solo_sols]
+    for coords, rows, s in zip(comps.coords, comps.rows, solo_sols):
+        assert sol.x[coords].tobytes() == s.x.tobytes()
+        assert sol.y[rows].tobytes() == s.y.tobytes()
+        assert sol.s[coords].tobytes() == s.s.tobytes()
+        assert float(joint.c[coords] @ sol.x[coords]) == s.primal_objective
 
 
 def test_csr_constraints_give_identical_bytes(monkeypatch):
     # a dense A is stored as CSR and solves to the bytes of the CSR input
-    _, joint, _ = _interleaved_program(0)
+    _, joint = _three_programs(0)
     for prob in (joint, _w1_problem(monkeypatch, n=3)):
         A = prob.A.toarray()
-        dense = ConicProblem(prob.psd_blocks, prob.lp_dim, A, prob.b, prob.c)
-        sparse = ConicProblem(prob.psd_blocks, prob.lp_dim,
-                              scipy.sparse.csr_matrix(A), prob.b, prob.c)
+        dense = dataclasses.replace(prob, A=A)
+        sparse = dataclasses.replace(prob, A=scipy.sparse.csr_matrix(A))
         for stored in (dense.A, sparse.A):
             assert scipy.sparse.issparse(stored) and stored.format == "csr"
             np.testing.assert_array_equal(stored.toarray(), A)
@@ -569,70 +559,80 @@ def test_csr_constraints_give_identical_bytes(monkeypatch):
 
 
 def test_failure_names_its_component():
-    # two copies of the LP side by side, the second with a NaN cost
+    # two copies of the LP stacked, the second with a NaN cost
     base = _lp_problem()
-    A = scipy.sparse.block_diag([base.A, base.A], format="csr")
-    c = np.concatenate([base.c, [np.nan, 0.0]])
-    prob = ConicProblem((), 4, A, np.tile(base.b, 2), c)
+    prob = conic._stack([base, ConicProblem((), 2, base.A, base.b, np.array([np.nan, 0.0]))])
     sol = solve(prob)
     assert sol.status is SolverStatus.NumericalFailure
     assert sol.component == 1
     assert sol.cause.startswith("component 2 of 2: non-finite mu")
-    with pytest.raises(SolverFailure, match=r"^second LP ended with NumericalFailure "
+    with pytest.raises(SolverFailure, match=r"^two LPs ended with NumericalFailure "
                                             r"after 1 iterations: component 2 of 2"):
-        conic._solved(prob, ["first LP", "second LP"])
+        conic._solved(prob, "two LPs")
+
+
+def test_stack_parts_must_add_up():
+    rng = np.random.default_rng(6)
+    psd = conic._stack([_random_program(rng, (3, 2), 0, 6), _random_program(rng, (4,), 0, 5)])
+    lp = conic._stack([_random_program(rng, (), 5, 3), _random_program(rng, (), 4, 3)])
+    assert len(psd.parts) == len(lp.parts) == 2
+    for stack, parts in ((psd, psd.parts[:1]),  # rows and variables short
+                         (psd, psd.parts[::-1]),  # blocks in another order
+                         (lp, lp.parts[:1] * 2)):  # LP columns: 10, not 9
+        with pytest.raises(DimensionMismatch, match="do not add up"):
+            dataclasses.replace(stack, parts=parts)
+    # an LP column before a block would split a part's coordinates
+    with pytest.raises(DimensionMismatch, match="follow another part's LP columns"):
+        conic._stack([_lp_problem(), _random_program(rng, (2,), 0, 1)])
 
 
 # ---------------------------------------------------------------------------
 # classes of identical components: one stacked Schur pass and Cholesky
 # ---------------------------------------------------------------------------
 
-def _copies(seed, count, dense=True):
-    """count programs with one random constraint matrix (blocks of orders 3
-    and 2 and an LP tail of 2) but their own b and c, each strictly
-    feasible, and the program holding them side by side, its A handed to
-    ConicProblem dense or as CSR.  Returns the solo programs, the joint one
-    and each copy's coordinates in it."""
+def _copies(seed, count, dense=True, lp=False):
+    """count programs with one random constraint matrix, on blocks of orders
+    3 and 2, or on an LP tail of 6 with lp, but their own b and c, each
+    strictly feasible, their A handed to ConicProblem dense or as CSR.
+    Returns the solo programs, their stack and each one's coordinates in
+    it."""
     rng = np.random.default_rng(seed)
-    A = _random_program(rng, (3, 2), 2, 7).A.toarray()
-    cone = conic._Cone((3, 2), 2)
-    solo = [ConicProblem((3, 2), 2, A, A @ _interior_point(rng, cone),
-                         A.T @ rng.standard_normal(7) + _interior_point(rng, cone))
+    blocks, lp_dim, m = ((), 6, 3) if lp else ((3, 2), 0, 7)
+    A = _random_program(rng, blocks, lp_dim, m).A.toarray()
+    cone = conic._Cone(blocks, lp_dim)
+    solo = [ConicProblem(blocks, lp_dim, A if dense else scipy.sparse.csr_matrix(A),
+                         A @ _interior_point(rng, cone),
+                         A.T @ rng.standard_normal(m) + _interior_point(rng, cone))
             for _ in range(count)]
-    joint = conic._Cone((3, 2) * count, 2 * count)
-    cols = [np.concatenate([np.arange(joint.slices[2 * i].start, joint.slices[2 * i + 1].stop),
-                            joint.lp_slice.start + 2 * i + np.arange(2)])
-            for i in range(count)]
-    big = np.zeros((7 * count, joint.dim))
-    c = np.zeros(joint.dim)
-    for i, (p, col) in enumerate(zip(solo, cols)):
-        big[7 * i:7 * (i + 1), col] = A
-        c[col] = p.c
-    b = np.concatenate([p.b for p in solo])
-    big = big if dense else scipy.sparse.csr_matrix(big)
-    return solo, ConicProblem(joint.blocks, joint.lp_dim, big, b, c), cols
+    joint = conic._stack(solo)
+    cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
+    return solo, joint, conic._Components(joint, cone).coords
 
 
 @pytest.mark.parametrize("dense", [True, False])
 def test_identical_components_share_one_stacked_schur(dense):
-    solo, joint, _ = _copies(0, 4, dense)
-    cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
-    comps = conic._Components(joint.A, cone)
-    assert comps.count == 4
-    assert [members.tolist() for members in comps.classes] == [[0, 1, 2, 3]]
-    bd = conic._BlockData(joint.A, cone, comps, comps.classes[0])
-    assert [type(rows) for rows, _, _ in bd.blocks] == [conic._SparseRows] * 2
-    rng = np.random.default_rng(1)
-    scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
-                 rng.uniform(0.5, 2.0, cone.lp_dim))
-    M = conic._schur(bd, scal, np.arange(4))
-    assert M.shape == (4, 7, 7)
-    solo_cone = conic._Cone((3, 2), 2)
-    for i, p in enumerate(solo):
-        ref = _dense_schur(p.A.toarray(), solo_cone, scal.W[2 * i:2 * i + 2], scal.w_lp[2 * i:2 * i + 2])
-        np.testing.assert_allclose(M[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    # a subset of the members gives their matrices alone
-    np.testing.assert_array_equal(conic._schur(bd, scal, np.array([1, 3])), M[[1, 3]])
+    for lp in (False, True):
+        solo, joint, _ = _copies(0, 4, dense, lp)
+        cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
+        comps = conic._Components(joint, cone)
+        assert comps.count == 4
+        assert [members.tolist() for members in comps.classes] == [[0, 1, 2, 3]]
+        bd = conic._BlockData(joint.A, cone, comps, comps.classes[0])
+        assert [type(rows) for rows, _, _ in bd.blocks] == [conic._SparseRows] * (0 if lp else 2)
+        rng = np.random.default_rng(1)
+        scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
+                     rng.uniform(0.5, 2.0, cone.lp_dim))
+        M = conic._schur(bd, scal, np.arange(4))
+        m = solo[0].A.shape[0]
+        assert M.shape == (4, m, m)
+        solo_cone = conic._Cone(solo[0].psd_blocks, solo[0].lp_dim)
+        nb, nl = len(solo_cone.blocks), solo_cone.lp_dim
+        for i, p in enumerate(solo):
+            ref = _dense_schur(p.A.toarray(), solo_cone, scal.W[nb * i:nb * (i + 1)],
+                               scal.w_lp[nl * i:nl * (i + 1)])
+            np.testing.assert_allclose(M[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        # a subset of the members gives their matrices alone
+        np.testing.assert_array_equal(conic._schur(bd, scal, np.array([1, 3])), M[[1, 3]])
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -714,9 +714,7 @@ def test_failure_names_the_lowest_component_over_classes(monkeypatch):
     base = _lp_problem()
     other = ConicProblem((), 3, np.array([[1.0, 1.0, 1.0]]), np.array([2.0]),
                          np.array([1.0, 2.0, 3.0]))
-    prob = ConicProblem((), 7, scipy.sparse.block_diag([base.A, other.A, base.A]),
-                        np.concatenate([base.b, other.b, base.b]),
-                        np.concatenate([base.c, other.c, base.c]))
+    prob = conic._stack([base, other, base])
     cho_factor = scipy.linalg.cho_factor
     tried = []
 
@@ -739,7 +737,7 @@ def test_stacked_schur_in_member_chunks(dense, monkeypatch):
     # temporaries limited to about two members' worth give the same stack
     _, joint, _ = _copies(4, 5, dense)
     cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
-    comps = conic._Components(joint.A, cone)
+    comps = conic._Components(joint, cone)
     bd = conic._BlockData(joint.A, cone, comps, comps.classes[0])
     rng = np.random.default_rng(5)
     scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks],
@@ -778,20 +776,16 @@ def test_rank_test_runs_once_per_class(monkeypatch):
 
     # identical rank-deficient copies: one test, naming the first copy
     base = _lp_problem()
-    A = scipy.sparse.vstack([base.A, base.A])
-    b = np.tile(base.b, 2)
-    copies = ConicProblem((), 6, scipy.sparse.block_diag([A] * 3), np.tile(b, 3),
-                          np.tile(base.c, 3))
+    deficient = ConicProblem((), 2, scipy.sparse.vstack([base.A, base.A]),
+                             np.tile(base.b, 2), base.c)
     tested.clear()
     with pytest.raises(InvalidInput, match=r"^the 2 constraint rows of component 1 of 3 "
                                            r"and of its 2 identical components are not"):
-        solve(copies)
+        solve(conic._stack([deficient] * 3))
     assert tested == [2]
 
     # one deficient component among good ones: its own class, named alone
-    good = ConicProblem((), 2, base.A, base.b, base.c)
-    mixed = ConicProblem((), 6, scipy.sparse.block_diag([good.A, good.A, A]),
-                         np.concatenate([good.b, good.b, b]), np.tile(base.c, 3))
+    mixed = conic._stack([base, base, deficient])
     tested.clear()
     with pytest.raises(InvalidInput, match=r"^the 2 constraint rows of component 3 of 3 "
                                            r"are not linearly independent"):
@@ -847,8 +841,9 @@ ISOLATION_LAYOUTS = [(2, 1), (2, 2), (2, 3), (3, 2)]
 def _library_programs(kind, seed):
     """Three programs of one kind per layout of ISOLATION_LAYOUTS, layouts
     interleaved, as the library builds them: (problem, x0 hint) pairs.  W1
-    primals carry their telescoping hint; Lipschitz programs exist from n =
-    2 on; transport LPs come as primals and duals of random pairs."""
+    primals carry their telescoping hint; Lipschitz site programs, n per
+    operator, exist from n = 2 on; transport LPs come as primals and duals
+    of random pairs."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(3):
@@ -860,7 +855,7 @@ def _library_programs(kind, seed):
                                        for part in w1._positive_parts(xi)])
                 out.append((w1._w1_program(x)[0], hint))
             elif kind == "lipschitz" and n > 1:
-                out.append((w1._lipschitz_program(random_traceless(lay, seed=rng)), None))
+                out += [(p, None) for p in w1._lipschitz_programs(random_traceless(lay, seed=rng))]
             elif kind in ("transport", "transport-dual"):
                 p, q = (Distribution(lay, rng.dirichlet(np.ones(lay.dim))) for _ in range(2))
                 if kind == "transport":
@@ -892,18 +887,17 @@ def test_batched_library_programs_equal_their_single_solves(kind):
             (want.primal_objective, want.dual_objective)
 
 
-def test_batch_failure_names_its_program():
+def test_batch_failure_names_its_program(monkeypatch):
     base = _lp_problem()
     bad = ConicProblem((), 2, base.A, base.b, np.array([np.nan, 0.0]))
     with pytest.raises(SolverFailure, match=r"^LP 3 ended with NumericalFailure "
                                             r"after 1 iterations: component 3 of 3"):
         conic._solved_batch([base, base, bad], ["LP 1", "LP 2", "LP 3"])
-    # a program of two components, named one by one; its second one fails
-    pair = ConicProblem((), 4, scipy.sparse.block_diag([base.A, base.A]),
-                        np.tile(base.b, 2), np.concatenate([base.c, bad.c]))
-    with pytest.raises(SolverFailure, match=r"^pair, second LP ended with NumericalFailure"):
-        conic._solved_batch([base, pair, base],
-                            ["single", ["pair, first LP", "pair, second LP"], "single"])
+    # one program per run: the failing run is a stack of one part
+    monkeypatch.setattr(conic, "_BATCH_ENTRIES", 1)
+    with pytest.raises(SolverFailure, match=r"^LP 2 ended with NumericalFailure "
+                                            r"after 1 iterations: non-finite mu"):
+        conic._solved_batch([base, bad, base], ["LP 1", "LP 2", "LP 3"])
 
 
 def test_batch_refuses_psd_and_lp_programs_together(monkeypatch):

@@ -114,6 +114,9 @@ def test_concentration_mgf_z_sum():
     assert abs(res.rhs - math.exp(0.375)) < 1e-6
     assert res.passed
     assert res.instance["t"] == 0.5
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            concentration_mgf(h, t)
 
 
 def test_spectral_tail_z_sum():
@@ -127,6 +130,9 @@ def test_spectral_tail_z_sum():
     assert res.rhs == 16.0
     with pytest.raises(InvalidInput):
         spectral_tail(h, -0.5)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="must be nonnegative and finite"):
+            spectral_tail(h, delta)
 
 
 def test_spectral_tail_refuses_negative_delta_before_solving(monkeypatch):

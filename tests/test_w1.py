@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +34,7 @@ from qw1 import (
 )
 from qw1 import conic
 from qw1.classical import Distribution, classical_w1, classical_w1_dual, diagonal_state
-from qw1.errors import LayoutMismatch, NotTraceless, SupportMismatch
+from qw1.errors import LayoutMismatch, NotTraceless, SolverFailure, SupportMismatch
 from qw1.operators import embed_matrix, load_operator, operator_norm, partial_trace
 from qw1.w1 import _layout_data, _w1_program, hermitian_basis
 
@@ -332,7 +331,8 @@ def test_lipschitz_one_site_closed_form(d):
 
 def test_lipschitz_constants_batch_matches_single_solves(monkeypatch):
     # three operators per layout, interleaved: the (2,2) and (2,3) site
-    # programs form five classes of three identical row components each
+    # programs are the parts of one stack, five classes of three identical
+    # site programs each
     hs = [random_traceless(QuditLayout(2, n), seed=500 + 10 * n + k)
           for k in range(3) for n in (1, 2, 3)]
     solo = [lipschitz_constant(h) for h in hs]
@@ -348,6 +348,7 @@ def test_lipschitz_constants_batch_matches_single_solves(monkeypatch):
     assert len(problems) == 1
     assert problems[0].psd_blocks == tuple(
         D for h in hs if h.n > 1 for D in [h.layout.dim] * (2 * h.n))
+    assert len(problems[0].parts) == sum(h.n for h in hs if h.n > 1)
     for h, one, res in zip(hs, solo, batch):
         assert len(res.site_values) == len(res.shifts) == h.n
         assert res.value == max(res.site_values)
@@ -355,6 +356,18 @@ def test_lipschitz_constants_batch_matches_single_solves(monkeypatch):
         for a, b in zip(res.shifts, one.shifts):
             assert a.tobytes() == b.tobytes()
     assert lipschitz_constants([]) == []
+
+
+def test_lipschitz_failure_names_operator_and_site():
+    # each site program is one part of the stack, named by operator and site
+    opts = conic.SolverOptions(max_iterations=1)
+    hs = [random_traceless(QuditLayout(2, n), seed=700 + n) for n in (2, 3)]
+    with pytest.raises(SolverFailure, match=r"^Lipschitz SDP of operator 1 at site 1 "
+                                            r"ended with MaxIterations after 1 iterations"):
+        lipschitz_constants(hs, opts)
+    with pytest.raises(SolverFailure, match=r"^Lipschitz SDP at site 1 ended with "
+                                            r"MaxIterations after 1 iterations"):
+        lipschitz_constant(hs[1], opts)
 
 
 def test_w1_primals_of_mixed_layouts_match_single_solves(monkeypatch):
@@ -412,8 +425,9 @@ def test_w1_primals_split_a_large_layout_batch_into_several_solves(monkeypatch):
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2)])
 def test_layout_data_matches_the_dense_constructions(d, n):
-    """Both CSR matrices hold, entry for entry, what the programs once built
-    dense from the same site rows, with no stored zeros."""
+    """The W1 matrix and each site's Lipschitz matrix hold, entry for entry,
+    what the programs once built dense from the same site rows, as CSR with
+    no stored zeros."""
     site = _dense_site_rows(d, n)
     D = d ** n
     L, nc = D * D, site[0].shape[0]
@@ -426,10 +440,10 @@ def test_layout_data_matches_the_dense_constructions(d, n):
         w1[n * nc:, P] = full
         w1[n * nc:, Q] = -full
     id_sv = conic.svec(np.eye(D))
-    lipschitz = scipy.linalg.block_diag(
-        *[np.block([[-id_sv, -id_sv], [-rows, rows]]) for rows in site])
+    lipschitz = [np.block([[-id_sv, -id_sv], [-rows, rows]]) for rows in site]
     got = _layout_data(d, n)
-    for A, want in zip(got, (w1, lipschitz)):
+    assert len(got[1]) == n
+    for A, want in zip([got[0]] + got[1], [w1] + lipschitz):
         assert A.format == "csr" and A.has_sorted_indices
         assert A.shape == want.shape and A.nnz == np.count_nonzero(want)
         assert np.array_equal(A.toarray(), want)
