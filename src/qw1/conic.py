@@ -44,8 +44,8 @@ sit, and eigh, svd, eigvalsh and matrix products run over the stack.
 
 A program may stack independent programs side by side, its parts: the
 Lipschitz constant of an operator is n single-site programs, one pair of
-blocks and its rows each.  Only _stack makes such a program, and it
-records the programs it stacks in ConicProblem.parts.  solve runs the
+blocks and its rows each.  Only _stack makes such a program, recording
+each program's layout in ConicProblem.parts.  solve runs the
 parts in lockstep as its components, each a contiguous range of rows,
 blocks, LP columns and coordinates; a program without parts is one
 component.  The stacked passes above still cover every block at once, but
@@ -58,7 +58,7 @@ last one stops.
 Components often repeat: a batch of Lipschitz programs of one layout has
 the same rows at every copy of a site.  solve groups the parts into
 classes whose constraint data match exactly (block orders, LP width and
-the CSR arrays of A), and reads a class's Schur data from its first
+the CSR arrays of their rows), and reads a class's Schur data from its first
 component, the template, once per solve.  Identical components share one
 rank test too.  Per iteration the Schur matrices of a class's running
 members are assembled as one (C, m, m) stack, with each block's scaling
@@ -69,9 +69,9 @@ its own scipy cho_factor on its own regularization ladder, as a program
 alone is.  A member's iterates, and so its final point and iteration
 count, equal those of its solo program bit for bit.
 
-_solved_batch stacks independent programs with _stack, makes one solve,
-and hands each program its slices of the solution, its own objectives and
-the iteration at which it stopped.  The Lipschitz constants, the W1
+_solved_batch stacks independent programs with _stack, one solve per
+run, and hands each program its slices of the solution, its own objectives
+and the iteration at which it stopped.  The Lipschitz constants, the W1
 primals and the transport LPs of many inputs go through it, each caller
 with one call: _solved_batch itself splits a batch into runs that
 _batch_chunks bounds by the memory of their A, counted dense, and Schur
@@ -145,8 +145,8 @@ class SolverOptions:
 class ConicProblem:
     """min c.x s.t. Ax = b, x in (PSD blocks, nonnegative tail).  A may be
     given as a dense array or a SciPy sparse matrix; it is stored as CSR.
-    parts: the programs _stack put side by side, in order, or () for one;
-    they add up to the stack, and no part's blocks follow LP columns."""
+    parts: (rows, psd_blocks, lp_dim) of each program _stack put side by
+    side, in order, or () for one; they add up to the stack."""
 
     psd_blocks: tuple
     lp_dim: int
@@ -173,15 +173,11 @@ class ConicProblem:
         if self.c.shape != (n,):
             raise DimensionMismatch("c length does not match variable count")
         parts = self.parts
-        if parts and (sum(p.A.shape[0] for p in parts) != self.A.shape[0]
-                      or tuple(k for p in parts for k in p.psd_blocks) != self.psd_blocks
-                      or sum(p.lp_dim for p in parts) != self.lp_dim):
-            raise DimensionMismatch("the parts' rows, variables, blocks and LP "
-                                    "columns do not add up to the program's")
-        # so that each part's coordinates are one range
-        first_lp = next((i for i, p in enumerate(parts) if p.lp_dim), len(parts))
-        if any(p.psd_blocks for p in parts[first_lp + 1:]):
-            raise DimensionMismatch("a part's PSD blocks follow another part's LP columns")
+        if parts and (sum(m for m, _, _ in parts) != A.shape[0]
+                      or tuple(k for _, ks, _ in parts for k in ks) != self.psd_blocks
+                      or sum(q for _, _, q in parts) != self.lp_dim):
+            raise DimensionMismatch("the parts' rows, blocks and LP columns do not "
+                                    "add up to the program's")
 
     @property
     def num_vars(self) -> int:
@@ -330,8 +326,8 @@ class _Cone:
 
 
 class _Components:
-    """The components of a program, its parts (see the module docstring) or
-    the whole of one without parts, and their classes.
+    """The components of a program, its parts (which A may not couple; see
+    the module docstring) or the whole of one without parts, and their classes.
 
     rows[j] and coords[j] are component j's rows and coordinates as slices,
     size[j] its row count, nu[j] its barrier parameter, and blocks_in[j] and
@@ -340,35 +336,37 @@ class _Components:
     coordinate, and by_order[g] that of each block of the cone's order
     group g.
 
-    Two components are identical when their parts have the same block
-    orders, as many LP columns and the same CSR arrays of A.  classes[i]
-    lists the components of class i in order, its first one being the
-    class's template; the classes are ordered by their templates."""
+    Two components are identical when they have the same block orders, as
+    many LP columns and the same CSR arrays of their rows of A, read in
+    their own coordinates.  classes[i] lists the components of class i in
+    order, its first one being the class's template; the classes are
+    ordered by their templates."""
 
     def __init__(self, problem: ConicProblem, cone: _Cone):
-        parts = problem.parts or (problem,)
+        parts = problem.parts or ((problem.A.shape[0], problem.psd_blocks, problem.lp_dim),)
         self.count = count = len(parts)
-        # per part its rows, coordinates, blocks and LP columns, and the first
-        # of each; its coordinates are one range, as no part's blocks follow
-        # another's LP columns (ConicProblem)
-        sizes = np.array([(p.A.shape[0], p.num_vars, len(p.psd_blocks), p.lp_dim)
-                          for p in parts]).T
+        # per part its rows, coordinates, blocks and LP columns, and the first of each
+        sizes = np.array([(m, sum(svec_len(k) for k in ks) + q, len(ks), q)
+                          for m, ks, q in parts]).T
         self.size, coords, blocks, lp = sizes
         row0, coord0, block0, lp0 = np.cumsum(sizes, axis=1) - sizes
         self.rows = [slice(r, r + m) for r, m in zip(row0, self.size)]
         self.coords = [slice(c, c + v) for c, v in zip(coord0, coords)]
         self.blocks_in = [range(b, b + k) for b, k in zip(block0, blocks)]
         self.lp_in = [np.arange(q, q + k) for q, k in zip(lp0, lp)]
-        self.nu = np.array([sum(p.psd_blocks) + p.lp_dim for p in parts], dtype=float)
+        self.nu = np.array([sum(ks) + q for _, ks, q in parts], dtype=float)
         self.of_row, self.of_coord, self.block, self.lp = (np.repeat(np.arange(count), k)
                                                            for k in sizes)
         self.by_order = [self.block[group] for group in cone.members]
-        classes = {}
-        for j, p in enumerate(parts):
-            key = (p.psd_blocks, p.lp_dim, p.A.indptr.tobytes(), p.A.indices.tobytes(),
-                   p.A.data.tobytes())
+        A = problem.A
+        if count > 1 and np.any(self.of_row.repeat(A.getnnz(1)) != self.of_coord[A.indices]):
+            raise DimensionMismatch("a part's rows reach outside its variables")
+        classes = {}  # one program is one class, with no key to build
+        for j, ((_, ks, q), r, c) in enumerate(zip(problem.parts, self.rows, coord0)):
+            sub = A[r]
+            key = ks, q, sub.indptr.tobytes(), (sub.indices - c).tobytes(), sub.data.tobytes()
             classes.setdefault(key, []).append(j)
-        self.classes = [np.array(members) for members in classes.values()]
+        self.classes = [np.array(m) for m in classes.values()] or [np.array([0])]
 
 
 def _H(m: np.ndarray) -> np.ndarray:
@@ -674,7 +672,6 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     m = A.shape[0]
     classes = [_BlockData(A, cone, comps, members) for members in comps.classes]
     AT = A.T
-    parts = list(zip(comps.rows, comps.coords))
     bnorm = [1.0 + np.abs(b[rows]).max(initial=0.0) for rows in comps.rows]
     cnorm = [1.0 + np.abs(c[coords]).max(initial=0.0) for coords in comps.coords]
 
@@ -684,7 +681,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         rp = b - A @ x
         rd = c - AT @ y - s
         stats = []
-        for (rows, coords), bn, cn in zip(parts, bnorm, cnorm):
+        for rows, coords, bn, cn in zip(comps.rows, comps.coords, bnorm, cnorm):
             pobj = float(c[coords] @ x[coords])
             dobj = float(b[rows] @ y[rows])
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -824,15 +821,18 @@ def _solved(problem: ConicProblem, program: str, options: SolverOptions | None =
 
 
 def _stack(problems) -> ConicProblem:
-    """The program holding the programs side by side as its parts: their
-    blocks in turn, then their LP columns, A block diagonal, b and c
-    concatenated.  No program's blocks may follow another's LP columns,
-    which _solved_batch ensures by stacking PSD-only or LP-only programs."""
+    """The program holding the programs side by side as its parts (a lone one
+    without parts as it is): their blocks in turn, then their LP columns, A
+    block diagonal, b and c concatenated.  _solved_batch gives PSD-only or
+    LP-only programs, so that each part's variables are one range."""
+    if len(problems) == 1 and not problems[0].parts:
+        return problems[0]
     return ConicProblem([k for p in problems for k in p.psd_blocks],
                         sum(p.lp_dim for p in problems),
                         scipy.sparse.block_diag([p.A for p in problems], format="csr"),
                         np.concatenate([p.b for p in problems]),
-                        np.concatenate([p.c for p in problems]), tuple(problems))
+                        np.concatenate([p.c for p in problems]),
+                        tuple((p.A.shape[0], p.psd_blocks, p.lp_dim) for p in problems))
 
 
 def _solved_batch(problems, names, options: SolverOptions | None = None,

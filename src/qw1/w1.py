@@ -50,11 +50,11 @@ shift, so the witness is unchanged.
 
 The Lipschitz constant ||H||_L = 2 max_i min_K ||H - I_i (x) K||_inf is n
 independent conic programs, one per site, which conic._solved_batch stacks
-into one solve that runs them in lockstep.  lipschitz_constants stacks the
-site programs of many operators; there the site programs of one layout and
-site are identical parts, whose Schur matrices the solver assembles as one
-stack.  The optimization-free sandwich of lipschitz_estimate brackets
-||H||_L within a factor 2(d^2-1)/d^2.
+in runs of bounded memory, each run's parts solved in lockstep.
+lipschitz_constants batches the site programs of many operators; those of
+one layout and site are identical parts, whose Schur matrices the solver
+assembles as one stack.  The optimization-free sandwich of
+lipschitz_estimate brackets ||H||_L within a factor 2(d^2-1)/d^2.
 """
 
 from __future__ import annotations
@@ -369,7 +369,7 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
     max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
     P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
     optimal K.  The site programs of all operators with n > 1 go to one
-    conic._solved_batch call, which runs them in lockstep; the site
+    conic._solved_batch call, which solves them in lockstep runs; the site
     programs of one layout and site have the same rows, so the solver
     assembles their Schur matrices as one stack.  At n = 1 the complement
     space is C, K is a scalar, and the value is lambda_max - lambda_min in
@@ -401,8 +401,8 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
 
 def lipschitz_constant(h: HermitianOperator,
                        options: SolverOptions | None = None) -> LipschitzResult:
-    """Exact ||H||_L: lipschitz_constants of the one operator h, so its n
-    site programs share one solve."""
+    """Exact ||H||_L: lipschitz_constants of the one operator h, its n site
+    programs going to one _solved_batch call, which may split them."""
     return lipschitz_constants([h], options)[0]
 
 

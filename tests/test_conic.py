@@ -433,7 +433,10 @@ def test_stacked_scaling_matches_per_block(seed):
             assert abs(got[j] - ref) <= 1e-12 * ref
             assert np.all(np.isinf(np.delete(got, j)))
         dv = rng.standard_normal(cone.dim)
-        dv[lp] = -np.abs(dv[lp])  # a finite step for the LP-only component too
+        # component 1's first LP column moves away from the boundary, which
+        # must not bound its step; the LP-only component's column moves
+        # towards it, so that its step is finite
+        dv[lp.start], dv[lp.stop - 1] = abs(dv[lp.start]), -abs(dv[lp.stop - 1])
         got = scal.max_step(point, dv, primal)
         for j in range(comps.count):
             lp_j = np.flatnonzero(comps.lp == j)
@@ -581,9 +584,11 @@ def test_stack_parts_must_add_up():
                          (lp, lp.parts[:1] * 2)):  # LP columns: 10, not 9
         with pytest.raises(DimensionMismatch, match="do not add up"):
             dataclasses.replace(stack, parts=parts)
-    # an LP column before a block would split a part's coordinates
-    with pytest.raises(DimensionMismatch, match="follow another part's LP columns"):
-        conic._stack([_lp_problem(), _random_program(rng, (2,), 0, 1)])
+    # a row that couples two parts
+    coupled = psd.A.toarray()
+    coupled[0, -1] = 1.0
+    with pytest.raises(DimensionMismatch, match="reach outside its variables"):
+        solve(dataclasses.replace(psd, A=coupled))
 
 
 # ---------------------------------------------------------------------------
