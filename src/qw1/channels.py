@@ -28,7 +28,7 @@ import numpy as np
 import scipy.optimize
 
 from . import conic
-from .conic import ConicProblem, SolverOptions, svec
+from .conic import ConicProblem, svec
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -55,6 +55,9 @@ from .w1 import hermitian_basis, _w1_primal_runs
 TP_TOL = 1e-9
 UNITARY_TOL = 1e-9
 FIXED_POINT_TOL = 1e-8
+DEPOLARIZING_TOL = 1e-9
+BLOCH_GRID = 10_000  # pure inputs the 1->1 norm sweeps at d = 2
+STARTS = 64  # its random starting inputs at d > 2
 
 
 class KrausChannel:
@@ -175,9 +178,7 @@ def _difference_action(phi: KrausChannel, psi: KrausChannel):
     return basis, images
 
 
-def _one_to_one_with_maximizer(phi: KrausChannel, psi: KrausChannel,
-                               bloch_grid: int = 10_000, starts: int = 64,
-                               seed=1234):
+def _one_to_one_with_maximizer(phi: KrausChannel, psi: KrausChannel, seed=1234):
     """max_rho ||(phi - psi)(rho)||_1 over pure inputs, plus an argmax."""
     d = phi.layout.dim
     basis, images = _difference_action(phi, psi)
@@ -190,9 +191,9 @@ def _one_to_one_with_maximizer(phi: KrausChannel, psi: KrausChannel,
     if d == 2:
         # dense Fibonacci sweep of the Bloch sphere, vectorized: images of
         # Hermitian inputs are Hermitian, so the trace norm is a sum of |eig|
-        k = np.arange(bloch_grid)
+        k = np.arange(BLOCH_GRID)
         golden = (1 + 5 ** 0.5) / 2
-        z = 1 - 2 * (k + 0.5) / bloch_grid
+        z = 1 - 2 * (k + 0.5) / BLOCH_GRID
         th = 2 * np.pi * k / golden
         vecs = np.stack([np.sqrt((1 + z) / 2) + 0j,
                          np.sqrt((1 - z) / 2) * np.exp(1j * th)], axis=1)
@@ -205,7 +206,7 @@ def _one_to_one_with_maximizer(phi: KrausChannel, psi: KrausChannel,
     else:
         rng = _rng(seed)
         pool = []
-        for _ in range(starts):
+        for _ in range(STARTS):
             g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             pool.append(g / np.linalg.norm(g))
         vals = [value_of(v) for v in pool]
@@ -235,15 +236,14 @@ def _one_to_one_with_maximizer(phi: KrausChannel, psi: KrausChannel,
     return best_val, DensityMatrix(phi.layout, rho)
 
 
-def one_to_one_norm(phi: KrausChannel, psi: KrausChannel, **kw) -> float:
+def one_to_one_norm(phi: KrausChannel, psi: KrausChannel, seed=1234) -> float:
     """||phi - psi||_{1->1}: multistart over pure inputs (dense Bloch sweep
     at d = 2), reported as a converged lower-bound-style estimate."""
-    val, _ = _one_to_one_with_maximizer(phi, psi, **kw)
+    val, _ = _one_to_one_with_maximizer(phi, psi, seed)
     return val
 
 
-def diamond_norm(phi: KrausChannel, psi: KrausChannel,
-                 options: SolverOptions | None = None) -> float:
+def diamond_norm(phi: KrausChannel, psi: KrausChannel) -> float:
     """Completely bounded trace norm of phi - psi via the Choi SDP."""
     if phi.layout != psi.layout:
         raise DimensionMismatch("channel layouts differ")
@@ -281,7 +281,7 @@ def diamond_norm(phi: KrausChannel, psi: KrausChannel,
     c = np.zeros(ncols)
     c[col_t[0]] = 0.5
     c[col_t[1]] = 0.5
-    sol = conic._solved(ConicProblem(blocks, 2, A, b, c), "diamond norm SDP", options)
+    (sol,) = conic._solved_batch([ConicProblem(blocks, 2, A, b, c)], ["diamond norm SDP"])
     return max(sol.primal_objective, 0.0)
 
 
@@ -349,7 +349,7 @@ class ContractionReport:
         }
 
 
-def _detect_depolarizing(phi: KrausChannel, tol: float = 1e-9):
+def _detect_depolarizing(phi: KrausChannel):
     """p and omega with Phi(X) = p X + (1-p) omega Tr X, or None."""
     d = phi.layout.dim
     basis = hermitian_basis(d)
@@ -365,7 +365,7 @@ def _detect_depolarizing(phi: KrausChannel, tol: float = 1e-9):
     if not -1e-12 <= p <= 1.0 + 1e-12:
         return None
     for f in traceless:
-        if np.abs(phi.apply_matrix(f) - p * f).max() > tol:
+        if np.abs(phi.apply_matrix(f) - p * f).max() > DEPOLARIZING_TOL:
             return None
     mixed = phi.apply_matrix(np.eye(d, dtype=complex) / d)
     if p > 1.0 - 1e-12:
@@ -377,7 +377,7 @@ def _detect_depolarizing(phi: KrausChannel, tol: float = 1e-9):
         omega = DensityMatrix(QuditLayout(d, 1), omega_m)
     except Exception:
         return None
-    if np.abs(phi.apply_matrix(omega.matrix) - omega.matrix).max() > tol:
+    if np.abs(phi.apply_matrix(omega.matrix) - omega.matrix).max() > DEPOLARIZING_TOL:
         return None
     return max(0.0, min(p, 1.0)), omega
 
@@ -433,8 +433,7 @@ def _random_channel(layout: QuditLayout, rng) -> KrausChannel:
     return KrausChannel(layout, [q[e * dim:(e + 1) * dim, :] for e in range(env)])
 
 
-def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
-                          options: SolverOptions | None = None) -> float:
+def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0) -> float:
     """Sampled lower bound on the transport contraction of an n-qudit channel:
     max ratio over random neighboring pairs (two random one-qudit channels
     applied to a shared random state).  Both channels act on one site i, so
@@ -459,7 +458,7 @@ def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0,
         images.append(HermitianOperator(layout, phi.apply_matrix(x)))
         dens.append(den)
     best = 0.0
-    for num, den in zip(_w1_primal_runs(images, options), dens):
+    for num, den in zip(_w1_primal_runs(images), dens):
         best = max(best, num.value / den)
     return best
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse
 
 from . import conic
-from .conic import ConicProblem, SolverOptions
+from .conic import ConicProblem
 from .errors import (
     InvalidInput,
     LayoutMismatch,
@@ -146,7 +146,7 @@ def _flow_rows(d: int, n: int):
     return A[1:], _hamming_cost(d, n)[i, j]
 
 
-def transport_lps(requests, options: SolverOptions | None = None) -> list:
+def transport_lps(requests) -> list:
     """The transport LPs of requests, (p, q, dual) triples, from batched
     solves of them side by side (conic._solved_batch): per triple
     classical_w1(p, q) if dual is false, else classical_w1_dual(p, q).
@@ -171,7 +171,7 @@ def transport_lps(requests, options: SolverOptions | None = None) -> list:
         problems.append(ConicProblem((), A.shape[1], A, b, c))
         names.append(f"{name} of pair {pairs[id(p), id(q)]}" if len(pairs) > 1 else name)
     out = []
-    for (p, _, dual), sol in zip(requests, conic._solved_batch(problems, names, options)):
+    for (p, _, dual), sol in zip(requests, conic._solved_batch(problems, names)):
         if dual:
             out.append((max(sol.dual_objective, 0.0), np.concatenate([[0.0], sol.y])))
         else:
@@ -180,19 +180,17 @@ def transport_lps(requests, options: SolverOptions | None = None) -> list:
     return out
 
 
-def classical_w1(p: Distribution, q: Distribution,
-                 options: SolverOptions | None = None):
+def classical_w1(p: Distribution, q: Distribution):
     """Minimal expected Hamming cost over couplings; returns (value, coupling).
 
     The constraints are the row sums p and the column sums q of the
     coupling, less the last column sum: the row sums and the column sums
     share the total mass, so it is implied by the others.
     """
-    return transport_lps([(p, q, False)], options)[0]
+    return transport_lps([(p, q, False)])[0]
 
 
-def classical_w1_dual(p: Distribution, q: Distribution,
-                      options: SolverOptions | None = None):
+def classical_w1_dual(p: Distribution, q: Distribution):
     """Kantorovich side; returns (value, potential f with f[0] = 0).
 
     Solved as a min-cost flow over ordered pairs: the flow conservation
@@ -201,7 +199,7 @@ def classical_w1_dual(p: Distribution, q: Distribution,
     conservation rows sum to zero, so the row of point 0 is omitted, which
     fixes its multiplier f[0] at 0.
     """
-    return transport_lps([(p, q, True)], options)[0]
+    return transport_lps([(p, q, True)])[0]
 
 
 def binary_entropy(t: float) -> float:
@@ -214,11 +212,10 @@ def binary_entropy(t: float) -> float:
     return out
 
 
-def shannon_continuity_bound(p: Distribution, q: Distribution,
-                             options: SolverOptions | None = None):
+def shannon_continuity_bound(p: Distribution, q: Distribution):
     """(|S(p) - S(q)|, n h2(W1/n) + W1 ln(d-1)); the log term dies at d = 2."""
     _same_layout(p, q)
-    return _shannon_check(p, q, classical_w1(p, q, options)[0])
+    return _shannon_check(p, q, classical_w1(p, q)[0])
 
 
 def _shannon_check(p: Distribution, q: Distribution, w1: float):
@@ -236,12 +233,11 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return float((pw * np.log(pw / q.weights[mask])).sum())
 
 
-def classical_marton_bound(p: Distribution, q_factors,
-                           options: SolverOptions | None = None):
+def classical_marton_bound(p: Distribution, q_factors):
     """(W1(p, q), sqrt(n/2 KL(p||q))) for a product q given by its factors."""
     q = product_distribution(q_factors)
     kl = kl_divergence(p, q)
-    return _marton_check(p.n, classical_w1(p, q, options)[0], kl)
+    return _marton_check(p.n, classical_w1(p, q)[0], kl)
 
 
 def _marton_check(n: int, w1: float, kl: float):

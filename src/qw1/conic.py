@@ -24,7 +24,7 @@ a Mehrotra predictor-corrector step, the textbook recipe:
     breakdown);
   * predictor with sigma = 0, corrector with sigma = (mu_aff/mu)^3 and the
     second-order Mehrotra term;
-  * steps damped to 0.98 of the distance to the cone boundary.
+  * steps damped to STEP_FRACTION of the distance to the cone boundary.
 
 x and s start at 2I on every PSD block and at 1 on the LP tail, unless a
 hint is given.  Earlier versions solved each Hermitian block as its real
@@ -71,11 +71,11 @@ count, equal those of its solo program bit for bit.
 
 _solved_batch stacks independent programs with _stack, one solve per
 run, and hands each program its slices of the solution, its own objectives
-and the iteration at which it stopped.  The Lipschitz constants, the W1
-primals and the transport LPs of many inputs go through it, each caller
-with one call: _solved_batch itself splits a batch into runs that
-_batch_chunks bounds by the memory of their A, counted dense, and Schur
-matrices.
+and the iteration at which it stopped, or raises SolverFailure naming the
+program that failed.  Every solve of the package goes through it, the W1
+dual and the diamond norm as batches of one, each caller with one call:
+_solved_batch itself splits a batch into runs that _batch_chunks bounds by
+the memory of their A, counted dense, and Schur matrices.
 
 ConicProblem stores A as CSR, converting a dense input once.  The rank
 test, the Schur complement and every A x, A^T y and residual read that
@@ -93,7 +93,7 @@ one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
 its condition estimate test the rank up front, one class of components
 at a time (the Gram matrix is block diagonal over the components), and solve
 refuses an A that fails with InvalidInput.  Everything is deterministic:
-same problem and options give the same iterates.  Each iteration's mu, gap
+the same problem and start give the same iterates.  Each iteration's mu, gap
 and residuals are logged at DEBUG level to the "qw1.conic" logger, per
 component.
 """
@@ -117,6 +117,12 @@ from .errors import DimensionMismatch, InvalidInput, SolverFailure
 _log = logging.getLogger("qw1.conic")
 FULL_RANK_RCOND = 1e-10
 STATIC_REGULARIZATION = 1e-12
+# the stopping test and step damping of every solve; solve reads them when
+# called, so a tolerance experiment patches the module attributes
+MAX_ITERATIONS = 200
+GAP_TOL = 1e-8
+FEAS_TOL = 1e-8
+STEP_FRACTION = 0.98
 # entries of the W F_b W matrices formed at once by the Schur formula, over
 # the members of a class taken together (at least one member's rows of one
 # batch): small enough that one batch stays in cache while it is contracted
@@ -131,14 +137,6 @@ class SolverStatus(enum.Enum):
     Optimal = "Optimal"
     MaxIterations = "MaxIterations"
     NumericalFailure = "NumericalFailure"
-
-
-@dataclass
-class SolverOptions:
-    max_iterations: int = 200
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    step_fraction: float = 0.98
 
 
 @dataclass(frozen=True)
@@ -658,13 +656,12 @@ def _factor(M: np.ndarray, rows):
     return pieces, None
 
 
-def solve(problem: ConicProblem, options: SolverOptions | None = None,
-          x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
+def solve(problem: ConicProblem, x0: np.ndarray | None = None,
+          y0: np.ndarray | None = None) -> ConicSolution:
     """Run the interior-point method on the parts of the program, or on the
     one program, in lockstep.  Raises InvalidInput if A lacks full row rank;
     never raises on numerical trouble, reports it through the status field,
     and its cause and component, instead."""
-    opts = options or SolverOptions()
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
     comps = _Components(problem, cone)
     A, b, _ = _presolve(problem.A, problem.b, comps)
@@ -704,7 +701,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     failure = None  # (component, cause)
     it = 0
 
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         rp, rd, stats = measure(x, y, s)
         mu = np.array([float(x[coords] @ s[coords]) for coords in comps.coords]) / comps.nu
         for j in np.flatnonzero(running):
@@ -712,7 +709,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
             _log.debug("iter %3d%s  mu %9.2e  gap %9.2e  pres %9.2e  dres %9.2e",
                        it, f"  component {j + 1}" if comps.count > 1 else "",
                        mu[j], gap, pres, dres)
-            if gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
+            if gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL:
                 running[j] = False
                 stopped_at[j] = it
             elif not (np.isfinite(mu[j]) and np.isfinite(pobj) and np.isfinite(dobj)):
@@ -771,7 +768,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
         rc = scal.corrector(dxa, dsa, smu)
 
         dx, dy, ds = newton(rc)
-        ap, ad = steps(dx, ds, opts.step_fraction)
+        ap, ad = steps(dx, ds, STEP_FRACTION)
         for j in live:
             if not (np.isfinite(ap[j]) and np.isfinite(ad[j])) or max(ap[j], ad[j]) <= 0.0:
                 failure = int(j), f"zero or non-finite step (ap {ap[j]:.3e}, ad {ad[j]:.3e})"
@@ -804,22 +801,6 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None,
     )
 
 
-def _raise_failure(sol: ConicSolution, program: str):
-    cause = f": {sol.cause}" if sol.cause else ""
-    raise SolverFailure(f"{program} ended with {sol.status.value} "
-                        f"after {sol.iterations} iterations{cause}")
-
-
-def _solved(problem: ConicProblem, program: str, options: SolverOptions | None = None,
-            x0: np.ndarray | None = None, y0: np.ndarray | None = None) -> ConicSolution:
-    """solve, raising SolverFailure naming the program unless the status
-    is Optimal."""
-    sol = solve(problem, options, x0=x0, y0=y0)
-    if not sol.optimal:
-        _raise_failure(sol, program)
-    return sol
-
-
 def _stack(problems) -> ConicProblem:
     """The program holding the programs side by side as its parts (a lone one
     without parts as it is): their blocks in turn, then their LP columns, A
@@ -835,36 +816,38 @@ def _stack(problems) -> ConicProblem:
                         tuple((p.A.shape[0], p.psd_blocks, p.lp_dim) for p in problems))
 
 
-def _solved_batch(problems, names, options: SolverOptions | None = None,
-                  x0s=None) -> list:
-    """_solved of independent programs, each one part with its own iterates
+def _solved_batch(problems, names, x0s=None, y0s=None) -> list:
+    """solve of independent programs, each one part with its own iterates
     of a _stack (see the module docstring).  _batch_chunks splits the batch
     into runs of consecutive programs of bounded memory, one stack each.
 
     Returns one ConicSolution per program, with its slices of x, y and s, its
     own objectives and gap, its run's largest residuals, and as iterations
-    the one at which it stopped.  names[i] names program i; a failure
-    raises SolverFailure naming the failing program.  x0s is None or holds
-    a hint for every program.  The programs of a batch of more than one
-    must be all PSD-only or all LP-only, so that a stack keeps its LP tail
-    after its blocks; InvalidInput refuses a mix before any solve."""
+    the one at which it stopped.  names[i] names program i; a solve that
+    ends other than Optimal raises SolverFailure naming the failing program.
+    x0s and y0s are None or hold a start for every program.  The programs
+    of a batch of more than one must be all PSD-only or all LP-only, so that
+    a stack keeps its LP tail after its blocks; InvalidInput refuses a mix."""
     problems = list(problems)
     if len(problems) > 1 and not (all(p.lp_dim == 0 for p in problems)
                                   or all(not p.psd_blocks for p in problems)):
         raise InvalidInput("a batch takes PSD-only or LP-only programs, not a mix")
     out = []
     for run in _batch_chunks([p.A.shape for p in problems]):
-        out += _solved_run([problems[i] for i in run], [names[i] for i in run], options,
-                           None if x0s is None else [x0s[i] for i in run])
+        x0, y0 = (None if hints is None else np.concatenate([hints[i] for i in run])
+                  for hints in (x0s, y0s))
+        out += _solved_run([problems[i] for i in run], [names[i] for i in run], x0, y0)
     return out
 
 
-def _solved_run(problems, names, options: SolverOptions | None, x0s) -> list:
-    """_solved_batch of one run, from one solve of its stack."""
+def _solved_run(problems, names, x0, y0) -> list:
+    """_solved_batch of one run, from one solve of its stack from x0, y0."""
     stack = _stack(problems)
-    sol = solve(stack, options, x0=None if x0s is None else np.concatenate(x0s))
+    sol = solve(stack, x0=x0, y0=y0)
     if not sol.optimal:
-        _raise_failure(sol, names[sol.component])
+        cause = f": {sol.cause}" if sol.cause else ""
+        raise SolverFailure(f"{names[sol.component]} ended with {sol.status.value} "
+                            f"after {sol.iterations} iterations{cause}")
     rows = np.cumsum([0] + [p.A.shape[0] for p in problems])
     coords = np.cumsum([0] + [p.num_vars for p in problems])
     out = []

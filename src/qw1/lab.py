@@ -11,26 +11,28 @@ a deterministic JSON-lines report.  Each instance is regenerated from
 reproduced in isolation, exactly.
 
 Every family is one _Family: it draws all its instances first and takes
-the values of their solves from one batched call.  The W1 values of the 16
+the values of their solves from one batched call.  The W1 values of the 17
 W1 families (a state pair's through its traceless difference, as
 w1_distance solves it; duality-gap's primal side) come from one w1_primals
 call, the Lipschitz constants of concentration-mgf, spectral-tail and
 lipschitz-sandwich from one lipschitz_constants call, and the transport LPs
 of the five classical families (classical-duality's primal and dual LPs
 together) from one transport_lps call.  Other solves (w1_dual,
-classical_w1, diamond_norm, one_to_one_norm, empirical_contraction,
-check_marton) are single calls inside the draw; families that make only
-those have no batched call.  (conic._solved_batch sets how many solves a
-call takes.)  Each program in a batch follows the iterates of its single
-solve bit for bit, so a line of a family equals the line of its instance
-made alone.  If a batch raises, its instances are made one at a time, so
-each failure gets its own line.
+classical_w1, diamond_norm, one_to_one_norm, empirical_contraction) are
+single calls inside the draw; families that make only those have no
+batched call.  (conic._solved_batch sets how many solves a call takes.)
+Each program in a batch follows the iterates of its single solve bit for
+bit, so a line of a family equals the line of its instance made alone.
+If a batch raises, its instances are made one at a time, so each failure
+gets its own line.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,7 +40,6 @@ import numpy as np
 
 from . import channels as ch
 from . import classical as cl
-from .conic import SolverOptions
 from .errors import InvalidInput, QW1Error
 from .operators import (
     DensityMatrix,
@@ -126,11 +127,9 @@ def entropy_modulus(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def check_entropy_continuity(rho: DensityMatrix, sigma: DensityMatrix,
-                             options: SolverOptions | None = None,
                              instance: dict | None = None) -> CheckResult:
     """|S(rho) - S(sigma)| against g(W1) + W1 ln(d^2 n)."""
-    return _entropy_check(rho, sigma, w1_distance(rho, sigma, options=options).value,
-                          instance)
+    return _entropy_check(rho, sigma, w1_distance(rho, sigma).value, instance)
 
 
 def _entropy_check(rho, sigma, w1: float, instance) -> CheckResult:
@@ -152,60 +151,62 @@ def check_pinsker(rho: DensityMatrix, sigma: DensityMatrix,
 
 
 def check_marton(rho: DensityMatrix, sigma_factors,
-                 options: SolverOptions | None = None,
                  instance: dict | None = None) -> CheckResult:
     """W1 against sqrt(n/2 S(rho||sigma)) for product sigma.
 
     Flags the instances where this beats the Pinsker route, i.e. where
     W1 >= (sqrt(n)/2) ||rho - sigma||_1.
     """
-    factors = list(sigma_factors)
-    sigma = factors[0]
-    for f in factors[1:]:
-        sigma = tensor_product(sigma, f)
+    sigma = functools.reduce(tensor_product, sigma_factors)
     if sigma.layout != rho.layout:
         raise InvalidInput(
             f"product of factors lives on {sigma.layout}, state on {rho.layout}")
+    return _marton_check(rho, sigma, w1_distance(rho, sigma).value, instance)
+
+
+def _marton_check(rho, sigma, w1: float, instance) -> CheckResult:
     n = rho.n
     rel = relative_entropy(rho, sigma)
-    lhs = w1_distance(rho, sigma, options=options).value
     flags = []
     if math.isinf(rel):
         flags.append("infinite-relative-entropy")
         rhs = math.inf
     else:
         rhs = math.sqrt(0.5 * n * rel)
-    if lhs >= 0.5 * math.sqrt(n) * trace_norm(rho.matrix - sigma.matrix) - 1e-9:
+    if w1 >= 0.5 * math.sqrt(n) * trace_norm(rho.matrix - sigma.matrix) - 1e-9:
         flags.append("beats-pinsker")
-    return CheckResult("marton", lhs, rhs, instance or {}, tuple(flags))
+    return CheckResult("marton", w1, rhs, instance or {}, tuple(flags))
 
 
 def concentration_mgf(h: HermitianOperator, t: float,
-                      options: SolverOptions | None = None,
                       instance: dict | None = None) -> CheckResult:
     """Normalized Tr exp(t (H - mean)) against exp(n t^2 L^2 / 8)."""
     _require_finite("t", t)
-    return _mgf_check(h, t, lipschitz_constant(h, options=options).value, instance)
+    return _mgf_check(h, t, lipschitz_constant(h).value, instance)
 
 
 def _mgf_check(h: HermitianOperator, t: float, lip: float, instance) -> CheckResult:
+    # lhs <= rhs, so a t that passes cannot overflow the lhs either
+    exponent = h.n * t * t * lip * lip / 8.0
+    if exponent > math.log(sys.float_info.max):
+        raise InvalidInput(f"t = {t} makes exp(n t^2 L^2 / 8) = exp({exponent:.6g}) "
+                           f"overflow a float")
     lam = np.linalg.eigvalsh(h.matrix)
     dim = h.layout.dim
     mean = lam.sum() / dim
     lhs = float(np.exp(t * (lam - mean)).sum() / dim)
-    rhs = math.exp(h.n * t * t * lip * lip / 8.0)
+    rhs = math.exp(exponent)
     inst = dict(instance or {})
     inst["t"] = t
     return CheckResult("concentration-mgf", lhs, rhs, inst)
 
 
 def spectral_tail(h: HermitianOperator, delta: float,
-                  options: SolverOptions | None = None,
                   instance: dict | None = None) -> CheckResult:
     """Number of eigenvalues above mean + delta sqrt(n) L, against
     d^n exp(-2 delta^2)."""
     _require_delta(delta)
-    return _tail_check(h, delta, lipschitz_constant(h, options=options).value, instance)
+    return _tail_check(h, delta, lipschitz_constant(h).value, instance)
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -272,64 +273,64 @@ def _eq(name, got, want, instance, scale=None):
 
 @dataclass(frozen=True)
 class _Family:
-    """A check family.  draw(seed, fam, k, layouts, options) makes instance
-    k: it returns (inputs, checks), the inputs of the instance's solves of
-    one kind and a function mapping their values, in order, to its
-    CheckResults.  values(inputs, options) maps a list of inputs to their
-    values by one batched call; a family without a batched solve has values
-    None, and its draws have no inputs.  batch makes the instances ks from
-    one values call over all their inputs."""
+    """A check family.  draw(seed, fam, k, layouts) makes instance k: it
+    returns (inputs, checks), the inputs of the instance's solves of one
+    kind and a function mapping their values, in order, to its
+    CheckResults.  values(inputs) maps a list of inputs to their values by
+    one batched call; a family without a batched solve has values None, and
+    its draws have no inputs.  batch makes the instances ks from one values
+    call over all their inputs."""
 
     draw: Callable
     values: Callable | None = None
 
-    def batch(self, seed, fam, ks, layouts, options) -> list:
-        drawn = [self.draw(seed, fam, k, layouts, options) for k in ks]
+    def batch(self, seed, fam, ks, layouts) -> list:
+        drawn = [self.draw(seed, fam, k, layouts) for k in ks]
         inputs = [x for xs, _ in drawn for x in xs]
-        values = iter(self.values(inputs, options) if self.values else ())
+        values = iter(self.values(inputs) if self.values else ())
         return [checks(*(next(values) for _ in xs)) for xs, checks in drawn]
 
 
 # the batch calls of the families; each looks its solver up when called, so a
 # patched module attribute reaches it
-def _lipschitz_values(hs, options):
-    return [lip.value for lip in lipschitz_constants(hs, options)]
+def _lipschitz_values(hs):
+    return [lip.value for lip in lipschitz_constants(hs)]
 
 
-def _w1_values(xs, options):
-    return [cert.value for cert in w1_primals(xs, options)]
+def _w1_values(xs):
+    return [cert.value for cert in w1_primals(xs)]
 
 
-def _transport_values(requests, options):
-    return [value for value, _ in cl.transport_lps(requests, options)]
+def _transport_values(requests):
+    return [value for value, _ in cl.transport_lps(requests)]
 
 
 # each family's weight: "light" runs `trials` instances, "heavy" runs
 # max(2, trials // 25), "fixed2" runs 2.  A state pair's W1 input is its
 # traceless difference, as w1_distance solves it.
 
-def _draw_duality(seed, fam, k, layouts, options):
+def _draw_duality(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
-    d = w1_dual(x, options).value
+    d = w1_dual(x).value
     return [x], lambda p: [CheckResult("duality-gap", abs(p - d), 1e-6 * (1.0 + p), inst)]
 
 
-def _draw_homogeneity(seed, fam, k, layouts, options):
+def _draw_homogeneity(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     c = inst["c"] = float(rng.uniform(-3.0, 3.0))
     return [x, c * x], lambda v, vc: [_eq("homogeneity", vc, abs(c) * v, inst)]
 
 
-def _draw_triangle(seed, fam, k, layouts, options):
+def _draw_triangle(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     y = random_traceless(layout, seed=rng)
     return [x + y, x, y], lambda vxy, vx, vy: [CheckResult("triangle", vxy, vx + vy, inst)]
 
 
-def _draw_sandwich(seed, fam, k, layouts, options):
+def _draw_sandwich(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     tn = trace_norm(x.matrix)
@@ -337,7 +338,7 @@ def _draw_sandwich(seed, fam, k, layouts, options):
                            CheckResult("sandwich-upper", v, 0.5 * layout.n * tn, inst)]
 
 
-def _draw_neighboring(seed, fam, k, layouts, options):
+def _draw_neighboring(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     rho, sigma, inst["site"] = _neighboring_pair(layout, rng)
     flags = () if is_neighboring(rho, sigma) is not None else ("not-detected",)
@@ -346,7 +347,7 @@ def _draw_neighboring(seed, fam, k, layouts, options):
         CheckResult("neighboring-collapse", abs(v - half), 1e-6 * (1.0 + v), inst, flags)]
 
 
-def _draw_permutation(seed, fam, k, layouts, options):
+def _draw_permutation(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     x = random_traceless(layout, seed=rng)
     perm = inst["perm"] = [int(p) + 1 for p in rng.permutation(layout.n)]
@@ -354,7 +355,7 @@ def _draw_permutation(seed, fam, k, layouts, options):
         lambda v, vp: [_eq("permutation-invariance", vp, v, inst)]
 
 
-def _draw_local_unitary(seed, fam, k, layouts, options):
+def _draw_local_unitary(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     i = inst["site"] = int(rng.integers(1, layout.n + 1))
@@ -363,7 +364,7 @@ def _draw_local_unitary(seed, fam, k, layouts, options):
         lambda v, vu: [_eq("local-unitary-invariance", vu, v, inst)]
 
 
-def _draw_channel_contraction(seed, fam, k, layouts, options):
+def _draw_channel_contraction(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     rho = random_density(layout, seed=rng)
     sigma = random_density(layout, seed=rng)
@@ -374,7 +375,7 @@ def _draw_channel_contraction(seed, fam, k, layouts, options):
             lambda before, after: [CheckResult("channel-contraction", after, before, inst)])
 
 
-def _draw_product_additivity(seed, fam, k, layouts, options):
+def _draw_product_additivity(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     one = QuditLayout(layout.d, 1)
     rhos = [random_density(one, seed=rng) for _ in range(layout.n)]
@@ -386,7 +387,7 @@ def _draw_product_additivity(seed, fam, k, layouts, options):
     return [_state_difference(rho, sigma)], lambda v: [_eq("product-additivity", v, want, inst)]
 
 
-def _draw_superadditivity(seed, fam, k, layouts, options):
+def _draw_superadditivity(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     x = random_traceless(layout, seed=rng)
     cut = inst["cut"] = int(rng.integers(1, layout.n))
@@ -396,7 +397,7 @@ def _draw_superadditivity(seed, fam, k, layouts, options):
         lambda va, vb, v: [CheckResult("superadditivity", va + vb, v, inst)]
 
 
-def _draw_locality(seed, fam, k, layouts, options):
+def _draw_locality(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     size = int(rng.integers(1, layout.n))
     region = inst["region"] = sorted(
@@ -414,16 +415,16 @@ def _draw_locality(seed, fam, k, layouts, options):
         CheckResult("locality-absolute", v, 2.0 * factor, inst)]
 
 
-def _draw_diagonal(seed, fam, k, layouts, options):
+def _draw_diagonal(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     q = _random_distribution(layout, rng)
-    cv, _ = cl.classical_w1(p, q, options)
+    cv, _ = cl.classical_w1(p, q)
     return [_state_difference(cl.diagonal_state(p), cl.diagonal_state(q))], lambda qv: [
         CheckResult("diagonal-restriction", abs(qv - cv), 1e-6 * (1.0 + cv), inst)]
 
 
-def _draw_replace_site(seed, fam, k, layouts, options):
+def _draw_replace_site(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     moved = x.matrix - replace_with_maximally_mixed(x, 1).matrix
@@ -432,7 +433,7 @@ def _draw_replace_site(seed, fam, k, layouts, options):
                                     2.0 * (d2 - 1.0) / d2 * trace_norm(x.matrix), inst)]
 
 
-def _draw_matched_marginal_entropy(seed, fam, k, layouts, options):
+def _draw_matched_marginal_entropy(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     rho = random_density(layout, seed=rng)
     tau = random_density(QuditLayout(layout.d, 1), seed=rng)
@@ -442,7 +443,7 @@ def _draw_matched_marginal_entropy(seed, fam, k, layouts, options):
                                     2.0 * math.log(layout.d), inst)]
 
 
-def _draw_classical_neighboring(seed, fam, k, layouts, options):
+def _draw_classical_neighboring(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     d, n = layout.d, layout.n
     prefix = rng.dirichlet(np.ones(d ** (n - 1)))
@@ -453,7 +454,7 @@ def _draw_classical_neighboring(seed, fam, k, layouts, options):
     return [(p, q, False)], lambda v: [CheckResult("classical-neighboring", v, 1.0, inst)]
 
 
-def _draw_factor_bound(seed, fam, k, layouts, options):
+def _draw_factor_bound(seed, fam, k, layouts):
     rng = _rng_for(seed, fam, k)
     d = layouts[0].d
     nx, ny = (1, 1) if k % 2 == 0 else (1, 2)
@@ -466,7 +467,7 @@ def _draw_factor_bound(seed, fam, k, layouts, options):
         CheckResult("product-factor-bound", vxy, vx * trace_norm(y.matrix), inst)]
 
 
-def _draw_entangled_pair(seed, fam, k, layouts, options):
+def _draw_entangled_pair(seed, fam, k, layouts):
     d = layouts[0].d
     gamma = maximally_entangled(d)
     if k % 2 == 1:
@@ -479,7 +480,7 @@ def _draw_entangled_pair(seed, fam, k, layouts, options):
         lambda v: [_eq("entangled-pair-value", v, want, inst)]
 
 
-def _draw_containment(seed, fam, k, layouts, options):
+def _draw_containment(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     rho = random_density(layout, seed=rng)
     i = inst["site"] = int(rng.integers(1, layout.n + 1))
@@ -488,55 +489,55 @@ def _draw_containment(seed, fam, k, layouts, options):
     return [x], lambda v: [CheckResult("channel-perturbation-containment", v, 1.0, inst)]
 
 
-def _draw_entropy(seed, fam, k, layouts, options):
+def _draw_entropy(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     rho = random_density(layout, seed=rng)
     sigma = random_density(layout, seed=rng)
     return [_state_difference(rho, sigma)], lambda w1: [_entropy_check(rho, sigma, w1, inst)]
 
 
-def _draw_pinsker(seed, fam, k, layouts, options):
+def _draw_pinsker(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     rho = random_density(layout, seed=rng)
     sigma = random_density(layout, seed=rng)
     return [], lambda: [check_pinsker(rho, sigma, inst)]
 
 
-def _draw_marton(seed, fam, k, layouts, options):
+def _draw_marton(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     rho = random_density(layout, seed=rng)
     one = QuditLayout(layout.d, 1)
-    factors = [random_density(one, seed=rng) for _ in range(layout.n)]
-    result = check_marton(rho, factors, options, inst)
-    return [], lambda: [result]
+    sigma = functools.reduce(tensor_product,
+                             [random_density(one, seed=rng) for _ in range(layout.n)])
+    return [_state_difference(rho, sigma)], lambda w1: [_marton_check(rho, sigma, w1, inst)]
 
 
-def _draw_mgf(seed, fam, k, layouts, options):
+def _draw_mgf(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     h = random_traceless(layout, seed=rng)
     t = (0.5, 1.0, -0.5, -1.0)[k % 4]
     return [h], lambda lip: [_mgf_check(h, t, lip, inst)]
 
 
-def _draw_tail(seed, fam, k, layouts, options):
+def _draw_tail(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     h = random_traceless(layout, seed=rng)
     delta = (0.5, 1.0, 2.0)[k % 3]
     return [h], lambda lip: [_tail_check(h, delta, lip, inst)]
 
 
-def _draw_diamond_dominates(seed, fam, k, layouts, options):
+def _draw_diamond_dominates(seed, fam, k, layouts):
     rng = _rng_for(seed, fam, k)
     one = QuditLayout(layouts[0].d, 1)
     phi = ch._random_channel(one, rng)
     psi = ch._random_channel(one, rng)
     lo = ch.one_to_one_norm(phi, psi, seed=rng)
-    hi = ch.diamond_norm(phi, psi, options)
+    hi = ch.diamond_norm(phi, psi)
     inst = {"seed": seed, "index": k, "d": one.d}
     return [], lambda: [CheckResult("diamond-dominates-one-to-one", lo, hi, inst)]
 
 
-def _draw_contraction_bracket(seed, fam, k, layouts, options):
+def _draw_contraction_bracket(seed, fam, k, layouts):
     rng = _rng_for(seed, fam, k)
     d = layouts[0].d
     if k % 2 == 0 and d == 2:
@@ -545,8 +546,7 @@ def _draw_contraction_bracket(seed, fam, k, layouts, options):
         phi, label = ch._random_channel(QuditLayout(d, 1), rng), "random"
     n = 2
     rep = ch.tensor_power_contraction_bounds(phi, n)
-    emp = ch.empirical_contraction(phi.tensor_power(n), samples=8,
-                                   seed=rng, options=options)
+    emp = ch.empirical_contraction(phi.tensor_power(n), samples=8, seed=rng)
     inst = {"seed": seed, "index": k, "channel": label, "n": n}
     # rep.lower and emp both estimate the contraction coefficient from below,
     # so neither bounds the other.  The witness ratio is the ratio of one
@@ -558,21 +558,20 @@ def _draw_contraction_bracket(seed, fam, k, layouts, options):
         CheckResult("contraction-witness-ratio", rep.lower, rep.witness_ratio, inst)]
 
 
-def _draw_depolarizing(seed, fam, k, layouts, options):
+def _draw_depolarizing(seed, fam, k, layouts):
     rng = _rng_for(seed, fam, k)
     d = layouts[0].d
     p = float(rng.uniform(0.1, 0.9))
     omega = random_density(QuditLayout(d, 1), seed=rng)
     phi = ch.depolarizing(p, omega)
     rep = ch.tensor_power_contraction_bounds(phi, 2)
-    emp = ch.empirical_contraction(phi.tensor_power(2), samples=6,
-                                   seed=rng, options=options)
+    emp = ch.empirical_contraction(phi.tensor_power(2), samples=6, seed=rng)
     inst = {"seed": seed, "index": k, "d": d, "p": p}
     return [], lambda: [CheckResult("depolarizing-exact", abs(rep.lower - p), 1e-6, inst),
                         CheckResult("depolarizing-empirical", emp, p, inst)]
 
 
-def _draw_light_cone(seed, fam, k, layouts, options):
+def _draw_light_cone(seed, fam, k, layouts):
     # three sites where a layout has them, else two
     layout, rng, inst = _setup(seed, fam, k, [l for l in layouts if l.n >= 3] or layouts,
                                min_sites=2)
@@ -583,13 +582,12 @@ def _draw_light_cone(seed, fam, k, layouts, options):
             gates.append((haar_unitary(layout.d ** 2, seed=rng), [a, a + 1]))
     circuit = ch.Circuit(layout, gates)
     cones, bound = ch.light_cone_bound(circuit)
-    emp = ch.empirical_contraction(circuit.as_channel(), samples=5,
-                                   seed=rng, options=options)
+    emp = ch.empirical_contraction(circuit.as_channel(), samples=5, seed=rng)
     inst["cones"] = cones
     return [], lambda: [CheckResult("light-cone-dominates", emp, bound, inst)]
 
 
-def _draw_classical_duality(seed, fam, k, layouts, options):
+def _draw_classical_duality(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     q = _random_distribution(layout, rng)
@@ -597,7 +595,7 @@ def _draw_classical_duality(seed, fam, k, layouts, options):
         CheckResult("classical-duality", abs(v - vd), 1e-8 * (1.0 + v), inst)]
 
 
-def _draw_classical_shannon(seed, fam, k, layouts, options):
+def _draw_classical_shannon(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     q = _random_distribution(layout, rng)
@@ -605,7 +603,7 @@ def _draw_classical_shannon(seed, fam, k, layouts, options):
         CheckResult("classical-shannon", *cl._shannon_check(p, q, w1), inst)]
 
 
-def _draw_classical_product_tv(seed, fam, k, layouts, options):
+def _draw_classical_product_tv(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts, min_sites=2)
     one = QuditLayout(layout.d, 1)
     ps = [_random_distribution(one, rng) for _ in range(layout.n)]
@@ -617,7 +615,7 @@ def _draw_classical_product_tv(seed, fam, k, layouts, options):
         CheckResult("classical-product-tv", abs(v - want), 1e-8 * (1.0 + want), inst)]
 
 
-def _draw_classical_marton(seed, fam, k, layouts, options):
+def _draw_classical_marton(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     p = _random_distribution(layout, rng)
     one = QuditLayout(layout.d, 1)
@@ -627,7 +625,7 @@ def _draw_classical_marton(seed, fam, k, layouts, options):
         CheckResult("classical-marton", *cl._marton_check(layout.n, w1, kl), inst)]
 
 
-def _draw_lipschitz_sandwich(seed, fam, k, layouts, options):
+def _draw_lipschitz_sandwich(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     h = random_traceless(layout, seed=rng)
     lo, hi = lipschitz_estimate(h)
@@ -635,7 +633,7 @@ def _draw_lipschitz_sandwich(seed, fam, k, layouts, options):
                                CheckResult("lipschitz-sandwich-upper", exact, hi, inst)]
 
 
-def _draw_norm_order(seed, fam, k, layouts, options):
+def _draw_norm_order(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
     x = random_traceless(layout, seed=rng)
     op = operator_norm(x.matrix)
@@ -666,7 +664,7 @@ _FAMILIES = (
     ("channel-perturbation-containment", "heavy", _Family(_draw_containment, _w1_values)),
     ("entropy-continuity", "heavy", _Family(_draw_entropy, _w1_values)),
     ("pinsker", "light", _Family(_draw_pinsker)),
-    ("marton", "heavy", _Family(_draw_marton)),
+    ("marton", "heavy", _Family(_draw_marton, _w1_values)),
     ("concentration-mgf", "light", _Family(_draw_mgf, _lipschitz_values)),
     ("spectral-tail", "light", _Family(_draw_tail, _lipschitz_values)),
     ("diamond-dominates-one-to-one", "heavy", _Family(_draw_diamond_dominates)),
@@ -750,7 +748,6 @@ class BatteryReport:
 
 
 def run_battery(seed: int = 42, trials: int = 100, layouts=None,
-                options: SolverOptions | None = None,
                 only=None) -> BatteryReport:
     """Run the whole check catalogue on seeded random instances.
 
@@ -777,14 +774,14 @@ def run_battery(seed: int = 42, trials: int = 100, layouts=None,
             continue
         ks = range(counts[weight])
         try:
-            for checks in family.batch(seed, fam_idx, ks, layouts, options):
+            for checks in family.batch(seed, fam_idx, ks, layouts):
                 results.extend(checks)
             continue
         except QW1Error:
             pass  # one instance at a time below, each failure on its own line
         for k in ks:
             try:
-                results.extend(family.batch(seed, fam_idx, [k], layouts, options)[0])
+                results.extend(family.batch(seed, fam_idx, [k], layouts)[0])
             except QW1Error as exc:
                 results.append(CheckResult(
                     fam_name, 1.0, 0.0,

@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse
 
 from . import conic
-from .conic import ConicProblem, SolverOptions, svec, smat
+from .conic import ConicProblem, svec, smat
 from .errors import LayoutMismatch, SupportMismatch
 from .operators import (
     HermitianOperator,
@@ -267,16 +267,16 @@ def _bracket(x: HermitianOperator, sol, first_full: int) -> W1Certificate:
     )
 
 
-def w1_primals(xs, options: SolverOptions | None = None) -> list:
+def w1_primals(xs) -> list:
     """w1_primal of every operator of xs, from batched solves of their
     programs side by side (conic._solved_batch, which also decides how many
     programs a solve takes); each starts from its telescoping
     decomposition.  The programs of one layout have the same rows, so the
     solver assembles their Schur matrices as one stack."""
-    return list(_w1_primal_runs(xs, options))
+    return list(_w1_primal_runs(xs))
 
 
-def _w1_primal_runs(xs, options: SolverOptions | None = None, bracket: bool = False):
+def _w1_primal_runs(xs, bracket: bool = False):
     """w1_primals as a generator, which makes each certificate only when it
     is asked for: a caller that keeps only values holds one certificate at
     a time.  With bracket, each certificate is the repaired one of
@@ -289,24 +289,24 @@ def _w1_primal_runs(xs, options: SolverOptions | None = None, bracket: bool = Fa
                            for part in _positive_parts(xi)]) for x in xs]
     names = [f"W1 primal SDP of operator {j + 1}" if len(xs) > 1 else "W1 primal SDP"
              for j in range(len(xs))]
-    sols = conic._solved_batch([problem for problem, _ in programs], names, options, x0s)
+    sols = conic._solved_batch([problem for problem, _ in programs], names, x0s)
     for x, (_, first_full), sol in zip(xs, programs, sols):
         yield (_bracket(x, sol, first_full) if bracket
                else _certificate(x, sol, first_full, sol.primal_objective))
 
 
-def w1_primal(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
+def w1_primal(x: HermitianOperator) -> W1Certificate:
     """Minimal-decomposition side, started from the telescoping
     decomposition; the witness comes from the multipliers."""
-    return w1_primals([x], options)[0]
+    return w1_primals([x])[0]
 
 
-def w1_dual(x: HermitianOperator, options: SolverOptions | None = None) -> W1Certificate:
+def w1_dual(x: HermitianOperator) -> W1Certificate:
     """Witness-maximization side, started from the zero witness; the
     decomposition comes from the slacks' complementary blocks."""
     x.require_traceless()
     problem, first_full = _w1_program(x)
-    sol = conic._solved(problem, "W1 dual SDP", options, y0=np.zeros(problem.b.size))
+    (sol,) = conic._solved_batch([problem], ["W1 dual SDP"], y0s=[np.zeros(problem.b.size)])
     return _certificate(x, sol, first_full, sol.dual_objective)
 
 
@@ -321,19 +321,18 @@ def _state_difference(rho, sigma) -> HermitianOperator:
     return HermitianOperator(rho.layout, diff - np.trace(diff) / D * np.eye(D))
 
 
-def w1_distance(rho, sigma, method: str = "primal",
-                options: SolverOptions | None = None) -> W1Certificate:
+def w1_distance(rho, sigma, method: str = "primal") -> W1Certificate:
     """W1 distance between two states.  method "primal" or "dual" solves
     from that side and reports its objective; "both" makes one primal solve
     and reports the bracket of _bracket, value = primal >= dual."""
     x = _state_difference(rho, sigma)
     if method == "primal":
-        return w1_primal(x, options)
+        return w1_primal(x)
     if method == "dual":
-        return w1_dual(x, options)
+        return w1_dual(x)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    return next(_w1_primal_runs([x], options, bracket=True))
+    return next(_w1_primal_runs([x], bracket=True))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,7 @@ def _lipschitz_programs(h: HermitianOperator) -> list:
                          np.concatenate([-eh, eh])) for A in _layout_data(h.d, h.n)[1]]
 
 
-def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
+def lipschitz_constants(hs) -> list:
     """Exact ||H||_L of every operator of hs, from batched solves.
 
     Site i's value 2 min_K ||H - I_i (x) K||_inf is twice the optimum of
@@ -388,7 +387,7 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
         names += [f"Lipschitz SDP{of} at site {i + 1}" for i in range(h.n)]
         programs += _lipschitz_programs(h)
         solved.append(j)
-    sols = iter(conic._solved_batch(programs, names, options))
+    sols = iter(conic._solved_batch(programs, names))
     for j in solved:
         h = hs[j]
         # site i's dual objective is -y at its trace row
@@ -399,11 +398,10 @@ def lipschitz_constants(hs, options: SolverOptions | None = None) -> list:
     return results
 
 
-def lipschitz_constant(h: HermitianOperator,
-                       options: SolverOptions | None = None) -> LipschitzResult:
+def lipschitz_constant(h: HermitianOperator) -> LipschitzResult:
     """Exact ||H||_L: lipschitz_constants of the one operator h, its n site
     programs going to one _solved_batch call, which may split them."""
-    return lipschitz_constants([h], options)[0]
+    return lipschitz_constants([h])[0]
 
 
 def lipschitz_estimate(h: HermitianOperator) -> tuple:
@@ -420,15 +418,16 @@ def lipschitz_estimate(h: HermitianOperator) -> tuple:
     return (d * d / (d * d - 1.0) * worst, 2.0 * worst)
 
 
-def is_neighboring(rho, sigma, tol: float = NEIGHBOR_TOL):
+def is_neighboring(rho, sigma):
     """Smallest site whose removal makes the states agree, or None."""
     if rho.layout != sigma.layout:
         raise LayoutMismatch(f"{rho.layout} vs {sigma.layout}")
     if rho.n == 1:
         # discarding the only qudit leaves the traces, which match for states
-        return 1 if abs(rho.trace() - sigma.trace()) <= tol else None
+        return 1 if abs(rho.trace() - sigma.trace()) <= NEIGHBOR_TOL else None
     for i in rho.layout.sites():
-        if trace_norm(partial_trace(rho, i).matrix - partial_trace(sigma, i).matrix) <= tol:
+        diff = partial_trace(rho, i).matrix - partial_trace(sigma, i).matrix
+        if trace_norm(diff) <= NEIGHBOR_TOL:
             return i
     return None
 

@@ -22,7 +22,6 @@ from qw1.classical import (
     shannon_continuity_bound,
     transport_lps,
 )
-from qw1.conic import SolverOptions
 from qw1.errors import InvalidInput, LengthMismatch, SolverFailure, SupportViolation
 from qw1.operators import HermitianOperator, QuditLayout, random_density
 from qw1.w1 import w1_primal
@@ -203,17 +202,17 @@ def test_transport_lps_split_into_runs_of_bounded_memory(monkeypatch):
         assert extra.shape == want_extra.shape
 
 
-def test_transport_lp_failures_name_pairs_not_requests():
+def test_transport_lp_failures_name_pairs_not_requests(monkeypatch):
     rng = np.random.default_rng(13)
     (p, q), (p2, q2) = _pairs(rng, 2, 2, 2)
-    short = SolverOptions(max_iterations=1)
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 1)
     # one pair on both sides, as one classical-duality instance asks
     with pytest.raises(SolverFailure, match=r"^transport LP ended with MaxIterations"):
-        transport_lps([(p, q, False), (p, q, True)], short)
+        transport_lps([(p, q, False), (p, q, True)])
     with pytest.raises(SolverFailure, match=r"^transport dual LP ended with MaxIterations"):
-        transport_lps([(p, q, True), (p, q, False)], short)
+        transport_lps([(p, q, True), (p, q, False)])
     with pytest.raises(SolverFailure, match=r"^transport dual LP of pair 1 ended"):
-        transport_lps([(p, q, True), (p, q, False), (p2, q2, True), (p2, q2, False)], short)
+        transport_lps([(p, q, True), (p, q, False), (p2, q2, True), (p2, q2, False)])
 
 
 def test_distribution_validation():

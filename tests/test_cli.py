@@ -191,6 +191,10 @@ def test_invalid_inputs_exit_one(tmp_path):
         proc = run_cli("concentration", fx("sigma_z_sum_n2"), flag, value, expect=1)
         assert proc.stderr.startswith(f"error: {flag[2:]} = {value} must be") and not proc.stdout
         assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr
+    # so is a t whose bound exp(n t^2 L^2 / 8) overflows a float
+    proc = run_cli("concentration", fx("sigma_z_sum_n2"), "--t", "30", expect=1)
+    assert proc.stderr.startswith("error: t = 30.0 makes") and not proc.stdout
+    assert proc.stderr.count("\n") == 1 and "overflow" in proc.stderr
 
 
 @pytest.mark.parametrize("flags", [("--samples", "-3"), ("--samples", "2", "--seed", "-1")])

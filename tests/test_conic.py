@@ -19,7 +19,6 @@ from qw1 import (
 from qw1 import classical, w1
 from qw1.conic import (
     ConicProblem,
-    SolverOptions,
     SolverStatus,
     smat,
     solve,
@@ -150,8 +149,9 @@ def test_warm_start_hints():
     assert abs(warm.primal_objective - cold.primal_objective) < 1e-7
 
 
-def test_iteration_cap_reports_status():
-    sol = solve(_lp_problem(), SolverOptions(max_iterations=1))
+def test_iteration_cap_reports_status(monkeypatch):
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 1)
+    sol = solve(_lp_problem())
     assert sol.status is SolverStatus.MaxIterations
     assert not sol.optimal
     assert sol.iterations == 1
@@ -179,7 +179,7 @@ def test_failure_names_cholesky_regularization(monkeypatch):
     assert sol.iterations == 1
     with pytest.raises(SolverFailure, match=r"Cholesky regularization past 1e-4 "
                                             r"\(last tried 1\.0e-04\)"):
-        conic._solved(_lp_problem(), "test LP")
+        conic._solved_batch([_lp_problem()], ["test LP"])
 
 
 def test_failure_names_non_finite_objective():
@@ -564,14 +564,14 @@ def test_csr_constraints_give_identical_bytes(monkeypatch):
 def test_failure_names_its_component():
     # two copies of the LP stacked, the second with a NaN cost
     base = _lp_problem()
-    prob = conic._stack([base, ConicProblem((), 2, base.A, base.b, np.array([np.nan, 0.0]))])
-    sol = solve(prob)
+    lps = [base, ConicProblem((), 2, base.A, base.b, np.array([np.nan, 0.0]))]
+    sol = solve(conic._stack(lps))
     assert sol.status is SolverStatus.NumericalFailure
     assert sol.component == 1
     assert sol.cause.startswith("component 2 of 2: non-finite mu")
-    with pytest.raises(SolverFailure, match=r"^two LPs ended with NumericalFailure "
+    with pytest.raises(SolverFailure, match=r"^LP 2 ended with NumericalFailure "
                                             r"after 1 iterations: component 2 of 2"):
-        conic._solved(prob, "two LPs")
+        conic._solved_batch(lps, ["LP 1", "LP 2"])
 
 
 def test_stack_parts_must_add_up():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qw1.lab as lab
+from qw1 import conic
 from qw1.errors import InvalidInput, QW1Error, SolverFailure
 from qw1.lab import (
     BatteryReport,
@@ -117,6 +118,11 @@ def test_concentration_mgf_z_sum():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInput, match="must be finite"):
             concentration_mgf(h, t)
+    # L = 2 at n = 3: exp(1.5 t^2) fits a float at |t| = 21, not at 22
+    assert concentration_mgf(h, -21.0).passed
+    for t in (22.0, -22.0):
+        with pytest.raises(InvalidInput, match=r"^t = -?22\.0 makes .* overflow a float"):
+            concentration_mgf(h, t)
 
 
 def test_spectral_tail_z_sum():
@@ -201,7 +207,7 @@ def test_report_with_missing_names_fails():
 
 
 def test_family_exception_becomes_failing_result(monkeypatch):
-    def boom(seed, fam, k, layouts, options):
+    def boom(seed, fam, k, layouts):
         raise InvalidInput("synthetic breakage")
 
     monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", lab._Family(boom)),))
@@ -215,7 +221,7 @@ def test_family_exception_becomes_failing_result(monkeypatch):
 
 
 def test_non_library_errors_propagate(monkeypatch):
-    def broken(seed, fam, k, layouts, options):
+    def broken(seed, fam, k, layouts):
         raise ValueError("not a library error")
 
     monkeypatch.setattr(lab, "_FAMILIES", (("duality-gap", "light", lab._Family(broken)),))
@@ -227,11 +233,11 @@ def test_lipschitz_family_batch_falls_back_to_single_instances(monkeypatch):
     lipschitz_constants = lab.lipschitz_constants
     sizes = []
 
-    def flaky(hs, options=None):
+    def flaky(hs):
         sizes.append(len(hs))
         if len(hs) > 1 or len(sizes) == 3:  # the batch, then instance 1 alone
             raise SolverFailure("synthetic trouble")
-        return lipschitz_constants(hs, options)
+        return lipschitz_constants(hs)
 
     clean = run_battery(seed=5, trials=4, only={"concentration-mgf"})
     assert clean.passed and len(clean.results) == 4
@@ -250,12 +256,12 @@ def test_w1_family_batch_falls_back_to_single_instances(monkeypatch):
     w1_primals = lab.w1_primals
     sizes = []
 
-    def flaky(xs, options=None):
+    def flaky(xs):
         xs = list(xs)
         sizes.append(len(xs))
         if len(xs) > 1 or len(sizes) == 3:  # the batch, then instance 1 alone
             raise SolverFailure("synthetic trouble")
-        return w1_primals(xs, options)
+        return w1_primals(xs)
 
     # trials 100 makes four heavy instances
     clean = run_battery(seed=5, trials=100, only={"sandwich"})
@@ -287,12 +293,12 @@ def test_classical_family_batch_falls_back_to_single_instances(monkeypatch):
     transport_lps = lab.cl.transport_lps
     sizes = []
 
-    def flaky(requests, options=None):
+    def flaky(requests):
         requests = list(requests)
         sizes.append(len(requests))
         if len(requests) > 2 or len(sizes) == 3:  # the batch, then instance 1 alone
             raise SolverFailure("synthetic trouble")
-        return transport_lps(requests, options)
+        return transport_lps(requests)
 
     clean = run_battery(seed=5, trials=4, only={"classical-duality"})
     assert clean.passed and len(clean.results) == 4
@@ -315,17 +321,17 @@ def test_batched_family_lines_equal_instances_made_alone(fam):
     name, weight, family = lab._FAMILIES[fam]
     layouts = (QuditLayout(2, 1), QuditLayout(2, 2), QuditLayout(2, 3))
     ks = range(20 if weight == "light" else 4)
-    batch = family.batch(42, fam, ks, layouts, None)
+    batch = family.batch(42, fam, ks, layouts)
     assert len(batch) == len(ks)
     for k, checks in zip(ks, batch):
-        (alone,) = family.batch(42, fam, [k], layouts, None)
+        (alone,) = family.batch(42, fam, [k], layouts)
         assert [json.dumps(r.to_json(), sort_keys=True) for r in checks] == \
             [json.dumps(r.to_json(), sort_keys=True) for r in alone], (name, k)
 
 
 def test_one_classical_duality_instance_names_its_lp_without_a_pair(monkeypatch):
-    short = lab.SolverOptions(max_iterations=1)
-    rep = run_battery(seed=5, trials=1, only={"classical-duality"}, options=short)
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 1)
+    rep = run_battery(seed=5, trials=1, only={"classical-duality"})
     (failed,) = rep.results
     assert failed.flags == ("exception",)
     assert failed.instance["error"].startswith("transport LP ended with MaxIterations")

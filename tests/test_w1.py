@@ -33,6 +33,7 @@ from qw1 import (
     w1_primals,
 )
 from qw1 import conic
+from qw1.channels import amplitude_damping, diamond_norm
 from qw1.classical import Distribution, classical_w1, classical_w1_dual, diagonal_state
 from qw1.errors import LayoutMismatch, NotTraceless, SolverFailure, SupportMismatch
 from qw1.operators import embed_matrix, load_operator, operator_norm, partial_trace
@@ -294,8 +295,8 @@ def _site_value_reference(h, i):
     A[1:, L:] = site[i]
     b = np.zeros(1 + nc)
     b[0] = -1.0
-    sol = conic._solved(conic.ConicProblem((D, D), 0, A, b, np.concatenate([-eh, eh])),
-                        f"reference site {i + 1}")
+    problem = conic.ConicProblem((D, D), 0, A, b, np.concatenate([-eh, eh]))
+    (sol,) = conic._solved_batch([problem], [f"reference site {i + 1}"])
     return 2.0 * max(-sol.dual_objective, 0.0)
 
 
@@ -358,16 +359,29 @@ def test_lipschitz_constants_batch_matches_single_solves(monkeypatch):
     assert lipschitz_constants([]) == []
 
 
-def test_lipschitz_failure_names_operator_and_site():
+def test_lipschitz_failure_names_operator_and_site(monkeypatch):
     # each site program is one part of the stack, named by operator and site
-    opts = conic.SolverOptions(max_iterations=1)
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 1)
     hs = [random_traceless(QuditLayout(2, n), seed=700 + n) for n in (2, 3)]
     with pytest.raises(SolverFailure, match=r"^Lipschitz SDP of operator 1 at site 1 "
                                             r"ended with MaxIterations after 1 iterations"):
-        lipschitz_constants(hs, opts)
+        lipschitz_constants(hs)
     with pytest.raises(SolverFailure, match=r"^Lipschitz SDP at site 1 ended with "
                                             r"MaxIterations after 1 iterations"):
-        lipschitz_constant(hs[1], opts)
+        lipschitz_constant(hs[1])
+
+
+def test_single_program_failures_name_the_program(monkeypatch):
+    # w1_primal, w1_dual and diamond_norm solve one program, named alone
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 1)
+    x = random_traceless(QuditLayout(2, 2), seed=5)
+    for side, name in ((w1_dual, "W1 dual SDP"), (w1_primal, "W1 primal SDP")):
+        with pytest.raises(SolverFailure, match=rf"^{name} ended with MaxIterations "
+                                                r"after 1 iterations$"):
+            side(x)
+    with pytest.raises(SolverFailure, match=r"^diamond norm SDP ended with MaxIterations "
+                                            r"after 1 iterations$"):
+        diamond_norm(amplitude_damping(0.1), amplitude_damping(0.3))
 
 
 def test_w1_primals_of_mixed_layouts_match_single_solves(monkeypatch):
