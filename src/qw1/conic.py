@@ -64,10 +64,15 @@ rank test too.  Per iteration the Schur matrices of a class's running
 members are assembled as one (C, m, m) stack, with each block's scaling
 matrices gathered as a (C, k, k) stack; the members are taken in chunks
 that keep each temporary within _SCHUR_BATCH entries, or within one
-member's when that is larger.  Each member's matrix is then factored by
-its own scipy cho_factor on its own regularization ladder, as a program
-alone is.  A member's iterates, and so its final point and iteration
-count, equal those of its solo program bit for bit.
+member's when that is larger.  The template's unit rows (see below) are
+read once per class too, with the int32 index tables of their kernel.
+Each member's matrix is then factored by its own scipy cho_factor on its
+own regularization ladder, as a program alone is.  The stack and the
+members' factors live in two (C, m, m) arrays allocated once per solve and
+refilled every iteration: the stack is made symmetric in place and each
+factor is made in place in its member's slice of the second.  A member's
+iterates, and so its final point and iteration count, equal those of its
+solo program bit for bit.
 
 _solved_batch stacks independent programs with _stack, one solve per
 run, and hands each program its slices of the solution, its own objectives
@@ -87,6 +92,21 @@ primal-dual interior-point methods for semidefinite programming", Math.
 Prog. 79, 1997): W F_b W is a sum of rank-one terms W e_p e_q^T W, one per
 nonzero, and M[a, b] = Tr[F_a W F_b W] reads it only where F_a is nonzero.
 M is real: the trace of a product of two Hermitian matrices is real.
+
+A unit row has exactly one nonzero on every PSD block it touches, such as
+the D^2 - 1 full-space rows of the W1 program, one coordinate of each of
+its 2n blocks, or the corner rows of the diamond norm on Z.  Blocks of one
+order share a kernel when their unit rows are the same rows at the same
+coordinates with the same values up to one sign per block.  Between two
+unit rows M reads the Kronecker sum sum_j W_j (x) conj(W_j) of the sharing
+blocks, which one zgemm of inner dimension B forms as sum_j vec(W_j)
+vec(W_j)^H, at two entries per pair of rows (_UnitRows): two gathers at
+int32 index tables and a scaling, by row slabs of bounded size, in place of
+forming W F_b W for each row.  The sparse formula forms W F_b W for the
+other rows only, and contracts them against every row; the entries of the
+unit rows against the other rows are then copied from their transpose.
+The structure is read from A alone, so a program without unit rows, such
+as the Lipschitz constant's, keeps the sparse formula for every row.
 
 A must have full row rank: the programs of w1 and classical omit their
 one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
@@ -125,7 +145,9 @@ FEAS_TOL = 1e-8
 STEP_FRACTION = 0.98
 # entries of the W F_b W matrices formed at once by the Schur formula, over
 # the members of a class taken together (at least one member's rows of one
-# batch): small enough that one batch stays in cache while it is contracted
+# batch): small enough that one batch stays in cache while it is contracted.
+# The unit-row kernel bounds its slabs of M and of K, and the in-place
+# symmetrization its slabs of rows, by the same count.
 _SCHUR_BATCH = 1 << 16
 # entries (16 MB of float64) up to which _batch_chunks puts programs into one
 # batched solve: the battery's largest batch (0.85M entries at 100 trials)
@@ -533,12 +555,14 @@ class _SparseRows:
 
     Row b's matrix F_b has a few nonzeros F_b[p, q], so W F_b W is the sum
     of the rank-one terms F_b[p, q] W[:, p] W[q, :], where W[:, p] is the
-    conjugate of W[p, :].  Rows with the same number of such terms are
-    batched into one stacked product, and M[a, b] = Tr[F_a W F_b W] is read
-    off at the svec nonzeros of F_a by one sparse product per batch.
+    conjugate of W[p, :].  W F_b W is formed only for the rows touch[formed],
+    those that are not unit rows (_UnitRows has the others): rows with the
+    same number of such terms are batched into one stacked product, and
+    M[a, b] = Tr[F_a W F_b W] is read off for every row a touching the block
+    at the svec nonzeros of F_a by one sparse product per batch.
     """
 
-    def __init__(self, touch, pos, col, val, k: int, m: int):
+    def __init__(self, touch, pos, col, val, k: int, m: int, formed: np.ndarray):
         co = _coords(k)
         r, s = co.row[col], co.col[col]
         # Tr[F_a T] = svec(F_a) . svec(T), read from the float view of T
@@ -556,8 +580,8 @@ class _SparseRows:
         start = np.cumsum(count) - count
         per_batch = max(1, _SCHUR_BATCH // (k * k))
         self.batches = []
-        for p in np.unique(count):
-            group = np.flatnonzero(count == p)
+        for p in np.unique(count[formed]):
+            group = np.flatnonzero((count == p) & formed)
             for lo in range(0, group.size, per_batch):
                 g = group[lo:lo + per_batch]
                 idx = start[g, None] + np.arange(p)
@@ -578,33 +602,160 @@ class _SparseRows:
                 M[sl, cols] += (self.contract @ T).T.reshape(C, cols.size, -1)
 
 
+def _where(rows: np.ndarray, cols: np.ndarray):
+    """The index of M[:, rows, cols], by slices where both are contiguous
+    ranges (a view), else by index arrays."""
+    def span(idx):
+        lo = int(idx[0])
+        return slice(lo, lo + idx.size) if np.array_equal(idx, np.arange(lo, lo + idx.size)) \
+            else None
+    r, c = span(rows), span(cols)
+    if r is not None and c is not None:
+        return slice(None), r, c
+    return slice(None), rows[:, None], cols[None, :]
+
+
+class _UnitRows:
+    """Schur formula for the unit rows of a set of blocks of one order.
+
+    The rows hold one nonzero on each of the blocks, at the same svec
+    coordinate and with the same value t, up to one sign per block, which
+    cancels in M.  With F_a = t_a smat(e_alpha) for row a at coordinate
+    alpha, M[a, b] = t_a t_b sum_j Tr[smat(e_alpha) W_j smat(e_beta) W_j],
+    which reads K = sum_j vec(W_j) vec(W_j)^H, the Kronecker sum
+    sum_j W_j (x) conj(W_j) with its indices rearranged: one zgemm whose
+    inner dimension is the number of blocks.  For alpha = (p, q) and
+    beta = (r, s), entries of the upper triangle (p <= q, r <= s), the trace
+    is (scale_alpha scale_beta / 2) (+-y1 +- y2), scale being the svec scale
+    (1 on the diagonal, sqrt 2 off it), with y1 = K[(p, s), (q, r)] and
+    y2 = K[(p, r), (q, s)] taken by their real part, or by their imaginary
+    part where one of alpha and beta is imaginary; y1 is negated where both
+    are imaginary and y2 where beta alone is.
+
+    The rows are sorted by coordinate and taken in slabs of consecutive p,
+    whose rows of M read only the rows (p, .) of K.  Per slab, two int32
+    tables index each entry's y1 and y2 in the float view of those rows of
+    K followed by their negation, so a slab of M is two gathers, scaled by
+    t_a scale_alpha / 2 along its rows and t_b scale_beta along its
+    columns."""
+
+    def __init__(self, rows: np.ndarray, coords: np.ndarray, values: np.ndarray, k: int):
+        order = np.argsort(coords, kind="stable")
+        rows, coords, values = rows[order], coords[order], values[order]
+        co = _coords(k)
+        p, q, imag = co.row[coords], co.col[coords], co.imag[coords]
+        scale = values * co.scale[coords]
+        u = rows.size
+        self.rows = rows
+        self.scale = scale
+        # slabs of whole p groups, each with at most _SCHUR_BATCH entries of
+        # M and of the float view of its rows of K and their negation, or
+        # one p group
+        first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        bounds = [0]
+        for lo, hi in zip(first, np.r_[first[1:], u]):
+            start = bounds[-1]
+            if start < lo and max((hi - start) * u,
+                                  4 * (p[hi - 1] + 1 - p[start]) * k ** 3) > _SCHUR_BATCH:
+                bounds.append(lo)
+        bounds.append(u)
+        self.slabs = []
+        for i0, i1 in zip(bounds, bounds[1:]):
+            p0 = p[i0]
+            width = (p[i1 - 1] + 1 - p0) * k  # the rows of K the slab reads
+            half = 2 * width * k * k          # floats in their float view
+            ia = imag[i0:i1]
+            # 2 (row k^2 + col) + imag part + half if negated, as a sum of a
+            # term of alpha, a term of beta and one where both are imaginary
+            alpha = 2 * ((p[i0:i1] - p0) * k ** 3 + q[i0:i1] * k) + ia
+
+            def table(beta, both):
+                out = np.add.outer(alpha.astype(np.int32), beta.astype(np.int32))
+                np.add(out, both.astype(np.int32), out=out, where=ia[:, None])
+                return out
+
+            self.slabs.append((slice(p0 * k, p0 * k + width),
+                               table(2 * (q * k * k + p) + imag, (half - 2) * imag),
+                               table(2 * (p * k * k + q) + (half + 1) * imag,
+                                     -(half + 2) * imag),
+                               scale[i0:i1, None] / 2.0, _where(rows[i0:i1], rows)))
+
+    def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
+        """Add the rows' terms to the (C, m, m) stack M, with W the (C, B, k,
+        k) stack of the scaling matrices of the B blocks."""
+        C, B, k, _ = W.shape
+        vec = W.reshape(C, B, k * k)
+        conj = vec.conj()
+        for krows, y1, y2, row_scale, where in self.slabs:
+            width = krows.stop - krows.start
+            for sl in _chunks(C, max(4 * width * k * k, 2 * y1.size)):
+                n = len(conj[sl])
+                # rows krows of K, then their negation
+                K = np.empty((n, 2, width, k * k), dtype=complex)
+                np.matmul(vec[sl, :, krows].swapaxes(1, 2), conj[sl], out=K[:, 0])
+                np.negative(K[:, 0], out=K[:, 1])
+                flat = K.view(float).reshape(n, -1)
+                terms = np.take(flat, y1, axis=1)
+                terms += np.take(flat, y2, axis=1)
+                terms *= row_scale
+                terms *= self.scale
+                M[sl][where] += terms
+
+
 class _BlockData:
     """The Schur complement data of one class of identical components (see
     _Components), read from its template, the class's first component.
 
-    blocks holds one (rows, group, place) per PSD block of the template
-    that some row touches: a _SparseRows on the template's rows numbered
-    within the component, the block's order group, and, per member, the
-    place in that group's stacks of the member's block at the same
-    position.  lp_cols holds the template's LP columns of A as a dense
-    array, lp_idx[c] the LP columns of member c and rows[c] its rows.  A is
-    a CSR matrix."""
+    A unit row has exactly one nonzero on every PSD block it touches.  Each
+    block's unit rows go to a _UnitRows, shared by the blocks of one order
+    whose unit rows are the same rows at the same coordinates with the same
+    values up to one sign per block: units holds one (rows, group, places)
+    each, with the blocks' order group and, per member, the places in that
+    group's stacks of the member's blocks at the same positions.  blocks
+    holds one (rows, group, place) per PSD block of the template on which
+    some other row has nonzeros: a _SparseRows on the template's rows
+    numbered within the component that forms W F W for those rows only,
+    the block's order group, and the place per member.  mirror indexes M at
+    the unit rows against the other rows, and its transpose, or is None.
+    lp_cols holds the template's LP columns of A as a dense array, lp_idx[c]
+    the LP columns of member c and rows[c] its rows.  A is a CSR matrix."""
 
     def __init__(self, A, cone: _Cone, comps: _Components, members: np.ndarray):
         t = members[0]
         self.members = members
         self.size = size = comps.size[t]
         sub = A if size == A.shape[0] else A[comps.rows[t]]
-        nonzeros = np.repeat(np.arange(size), np.diff(sub.indptr)), sub.indices, sub.data
+        row = np.repeat(np.arange(size), np.diff(sub.indptr))
+        nonzeros = row, sub.indices, sub.data
+        blocks = comps.blocks_in[t]
+        # a row is a unit row unless it has two nonzeros on one block
+        psd = sub.indices < cone.lp_slice.start
+        starts = [cone.slices[b].start for b in blocks]
+        pair = row[psd] * len(blocks) + np.searchsorted(starts, sub.indices[psd], "right") - 1
+        unit = np.ones(size, dtype=bool)
+        unit[row[psd][np.bincount(pair)[pair] > 1]] = False
         self.blocks = []
-        for p, b in enumerate(comps.blocks_in[t]):
+        shared = {}  # the blocks of each _UnitRows, by (order, rows, coordinates, values)
+        for p, b in enumerate(blocks):
             k = cone.blocks[b]
             touch, pos, col, val = _entries(*nonzeros, cone.slices[b])
-            if touch.size == 0:
-                continue
             same = [comps.blocks_in[j][p] for j in members]
-            self.blocks.append((_SparseRows(touch, pos, col, val, k, size),
-                                cone.group[b], cone.place[same]))
+            formed = ~unit[touch]
+            if formed.any():
+                self.blocks.append((_SparseRows(touch, pos, col, val, k, size, formed),
+                                    cone.group[b], cone.place[same]))
+            lone = unit[touch[pos]]  # the nonzeros of unit rows
+            if lone.any():
+                v = val[lone] if val[lone][0] > 0 else -val[lone]
+                key = k, touch[pos[lone]].tobytes(), col[lone].tobytes(), v.tobytes()
+                shared.setdefault(key, (touch[pos[lone]], col[lone], v, k, []))[4].append(same)
+        self.units = [(_UnitRows(r, c, v, k), cone.group[same[0][0]],
+                       cone.place[np.array(same).T])
+                      for r, c, v, k, same in shared.values()]
+        ones = np.flatnonzero(unit & (np.bincount(row[psd], minlength=size) > 0))
+        others = np.flatnonzero(~unit)
+        self.mirror = (_where(ones, others), _where(others, ones)) \
+            if ones.size and others.size else None
         lp = comps.lp_in[t]
         self.lp_cols = (sub[:, cone.lp_slice.start + lp].toarray() if lp.size
                         else np.zeros((size, 0)))
@@ -612,25 +763,62 @@ class _BlockData:
         self.rows = [comps.rows[j] for j in members]
 
 
-def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray) -> np.ndarray:
+def _symmetrize(M: np.ndarray) -> None:
+    """M = (M + M^T) / 2 for each matrix of the (C, m, m) stack, in place:
+    in slabs of rows whose temporaries stay within _SCHUR_BATCH entries, each
+    taking the entries of its rows and columns not yet averaged, so every
+    entry is that of the out-of-place formula, bit for bit."""
+    C, m, _ = M.shape
+    step = max(1, _SCHUR_BATCH // max(1, C * m))
+    for lo in range(0, m, step):
+        hi = lo + step
+        avg = M[:, lo:hi, lo:] + M[:, lo:, lo:hi].swapaxes(1, 2)
+        avg /= 2.0
+        M[:, lo:hi, lo:] = avg
+        M[:, lo:, lo:hi] = avg.swapaxes(1, 2)
+
+
+def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """The Schur complements of the class members live (positions in
-    bd.members) on their rows, as a (C, m, m) stack."""
-    M = np.zeros((live.size, bd.size, bd.size))
+    bd.members) on their rows, as a (C, m, m) stack, written into out when
+    given.  The _SparseRows give the rows that are not unit rows, against
+    every row, and the _UnitRows the unit rows against each other; the unit
+    rows against the others are then copied from their transpose, and the
+    stack is made symmetric in place."""
+    if out is None:
+        M = np.zeros((live.size, bd.size, bd.size))
+    else:
+        M = out
+        M.fill(0.0)
     for rows, group, place in bd.blocks:
         rows.add_to(M, scal.Ws[group][place[live]])
+    for rows, group, places in bd.units:
+        rows.add_to(M, scal.Ws[group][places[live]])
+    if bd.mirror is not None:
+        ones_others, others_ones = bd.mirror
+        M[ones_others] = M[others_ones].swapaxes(1, 2)
     lp = bd.lp_cols
     if lp.shape[1]:
         M += (lp * scal.w_lp[bd.lp_idx[live]][:, None, :] ** 2) @ lp.T
-    return (M + M.swapaxes(1, 2)) / 2.0
+    _symmetrize(M)
+    return M
 
 
-def _cho_factor(M: np.ndarray):
+def _cho_factor(M: np.ndarray, work: np.ndarray):
     """scipy's cho_factor of M plus the first regularization of the ladder
-    1e-12, 1e-10, ... that works; None and the last one tried past 1e-4."""
+    1e-12, 1e-10, ... that works, made in place in work, a C-ordered array
+    of M's shape that holds the factor afterwards; None and the last one
+    tried past 1e-4.  LAPACK gets the F-ordered transpose of work, the same
+    matrix since M is symmetric, so that it copies nothing; each try refills
+    work from M."""
     reg = STATIC_REGULARIZATION
+    diagonal = work.reshape(-1)[::len(work) + 1]
     while True:
+        np.copyto(work, M)
+        diagonal += reg
         try:
-            return scipy.linalg.cho_factor(M + reg * np.eye(len(M)), lower=True,
+            return scipy.linalg.cho_factor(work.T, lower=True, overwrite_a=True,
                                            check_finite=False), reg
         except np.linalg.LinAlgError:
             reg *= 100.0
@@ -638,9 +826,10 @@ def _cho_factor(M: np.ndarray):
                 return None, reg / 100.0
 
 
-def _factor(M: np.ndarray, rows):
+def _factor(M: np.ndarray, rows, work: np.ndarray):
     """Factor the (C, m, m) stack M of Schur matrices, those of the running
-    members of one class, whose rows are rows[c], one member at a time.
+    members of one class, whose rows are rows[c], one member at a time, the
+    factor of member c in work[c].
 
     Returns a list of (rows, solve), solve mapping the right-hand sides on
     rows to the solutions, and None; or None and (c, cause) for the first
@@ -648,7 +837,7 @@ def _factor(M: np.ndarray, rows):
     """
     pieces = []
     for c, (Mc, r) in enumerate(zip(M, rows)):
-        chol, reg = _cho_factor(Mc)
+        chol, reg = _cho_factor(Mc, work[c])
         if chol is None:
             return None, (c, f"Cholesky regularization past 1e-4 (last tried {reg:.1e})")
         pieces.append((r, functools.partial(scipy.linalg.cho_solve, chol,
@@ -668,6 +857,9 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
     c = problem.c
     m = A.shape[0]
     classes = [_BlockData(A, cone, comps, members) for members in comps.classes]
+    # per class its Schur matrices and their factors, refilled every iteration
+    buffers = [(np.empty((bd.members.size, bd.size, bd.size)),
+                np.empty((bd.members.size, bd.size, bd.size))) for bd in classes]
     AT = A.T
     bnorm = [1.0 + np.abs(b[rows]).max(initial=0.0) for rows in comps.rows]
     cnorm = [1.0 + np.abs(c[coords]).max(initial=0.0) for coords in comps.coords]
@@ -724,11 +916,12 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
         scal = _Scaling(cone, comps, x, s)
         solves = []
         trouble = []  # per failing class, its first failing member and cause
-        for bd in classes:
+        for bd, (schur, work) in zip(classes, buffers):
             alive = np.flatnonzero(running[bd.members])
             if not alive.size:
                 continue
-            pieces, failed = _factor(_schur(bd, scal, alive), [bd.rows[c] for c in alive])
+            M = _schur(bd, scal, alive, out=schur[:alive.size])
+            pieces, failed = _factor(M, [bd.rows[c] for c in alive], work)
             if failed:
                 trouble.append((int(bd.members[alive[failed[0]]]), failed[1]))
             else:

@@ -321,6 +321,179 @@ def test_schur_on_w1_program(dense, monkeypatch):
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
+def _block_data(prob):
+    cone = conic._Cone(prob.psd_blocks, prob.lp_dim)
+    comps = conic._Components(prob, cone)
+    return cone, conic._BlockData(prob.A, cone, comps, comps.classes[0])
+
+
+def _formed_rows(bd):
+    """The rows for which the _SparseRows form W F W."""
+    return np.unique(np.concatenate([cols for rows, _, _ in bd.blocks
+                                     for cols, *_ in rows.batches]))
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_unit_rows_kernel_on_w1_programs(d, n):
+    # the full-space rows, one coordinate on each of the 2n blocks, share one
+    # kernel; the site rows stay on the sparse formula
+    x = random_traceless(QuditLayout(d, n), seed=d + n)
+    prob, first_full = w1._w1_program(x)
+    D, m = d ** n, prob.A.shape[0]
+    cone, bd = _block_data(prob)
+    (unit, group, places), = bd.units
+    assert unit.rows.tolist() == list(range(first_full, m)) == list(range(m - (D * D - 1), m))
+    assert places.tolist() == [list(range(2 * n))]
+    assert _formed_rows(bd).tolist() == list(range(first_full))
+    rng = np.random.default_rng(d * n)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks], np.ones(0))
+    M, = conic._schur(bd, scal, np.array([0]))
+    ref = _dense_schur(prob.A.toarray(), cone, scal.W, scal.w_lp)
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    np.testing.assert_array_equal(M, M.T)
+
+
+def test_diamond_norm_corner_rows_take_the_kernel(monkeypatch):
+    # the corner rows are unit rows of Z alone; the S rows are unit on S_a
+    # but not on Z, so they are no unit rows and stay on the sparse formula
+    from qw1.channels import amplitude_damping, diamond_norm
+    captured = []
+
+    def capture(problems, names, *args, **kwargs):
+        captured.extend(problems)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(conic, "_solved_batch", capture)
+    with pytest.raises(RuntimeError):
+        diamond_norm(amplitude_damping(0.3), amplitude_damping(0.7))
+    prob, = captured
+    big, din = prob.psd_blocks[0], prob.psd_blocks[1]
+    corner = 2 * (big // 2) ** 2
+    cone, bd = _block_data(prob)
+    (unit, group, places), = bd.units
+    assert unit.rows.tolist() == list(range(corner))
+    assert places.tolist() == [[0]]
+    assert _formed_rows(bd).tolist() == list(range(corner, corner + 2 * din * din))
+    assert [cone.orders[group][0] for _, group, _ in bd.blocks] == [big, din, din]
+    rng = np.random.default_rng(3)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks],
+                 rng.uniform(0.5, 2.0, prob.lp_dim))
+    M, = conic._schur(bd, scal, np.array([0]))
+    ref = _dense_schur(prob.A.toarray(), cone, scal.W, scal.w_lp)
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_unit_rows_of_blocks_that_disagree_in_value():
+    # unit rows 0, 2, 5 and 6 at unsorted coordinates: blocks 0 and 1 carry
+    # the same values up to sign and share a kernel, block 2 carries other
+    # values and gets its own; rows 1, 3 and 4 are not unit rows
+    rng = np.random.default_rng(11)
+    blocks, lp_dim = (3, 3, 3), 2
+    cone = conic._Cone(blocks, lp_dim)
+    A = np.zeros((7, cone.dim))
+    coords, values = np.array([7, 1, 4, 0]), rng.standard_normal(4)
+    for b, scale in ((0, 1.0), (1, -1.0), (2, 1.0)):
+        A[[0, 2, 5, 6], cone.slices[b].start + coords] = \
+            scale * values if b < 2 else values + 1.0
+    for r in (1, 3, 4):
+        for b in range(3):
+            A[r, cone.slices[b].start + rng.choice(9, 3, replace=False)] = rng.standard_normal(3)
+    A[[0, 3], cone.lp_slice.start + np.arange(2)] = rng.standard_normal(2)
+    _, bd = _block_data(_stored(cone, A, False))
+    assert [places.tolist() for _, _, places in bd.units] == [[[0, 1]], [[2]]]
+    for unit, _, _ in bd.units:
+        assert unit.rows.tolist() == [6, 2, 5, 0]  # sorted by coordinate
+    assert _formed_rows(bd).tolist() == [1, 3, 4]
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in blocks], rng.uniform(0.5, 2.0, lp_dim))
+    M, = conic._schur(bd, scal, np.array([0]))
+    ref = _dense_schur(A, cone, scal.W, scal.w_lp)
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    np.testing.assert_array_equal(M, M.T)
+
+
+def test_batch_of_w1_programs_with_the_kernel_equals_solo_solves():
+    xs = [random_traceless(QuditLayout(2, 3), seed=s) for s in (5, 6, 7)]
+    programs = [w1._w1_program(x)[0] for x in xs]
+    joint = conic._stack(programs)
+    cone = conic._Cone(joint.psd_blocks, joint.lp_dim)
+    comps = conic._Components(joint, cone)
+    assert [members.tolist() for members in comps.classes] == [[0, 1, 2]]
+    assert len(conic._BlockData(joint.A, cone, comps, comps.classes[0]).units) == 1
+    batch = conic._solved_batch(programs, ["a", "b", "c"])
+    for prob, got in zip(programs, batch):
+        want = solve(prob)
+        assert want.optimal and got.iterations == want.iterations
+        for name in ("x", "y", "s"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _float_arrays(obj, seen=None):
+    """Every float numpy array reachable from obj's attributes, containers
+    and sparse matrices."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind in "fc" else []
+    if scipy.sparse.issparse(obj):
+        return [obj.data]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _float_arrays(item, seen)]
+    if hasattr(obj, "__dict__"):
+        return [a for item in vars(obj).values() for a in _float_arrays(item, seen)]
+    return []
+
+
+def test_schur_of_a_large_w1_program_stays_within_twice_its_matrix():
+    import tracemalloc
+
+    x = random_traceless(QuditLayout(3, 3), seed=2)
+    prob, _ = w1._w1_program(x)
+    D = x.layout.dim
+    cone, bd = _block_data(prob)
+    assert len(bd.units) == 1
+    assert max(a.size for a in _float_arrays(bd)) < D ** 4
+    rng = np.random.default_rng(1)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks], np.ones(0))
+    tracemalloc.start()
+    try:
+        M = conic._schur(bd, scal, np.array([0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * M.nbytes
+
+
+def test_schur_into_a_buffer_and_factor_in_place(monkeypatch):
+    # the stack written into a given buffer, its in-place symmetrization and
+    # the in-place factor, on the first rung of the ladder and after a
+    # failed one, give the bits of the out-of-place formulas
+    cone, bd = _block_data(_w1_problem(monkeypatch))
+    rng = np.random.default_rng(4)
+    scal = _Scal(cone, [_random_hpd(rng, k) for k in cone.blocks], np.ones(0))
+    M, = conic._schur(bd, scal, np.array([0]))
+    m = len(M)
+    buffer = np.full((2, m, m), np.nan)
+    conic._schur(bd, scal, np.array([0]), out=buffer[:1])
+    assert buffer[0].tobytes() == M.tobytes()
+    raw = rng.standard_normal((3, 40, 40))
+    sym = raw.copy()
+    conic._symmetrize(sym)
+    assert sym.tobytes() == ((raw + raw.swapaxes(1, 2)) / 2.0).tobytes()
+    # M, then M with its least eigenvalue moved to -1e-11, which needs 1e-10
+    w, v = np.linalg.eigh(M)
+    shifted = v @ np.diag(np.r_[-1e-11, w[1:]]) @ v.T
+    shifted = (shifted + shifted.T) / 2.0
+    for matrix, rung in ((M, 1e-12), (shifted, 1e-10)):
+        work = np.full((m, m), np.nan)
+        (factor, lower), reg = conic._cho_factor(matrix, work)
+        want, _ = scipy.linalg.cho_factor(matrix + reg * np.eye(m), lower=True)
+        assert lower and reg == rung
+        assert np.shares_memory(factor, work)
+        assert np.tril(factor).tobytes() == np.tril(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full row rank
 # ---------------------------------------------------------------------------
