@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import conic
 from .conic import ConicProblem, svec
@@ -180,6 +179,9 @@ def _difference_action(phi: KrausChannel, psi: KrausChannel):
 
 def _one_to_one_with_maximizer(phi: KrausChannel, psi: KrausChannel, seed=1234):
     """max_rho ||(phi - psi)(rho)||_1 over pure inputs, plus an argmax."""
+    # the package's one use of scipy.optimize, slow to import: only here
+    import scipy.optimize
+
     d = phi.layout.dim
     basis, images = _difference_action(phi, psi)
 

@@ -64,7 +64,7 @@ rank test too.  Per iteration the Schur matrices of a class's running
 members are assembled as one (C, m, m) stack, with each block's scaling
 matrices gathered as a (C, k, k) stack; the members are taken in chunks
 that keep each temporary within _SCHUR_BATCH entries, or within one
-member's when that is larger.  The template's unit rows (see below) are
+member's when that is larger.  The template's kernel rows (see below) are
 read once per class too, with the int32 index tables of their kernel.
 Each member's matrix is then factored by its own scipy cho_factor on its
 own regularization ladder, as a program alone is.  The stack and the
@@ -93,20 +93,29 @@ Prog. 79, 1997): W F_b W is a sum of rank-one terms W e_p e_q^T W, one per
 nonzero, and M[a, b] = Tr[F_a W F_b W] reads it only where F_a is nonzero.
 M is real: the trace of a product of two Hermitian matrices is real.
 
-A unit row has exactly one nonzero on every PSD block it touches, such as
-the D^2 - 1 full-space rows of the W1 program, one coordinate of each of
-its 2n blocks, or the corner rows of the diamond norm on Z.  Blocks of one
-order share a kernel when their unit rows are the same rows at the same
-coordinates with the same values up to one sign per block.  Between two
-unit rows M reads the Kronecker sum sum_j W_j (x) conj(W_j) of the sharing
-blocks, which one zgemm of inner dimension B forms as sum_j vec(W_j)
+A row is lifted on a PSD block of order k when its matrix there is
+t (I_m (x) f), one basis element f of order k / m repeated m times at
+stride s (see _lifts).  A unit row, one nonzero on the block, is the case
+m = 1: the D^2 - 1 full-space rows of the W1 program, one coordinate of
+each of its 2n blocks, and the corner rows of the diamond norm on Z.  The
+site rows I_i (x) f of the Lipschitz program of site i are lifted with
+m = d and s = d^(n-i) on its blocks P_i and Q_i.  Each block takes the
+lift of most of its lifted rows as its class, and its rows of that class
+are its kernel rows, if they are so on every block they touch.  Blocks of
+one order share a kernel when their kernel rows have one lift and are the
+same rows at the same coordinates with the same values up to one sign per
+block.  Between two kernel rows M reads the Kronecker sum sum_j W_j (x)
+conj(W_j) over the m^2 sub-blocks of order k / m of each sharing block's
+W, which one zgemm of inner dimension B m^2 forms as sum_j vec(W_j)
 vec(W_j)^H, at two entries per pair of rows (_UnitRows): two gathers at
 int32 index tables and a scaling, by row slabs of bounded size, in place of
 forming W F_b W for each row.  The sparse formula forms W F_b W for the
 other rows only, and contracts them against every row; the entries of the
-unit rows against the other rows are then copied from their transpose.
-The structure is read from A alone, so a program without unit rows, such
-as the Lipschitz constant's, keeps the sparse formula for every row.
+kernel rows against the other rows are then copied from their transpose.
+The structure is read from A alone.  The W1 site rows stay on the sparse
+formula, since their blocks carry more unit rows, and so does the
+Lipschitz trace row -Tr[P_i + Q_i], lifted with m = D but the only row
+with that lift.
 
 A must have full row rank: the programs of w1 and classical omit their
 one dependent row.  A Cholesky factorization of the Gram matrix A A^T and
@@ -146,8 +155,8 @@ STEP_FRACTION = 0.98
 # entries of the W F_b W matrices formed at once by the Schur formula, over
 # the members of a class taken together (at least one member's rows of one
 # batch): small enough that one batch stays in cache while it is contracted.
-# The unit-row kernel bounds its slabs of M and of K, and the in-place
-# symmetrization its slabs of rows, by the same count.
+# The Kronecker kernel of _UnitRows bounds its slabs of M and of K, and the
+# in-place symmetrization its slabs of rows, by the same count.
 _SCHUR_BATCH = 1 << 16
 # entries (16 MB of float64) up to which _batch_chunks puts programs into one
 # batched solve: the battery's largest batch (0.85M entries at 100 trials)
@@ -543,6 +552,56 @@ def _entries(row, col, val, sl: slice):
     return touch, pos, col[inside] - sl.start, val[inside]
 
 
+# The PSD nonzeros of a row on one block, a segment, as a lifted row there
+# (see _lifts): the segment's row, the block's position in the template,
+# its lift (m, s), its reduced svec coordinate in order k / m, its value
+# and whether it is lifted at all.
+_Segments = collections.namedtuple("_Segments", "row place m s coord value lifted")
+
+
+def _lifts(row, col, val, cone: _Cone, blocks) -> _Segments:
+    """The segments of the nonzeros (row, col, val) of A, sorted by row and
+    then column, on the PSD blocks `blocks`, one per row and block it
+    touches, in that order.
+
+    A segment of m nonzeros is lifted when it reads t (I_m (x) f), f the
+    basis element of svec coordinate coord in order k / m, at stride s:
+    its nonzeros share the value t and one kind (diagonal, real or
+    imaginary part) and sit at the matrix entries (U + x s, V + x s) for
+    x < m, m s divides k, and the site digit (U // s) mod m of U and of V
+    is 0.  Then coord reads the entry (u, v), u = (U // (m s)) s + U mod s
+    and likewise v.  One nonzero, a unit row, is lifted with m = s = 1."""
+    psd = col < cone.lp_slice.start
+    row, col, val = row[psd], col[psd], val[psd]
+    starts = np.array([cone.slices[b].start for b in blocks])
+    place = np.searchsorted(starts, col, "right") - 1
+    local = col - starts[place]
+    order = np.array([cone.blocks[b] for b in blocks])[place]
+    U, V, imag = (np.empty(col.size, dtype=int) for _ in range(3))
+    for k in {cone.blocks[b] for b in blocks}:
+        on = order == k
+        co = _coords(k)
+        U[on], V[on], imag[on] = co.row[local[on]], co.col[local[on]], co.imag[local[on]]
+    pair = row * len(blocks) + place
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    m = np.diff(np.r_[first, pair.size])
+    seg = np.repeat(np.arange(first.size), m)
+    U0, V0, t = U[first], V[first], val[first]
+    s = np.where(m > 1, U[np.minimum(first + 1, pair.size - 1)] - U0, 1)
+    stride = np.maximum(s, 1)
+    shift = (np.arange(pair.size) - first[seg]) * s[seg]
+    apart = (U != U0[seg] + shift) | (V != V0[seg] + shift) \
+        | (imag != imag[first][seg]) | (val != t[seg])
+    k = order[first]
+    lifted = (np.bincount(seg[apart], minlength=first.size) == 0) & (s > 0) \
+        & (k % (m * stride) == 0) & ((U0 // stride) % m == 0) & ((V0 // stride) % m == 0)
+    u, v = ((E // (m * stride)) * stride + E % stride for E in (U0, V0))
+    # in order K = k / m the coordinates of row u start at u (2K - u): (u, u),
+    # then the real and the imaginary part of each (u, v), v > u
+    coord = u * (2 * (k // m) - u) + np.where(u == v, 0, 2 * (v - u) - 1 + imag[first])
+    return _Segments(row[first], place[first], m, stride, coord, t, lifted)
+
+
 def _chunks(count: int, per_member: int) -> list:
     """Slices of the count members of a class, each holding as many members
     as fit _SCHUR_BATCH temporary entries of per_member each, at least one."""
@@ -556,7 +615,7 @@ class _SparseRows:
     Row b's matrix F_b has a few nonzeros F_b[p, q], so W F_b W is the sum
     of the rank-one terms F_b[p, q] W[:, p] W[q, :], where W[:, p] is the
     conjugate of W[p, :].  W F_b W is formed only for the rows touch[formed],
-    those that are not unit rows (_UnitRows has the others): rows with the
+    those that are not kernel rows (_UnitRows has the others): rows with the
     same number of such terms are batched into one stacked product, and
     M[a, b] = Tr[F_a W F_b W] is read off for every row a touching the block
     at the svec nonzeros of F_a by one sparse product per batch.
@@ -616,15 +675,19 @@ def _where(rows: np.ndarray, cols: np.ndarray):
 
 
 class _UnitRows:
-    """Schur formula for the unit rows of a set of blocks of one order.
+    """Schur formula for the kernel rows of a set of blocks of one order.
 
-    The rows hold one nonzero on each of the blocks, at the same svec
-    coordinate and with the same value t, up to one sign per block, which
-    cancels in M.  With F_a = t_a smat(e_alpha) for row a at coordinate
-    alpha, M[a, b] = t_a t_b sum_j Tr[smat(e_alpha) W_j smat(e_beta) W_j],
-    which reads K = sum_j vec(W_j) vec(W_j)^H, the Kronecker sum
-    sum_j W_j (x) conj(W_j) with its indices rearranged: one zgemm whose
-    inner dimension is the number of blocks.  For alpha = (p, q) and
+    Each row reads one svec coordinate, with the same value t, up to one
+    sign per block, which cancels in M, of each of the matrices W_j that
+    add_to is given: for unit rows the blocks' scaling matrices, for rows
+    lifted with (m, s) (see _lifts) the m^2 sub-blocks of order k / m of
+    each of them, taken at stride s (see _schur).  Either set is closed
+    under conjugate transpose.  With F_a = t_a smat(e_alpha) for row a at
+    coordinate alpha, M[a, b] = t_a t_b sum_j Tr[smat(e_alpha) W_j
+    smat(e_beta) W_j^H], which reads K = sum_j vec(W_j) vec(W_j)^H, the
+    Kronecker sum sum_j W_j (x) conj(W_j) with its indices rearranged: one
+    zgemm whose inner dimension is the number of the W_j.  The closure
+    gives K the symmetries of the Hermitian case.  For alpha = (p, q) and
     beta = (r, s), entries of the upper triangle (p <= q, r <= s), the trace
     is (scale_alpha scale_beta / 2) (+-y1 +- y2), scale being the svec scale
     (1 on the diagonal, sqrt 2 off it), with y1 = K[(p, s), (q, r)] and
@@ -682,7 +745,7 @@ class _UnitRows:
 
     def add_to(self, M: np.ndarray, W: np.ndarray) -> None:
         """Add the rows' terms to the (C, m, m) stack M, with W the (C, B, k,
-        k) stack of the scaling matrices of the B blocks."""
+        k) stack of the B matrices W_j of each member."""
         C, B, k, _ = W.shape
         vec = W.reshape(C, B, k * k)
         conj = vec.conj()
@@ -706,19 +769,25 @@ class _BlockData:
     """The Schur complement data of one class of identical components (see
     _Components), read from its template, the class's first component.
 
-    A unit row has exactly one nonzero on every PSD block it touches.  Each
-    block's unit rows go to a _UnitRows, shared by the blocks of one order
-    whose unit rows are the same rows at the same coordinates with the same
-    values up to one sign per block: units holds one (rows, group, places)
-    each, with the blocks' order group and, per member, the places in that
-    group's stacks of the member's blocks at the same positions.  blocks
-    holds one (rows, group, place) per PSD block of the template on which
-    some other row has nonzeros: a _SparseRows on the template's rows
-    numbered within the component that forms W F W for those rows only,
-    the block's order group, and the place per member.  mirror indexes M at
-    the unit rows against the other rows, and its transpose, or is None.
-    lp_cols holds the template's LP columns of A as a dense array, lp_idx[c]
-    the LP columns of member c and rows[c] its rows.  A is a CSR matrix."""
+    Each PSD block takes as its kernel class the lift (m, s) of most of its
+    lifted rows (see _lifts; the smaller m on a tie): m = 1, unit rows, for
+    the W1 blocks and the diamond norm's Z, (d, d^(n-i)) for the blocks of
+    the Lipschitz program of site i.  A kernel row is lifted in the class of
+    every PSD block it touches.  Each block's kernel rows go to a _UnitRows,
+    shared by the blocks of one order whose kernel rows have the same lift
+    and are the same rows at the same coordinates with the same values up
+    to one sign per block: units holds one (rows, group, places, lift) each,
+    with the blocks' order group, per member the places in that group's
+    stacks of the member's blocks at the same positions, and the lift
+    (m, s).  blocks holds one (rows, group, place) per PSD block of the
+    template on which some other row has nonzeros: a _SparseRows on the
+    template's rows numbered within the component that forms W F W for
+    those rows only, the block's order group, and the place per member.
+    mirror indexes M at the kernel rows against the other rows, and its
+    transpose, or is None.  lp_cols holds the template's LP columns of A as
+    a dense array, lp_idx[c] the LP columns of member c and rows[c] its
+    rows.  A is a CSR matrix with sorted indices, as ConicProblem stores
+    it."""
 
     def __init__(self, A, cone: _Cone, comps: _Components, members: np.ndarray):
         t = members[0]
@@ -728,32 +797,42 @@ class _BlockData:
         row = np.repeat(np.arange(size), np.diff(sub.indptr))
         nonzeros = row, sub.indices, sub.data
         blocks = comps.blocks_in[t]
-        # a row is a unit row unless it has two nonzeros on one block
-        psd = sub.indices < cone.lp_slice.start
-        starts = [cone.slices[b].start for b in blocks]
-        pair = row[psd] * len(blocks) + np.searchsorted(starts, sub.indices[psd], "right") - 1
-        unit = np.ones(size, dtype=bool)
-        unit[row[psd][np.bincount(pair)[pair] > 1]] = False
+        seg = _lifts(*nonzeros, cone, blocks)
+        # per block the lift of most of its lifted rows, as one number that
+        # orders lifts by m: sorted by block, then count, the first of a tie
+        lift = seg.m * (seg.s.max(initial=0) + 1) + seg.s
+        width = lift.max(initial=0) + 1
+        keys, count = np.unique((seg.place * width + lift)[seg.lifted], return_counts=True)
+        place = keys // width
+        order = np.lexsort((-count, place))
+        top = order[np.diff(place[order], prepend=-1) != 0]
+        chosen = np.full(len(blocks), -1)
+        chosen[place[top]] = keys[top] % width
+        # a kernel row is lifted in the class of every block it touches
+        kernel = np.bincount(seg.row[~seg.lifted | (lift != chosen[seg.place])],
+                             minlength=size) == 0
         self.blocks = []
-        shared = {}  # the blocks of each _UnitRows, by (order, rows, coordinates, values)
+        shared = {}  # the blocks of each _UnitRows, by (order, lift, rows, coordinates, values)
         for p, b in enumerate(blocks):
             k = cone.blocks[b]
             touch, pos, col, val = _entries(*nonzeros, cone.slices[b])
             same = [comps.blocks_in[j][p] for j in members]
-            formed = ~unit[touch]
+            formed = ~kernel[touch]
             if formed.any():
                 self.blocks.append((_SparseRows(touch, pos, col, val, k, size, formed),
                                     cone.group[b], cone.place[same]))
-            lone = unit[touch[pos]]  # the nonzeros of unit rows
-            if lone.any():
-                v = val[lone] if val[lone][0] > 0 else -val[lone]
-                key = k, touch[pos[lone]].tobytes(), col[lone].tobytes(), v.tobytes()
-                shared.setdefault(key, (touch[pos[lone]], col[lone], v, k, []))[4].append(same)
+            on = np.flatnonzero((seg.place == p) & kernel[seg.row])
+            if on.size:
+                r, c, v = seg.row[on], seg.coord[on], seg.value[on]
+                v = v if v[0] > 0 else -v
+                ms = int(seg.m[on[0]]), int(seg.s[on[0]])
+                key = k, ms, r.tobytes(), c.tobytes(), v.tobytes()
+                shared.setdefault(key, (r, c, v, k // ms[0], ms, []))[5].append(same)
         self.units = [(_UnitRows(r, c, v, k), cone.group[same[0][0]],
-                       cone.place[np.array(same).T])
-                      for r, c, v, k, same in shared.values()]
-        ones = np.flatnonzero(unit & (np.bincount(row[psd], minlength=size) > 0))
-        others = np.flatnonzero(~unit)
+                       cone.place[np.array(same).T], ms)
+                      for r, c, v, k, ms, same in shared.values()]
+        ones = np.flatnonzero(kernel & (np.bincount(seg.row, minlength=size) > 0))
+        others = np.flatnonzero(~kernel)
         self.mirror = (_where(ones, others), _where(others, ones)) \
             if ones.size and others.size else None
         lp = comps.lp_in[t]
@@ -782,10 +861,14 @@ def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
     """The Schur complements of the class members live (positions in
     bd.members) on their rows, as a (C, m, m) stack, written into out when
-    given.  The _SparseRows give the rows that are not unit rows, against
-    every row, and the _UnitRows the unit rows against each other; the unit
-    rows against the others are then copied from their transpose, and the
-    stack is made symmetric in place."""
+    given.  The _SparseRows give the rows that are not kernel rows, against
+    every row, and the _UnitRows the kernel rows against each other; the
+    kernel rows against the others are then copied from their transpose,
+    and the stack is made symmetric in place.  A _UnitRows of rows lifted
+    with (m, s) reads the m^2 sub-blocks W^(ce), c, e < m, of order k / m of
+    each block's W, W^(ce)[u, v] = W[U, V] where U has site digit c, V site
+    digit e and reduced index u, v (see _lifts): a copy of the (C, B, k, k)
+    stack as (C, B m^2, k / m, k / m), which for m = 1 is W itself."""
     if out is None:
         M = np.zeros((live.size, bd.size, bd.size))
     else:
@@ -793,8 +876,12 @@ def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray,
         M.fill(0.0)
     for rows, group, place in bd.blocks:
         rows.add_to(M, scal.Ws[group][place[live]])
-    for rows, group, places in bd.units:
-        rows.add_to(M, scal.Ws[group][places[live]])
+    for rows, group, places, (m, s) in bd.units:
+        W = scal.Ws[group][places[live]]
+        C, B, k, _ = W.shape
+        L = k // (m * s)
+        rows.add_to(M, W.reshape(C, B, L, m, s, L, m, s).transpose(0, 1, 3, 6, 2, 4, 5, 7)
+                    .reshape(C, B * m * m, L * s, L * s))
     if bd.mirror is not None:
         ones_others, others_ones = bd.mirror
         M[ones_others] = M[others_ones].swapaxes(1, 2)

@@ -261,3 +261,15 @@ def test_concentration_refuses_negative_delta_before_solving(monkeypatch, capsys
         qw1.cli.main(["concentration", fx("sigma_z_sum_n3"), "--t", "0.5", "--delta", "-1.0"])
     assert exc.value.code == 1
     assert "delta = -1.0 must be nonnegative" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is slow to import and only the one-to-one norm's
+    # Nelder-Mead search uses it, which imports it when called
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qw1.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -336,12 +336,18 @@ def _formed_rows(bd):
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_unit_rows_kernel_on_w1_programs(d, n):
     # the full-space rows, one coordinate on each of the 2n blocks, share one
-    # kernel; the site rows stay on the sparse formula
+    # kernel; the site rows, though lifted with m = d, stay on the sparse
+    # formula, since their blocks carry more unit rows and take m = 1
     x = random_traceless(QuditLayout(d, n), seed=d + n)
     prob, first_full = w1._w1_program(x)
     D, m = d ** n, prob.A.shape[0]
     cone, bd = _block_data(prob)
-    (unit, group, places), = bd.units
+    row = np.repeat(np.arange(m), np.diff(prob.A.indptr))
+    seg = conic._lifts(row, prob.A.indices, prob.A.data, cone, range(2 * n))
+    site = seg.row < first_full
+    assert seg.lifted.all() and set(seg.m[site]) == {d} and set(seg.m[~site]) == {1}
+    (unit, group, places, lift), = bd.units
+    assert lift == (1, 1)
     assert unit.rows.tolist() == list(range(first_full, m)) == list(range(m - (D * D - 1), m))
     assert places.tolist() == [list(range(2 * n))]
     assert _formed_rows(bd).tolist() == list(range(first_full))
@@ -370,7 +376,8 @@ def test_diamond_norm_corner_rows_take_the_kernel(monkeypatch):
     big, din = prob.psd_blocks[0], prob.psd_blocks[1]
     corner = 2 * (big // 2) ** 2
     cone, bd = _block_data(prob)
-    (unit, group, places), = bd.units
+    (unit, group, places, lift), = bd.units
+    assert lift == (1, 1)
     assert unit.rows.tolist() == list(range(corner))
     assert places.tolist() == [[0]]
     assert _formed_rows(bd).tolist() == list(range(corner, corner + 2 * din * din))
@@ -400,11 +407,81 @@ def test_unit_rows_of_blocks_that_disagree_in_value():
             A[r, cone.slices[b].start + rng.choice(9, 3, replace=False)] = rng.standard_normal(3)
     A[[0, 3], cone.lp_slice.start + np.arange(2)] = rng.standard_normal(2)
     _, bd = _block_data(_stored(cone, A, False))
-    assert [places.tolist() for _, _, places in bd.units] == [[[0, 1]], [[2]]]
-    for unit, _, _ in bd.units:
+    assert [places.tolist() for _, _, places, _ in bd.units] == [[[0, 1]], [[2]]]
+    assert [lift for *_, lift in bd.units] == [(1, 1)] * 2
+    for unit, *_ in bd.units:
         assert unit.rows.tolist() == [6, 2, 5, 0]  # sorted by coordinate
     assert _formed_rows(bd).tolist() == [1, 3, 4]
     scal = _Scal(cone, [_random_hpd(rng, k) for k in blocks], rng.uniform(0.5, 2.0, lp_dim))
+    M, = conic._schur(bd, scal, np.array([0]))
+    ref = _dense_schur(A, cone, scal.W, scal.w_lp)
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    np.testing.assert_array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_lipschitz_site_rows_take_the_kernel_lifted(d, n):
+    # site i's rows I_i (x) f are lifted with m = d at stride d^(n-i) on P_i
+    # and Q_i, which share one kernel; the trace row alone stays sparse
+    h = random_traceless(QuditLayout(d, n), seed=d * n)
+    for i, prob in enumerate(w1._lipschitz_programs(h), start=1):
+        m = prob.A.shape[0]
+        assert m == 1 + d ** (2 * (n - 1))
+        cone, bd = _block_data(prob)
+        (unit, group, places, lift), = bd.units
+        assert lift == (d, d ** (n - i))
+        assert sorted(unit.rows.tolist()) == list(range(1, m))
+        assert places.tolist() == [[0, 1]]
+        assert len(bd.blocks) == 2 and _formed_rows(bd).tolist() == [0]
+        rng = np.random.default_rng(10 * i + n)
+        scal = _Scal(cone, [_random_hpd(rng, k) for k in prob.psd_blocks], np.ones(0))
+        M, = conic._schur(bd, scal, np.array([0]))
+        ref = _dense_schur(prob.A.toarray(), cone, scal.W, scal.w_lp)
+        np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        np.testing.assert_array_equal(M, M.T)
+
+
+def _coordinate(k, r, c, imag=False):
+    """The svec coordinate of order k of entry (r, c), r <= c, or of its
+    imaginary part."""
+    co = conic._coords(k)
+    return int(np.flatnonzero((co.row == r) & (co.col == c) & (co.imag == imag))[0])
+
+
+def test_rows_that_are_not_lifted_stay_sparse():
+    # on a block of order 8, rows I_2 (x) f at stride 2 take the kernel; the
+    # near misses do not: two imaginary parts with unequal values, a stride 3 that
+    # leaves 2 * 3 not dividing 8, and copies at (2, 2), (4, 4), whose site
+    # digit (2 // 2) mod 2 is 1
+    k, lift = 8, (2, 2)
+    cone = conic._Cone((k,), 0)
+    rng = np.random.default_rng(5)
+    rows = []
+    for u, v, z in ((0, 0, 1.0), (0, 1, 1.0), (1, 3, 1j), (2, 2, 1.0)):  # lifted, at (u, v)
+        f = np.zeros((4, 4), dtype=complex)
+        f[u, v] = z
+        f[v, u] = np.conj(z)
+        big = np.zeros((k, k), dtype=complex)
+        for x in range(2):
+            idx = [(w // 2) * 4 + 2 * x + w % 2 for w in range(4)]
+            big[np.ix_(idx, idx)] = f
+        rows.append(svec(big) * rng.uniform(0.5, 2.0))
+    misses = [((0, 1), (2, 3), True, (1.0, 2.0)), ((0, 1), (3, 4), False, (1.5, 1.5)),
+              ((2, 2), (4, 4), False, (0.7, 0.7))]
+    for (r0, c0), (r1, c1), imag, values in misses:
+        row = np.zeros(cone.dim)
+        row[[_coordinate(k, r0, c0, imag), _coordinate(k, r1, c1, imag)]] = values
+        rows.append(row)
+    A = np.array(rows)
+    prob = _stored(cone, A, False)
+    row = np.repeat(np.arange(len(rows)), np.diff(prob.A.indptr))
+    seg = conic._lifts(row, prob.A.indices, prob.A.data, cone, range(1))
+    assert seg.lifted.tolist() == [True] * 4 + [False] * 3
+    _, bd = _block_data(prob)
+    (unit, _, places, got), = bd.units
+    assert got == lift and sorted(unit.rows.tolist()) == [0, 1, 2, 3]
+    assert _formed_rows(bd).tolist() == [4, 5, 6]
+    scal = _Scal(cone, [_random_hpd(rng, k)], np.ones(0))
     M, = conic._schur(bd, scal, np.array([0]))
     ref = _dense_schur(A, cone, scal.W, scal.w_lp)
     np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
