@@ -275,7 +275,8 @@ def diamond_norm(phi: KrausChannel, psi: KrausChannel) -> float:
         block = slice(a * dj, (a + 1) * dj)
         lift = np.zeros((big, big), dtype=complex)
         for r, f in enumerate(hermitian_basis(din)):
-            lift[block, block] = _trace_out_adjoint(f, din)
+            # the adjoint of Tr_out on the (out (x) in) Choi ordering
+            lift[block, block] = np.kron(np.eye(din), f)
             A[rows.start + r, :Lz] = svec(lift)
         A[rows, Lz + a * Ls:Lz + (a + 1) * Ls] = np.eye(Ls)
         A[rows, col_t[a]] = -svec(np.eye(din))
@@ -285,11 +286,6 @@ def diamond_norm(phi: KrausChannel, psi: KrausChannel) -> float:
     c[col_t[1]] = 0.5
     (sol,) = conic._solved_batch([ConicProblem(blocks, 2, A, b, c)], ["diamond norm SDP"])
     return max(sol.primal_objective, 0.0)
-
-
-def _trace_out_adjoint(f: np.ndarray, dout: int) -> np.ndarray:
-    """Adjoint of Tr_out on the (out (x) in) Choi ordering: I_out (x) f."""
-    return np.kron(np.eye(dout), f)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +380,6 @@ def _detect_depolarizing(phi: KrausChannel):
     return max(0.0, min(p, 1.0)), omega
 
 
-def _product_with_state(x1: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
-    out = x1
-    for _ in range(n - 1):
-        out = np.kron(out, omega)
-    return out
-
-
 def tensor_power_contraction_bounds(phi: KrausChannel, n: int) -> ContractionReport:
     """Transport-norm contraction bounds for Phi^(x)n, Phi on one qudit."""
     if phi.layout.n != 1:
@@ -402,7 +391,7 @@ def tensor_power_contraction_bounds(phi: KrausChannel, n: int) -> ContractionRep
         p, omega = detected
         x1 = basis_state(QuditLayout(d, 1), [0]).matrix \
             - basis_state(QuditLayout(d, 1), [1]).matrix
-        witness = HermitianOperator(layout, _product_with_state(x1, omega.matrix, n))
+        witness = HermitianOperator(layout, _kron_all([x1] + [omega.matrix] * (n - 1)))
         return ContractionReport(
             lower=p, upper=p, method=("depolarizing-exact",) * 2,
             witness=witness, witness_ratio=p, n=n)
@@ -413,7 +402,7 @@ def tensor_power_contraction_bounds(phi: KrausChannel, n: int) -> ContractionRep
     lower = 0.5 * val
     upper = min(1.0, d * val)
     x1 = rho_star.matrix - omega.matrix
-    witness = HermitianOperator(layout, _product_with_state(x1, omega.matrix, n))
+    witness = HermitianOperator(layout, _kron_all([x1] + [omega.matrix] * (n - 1)))
     # the witness and its image are x (x) omega^(n-1) with Tr x = 0, whose
     # transport norm is 0.5 ||x||_1 in closed form
     den = trace_norm(x1)
@@ -435,6 +424,17 @@ def _random_channel(layout: QuditLayout, rng) -> KrausChannel:
     return KrausChannel(layout, [q[e * dim:(e + 1) * dim, :] for e in range(env)])
 
 
+def _neighboring_images(layout: QuditLayout, sites, rng):
+    """One random state pushed through two random channels on the same
+    sites, identity elsewhere: the two images, which agree once those sites
+    are traced out.  Draws the state, then the two channels, from rng."""
+    small = QuditLayout(layout.d, len(sites))
+    shared = random_density(layout, seed=rng).matrix
+    lam1 = embed_channel(_random_channel(small, rng), layout, sites)
+    lam2 = embed_channel(_random_channel(small, rng), layout, sites)
+    return lam1.apply_matrix(shared), lam2.apply_matrix(shared)
+
+
 def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0) -> float:
     """Sampled lower bound on the transport contraction of an n-qudit channel:
     max ratio over random neighboring pairs (two random one-qudit channels
@@ -445,15 +445,12 @@ def empirical_contraction(phi: KrausChannel, samples: int = 20, seed=0) -> float
     with a nonzero x take one batched W1 call (w1._w1_primal_runs, whose
     runs conic._solved_batch sets), which keeps no certificate."""
     layout = phi.layout
-    one = QuditLayout(layout.d, 1)
     rng = _rng(seed)
     images, dens = [], []
     for _ in range(samples):
         i = int(rng.integers(1, layout.n + 1))
-        shared = random_density(layout, seed=rng)
-        lam1 = embed_channel(_random_channel(one, rng), layout, [i])
-        lam2 = embed_channel(_random_channel(one, rng), layout, [i])
-        x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
+        a, b = _neighboring_images(layout, [i], rng)
+        x = a - b
         den = 0.5 * trace_norm(x)
         if den < 1e-9:
             continue
@@ -493,21 +490,6 @@ class Circuit:
         for u, support in self.gates:
             total = embed_matrix(u, self.layout, support) @ total
         return KrausChannel(self.layout, [total])
-
-    def to_json(self) -> dict:
-        return {"d": self.layout.d, "n": self.layout.n,
-                "gates": [{"support": list(s), "unitary": matrix_to_json(u)}
-                          for u, s in self.gates]}
-
-
-def circuit_from_json(payload: dict) -> Circuit:
-    try:
-        layout = QuditLayout(int(payload["d"]), int(payload["n"]))
-        gates = [(matrix_from_json(g["unitary"]), [int(i) for i in g["support"]])
-                 for g in payload["gates"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed circuit payload: {exc}") from exc
-    return Circuit(layout, gates)
 
 
 def light_cone_bound(circuit: Circuit):

@@ -17,28 +17,22 @@ import click
 from . import classical as cl
 from . import channels as ch
 from .errors import EigenFailure, InvalidInput, NoFixedPoint, QW1Error, SolverFailure
-from .lab import run_battery, _FAMILIES, _mgf_check, _require_delta, _require_finite, _tail_check
+from .lab import (run_battery, _FAMILIES, _mgf_check, _require_delta, _require_finite,
+                  _round12, _tail_check)
 from .operators import QuditLayout, load_operator, maximally_mixed
 from .w1 import lipschitz_constant, lipschitz_estimate, w1_distance
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+def _write(text, output):
+    if output is None:
+        click.echo(text, nl=False)
+    else:
+        with open(output, "w") as fh:
+            fh.write(text)
 
 
 def _emit(payload, output):
-    text = json.dumps(_round12(payload), sort_keys=True, indent=1)
-    if output is None:
-        click.echo(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    _write(json.dumps(_round12(payload), sort_keys=True, indent=1) + "\n", output)
 
 
 def _read_json(path):
@@ -99,8 +93,9 @@ def cmd_classical(dist_p, dist_q, output):
     """Hamming-cost transport distance between two distribution JSON files."""
     p = cl.distribution_from_json(_read_json(dist_p))
     q = cl.distribution_from_json(_read_json(dist_q))
-    value, coupling = cl.classical_w1(p, q)
-    dual_value, potential = cl.classical_w1_dual(p, q)
+    # one stacked solve of the primal and dual LPs
+    (value, coupling), (dual_value, potential) = cl.transport_lps(
+        [(p, q, False), (p, q, True)])
     _emit({
         "value": value,
         "dual_value": dual_value,
@@ -139,9 +134,8 @@ def cmd_channel(name, p, d, n, samples, seed, output):
     report = ch.tensor_power_contraction_bounds(phi, n)
     payload = report.to_json()
     if samples > 0:
-        big = phi.tensor_power(n) if n > 1 else phi
-        payload["empirical"] = ch.empirical_contraction(big, samples=samples,
-                                                        seed=seed)
+        payload["empirical"] = ch.empirical_contraction(phi.tensor_power(n),
+                                                        samples=samples, seed=seed)
         payload["samples"] = samples
         payload["seed"] = seed
     _emit(payload, output)
@@ -185,16 +179,7 @@ def cmd_verify(suite, seed, trials, output):
         if bad:
             raise InvalidInput(f"unknown suite families {bad}; known: {sorted(known)}")
     report = run_battery(seed=seed, trials=trials, only=only)
-    lines = [json.dumps(_round12(r.to_json()), sort_keys=True,
-                        separators=(",", ":")) for r in report.results]
-    lines.append(json.dumps(_round12(report.summary()), sort_keys=True,
-                            separators=(",", ":")))
-    text = "\n".join(lines)
-    if output is None:
-        click.echo(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    _write(report.to_json_lines(), output)
     if not report.passed:
         sys.exit(3)
 

@@ -115,6 +115,18 @@ def _finite(x: float):
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
+def _round12(obj):
+    """obj with every float rounded to 12 significant digits, as the CLI
+    prints numbers."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    return obj
+
+
 def entropy_modulus(t: float) -> float:
     """(t+1) ln(t+1) - t ln t, the modulus of entropy continuity."""
     if t <= 0.0:
@@ -252,16 +264,6 @@ def _setup(seed, fam, k, layouts, min_sites=1):
                                              "layout": [layout.d, layout.n]}
 
 
-def _neighboring_pair(layout: QuditLayout, rng):
-    """Two states agreeing after discarding one site: a shared state pushed
-    through two different channels acting on that site."""
-    i = int(rng.integers(1, layout.n + 1))
-    shared = random_density(layout, seed=rng)
-    lam1 = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
-    lam2 = ch.embed_channel(ch._random_channel(QuditLayout(layout.d, 1), rng), layout, [i])
-    return lam1.apply(shared), lam2.apply(shared), i
-
-
 def _random_distribution(layout: QuditLayout, rng) -> cl.Distribution:
     return cl.Distribution(layout, rng.dirichlet(np.ones(layout.dim)))
 
@@ -340,7 +342,9 @@ def _draw_sandwich(seed, fam, k, layouts):
 
 def _draw_neighboring(seed, fam, k, layouts):
     layout, rng, inst = _setup(seed, fam, k, layouts)
-    rho, sigma, inst["site"] = _neighboring_pair(layout, rng)
+    # two states agreeing after discarding one site
+    i = inst["site"] = int(rng.integers(1, layout.n + 1))
+    rho, sigma = (DensityMatrix(layout, m) for m in ch._neighboring_images(layout, [i], rng))
     flags = () if is_neighboring(rho, sigma) is not None else ("not-detected",)
     half = 0.5 * trace_norm(rho.matrix - sigma.matrix)
     return [_state_difference(rho, sigma)], lambda v: [
@@ -402,11 +406,8 @@ def _draw_locality(seed, fam, k, layouts):
     size = int(rng.integers(1, layout.n))
     region = inst["region"] = sorted(
         int(s) + 1 for s in rng.choice(layout.n, size=size, replace=False))
-    shared = random_density(layout, seed=rng)
-    small = QuditLayout(layout.d, size)
-    lam1 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
-    lam2 = ch.embed_channel(ch._random_channel(small, rng), layout, region)
-    x = lam1.apply_matrix(shared.matrix) - lam2.apply_matrix(shared.matrix)
+    a, b = ch._neighboring_images(layout, region, rng)
+    x = a - b
     d2 = layout.d ** 2
     factor = size * (d2 - 1.0) / d2
     tn = trace_norm(x)
@@ -740,11 +741,11 @@ class BatteryReport:
         }
 
     def to_json_lines(self) -> str:
-        lines = [json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
-                 for r in self.results]
-        lines.append(json.dumps(self.summary(), sort_keys=True,
-                                separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        """One line per check, then the summary, numbers rounded to 12
+        significant digits: what `qw1 verify` prints."""
+        rows = [r.to_json() for r in self.results] + [self.summary()]
+        return "".join(json.dumps(_round12(row), sort_keys=True, separators=(",", ":")) + "\n"
+                       for row in rows)
 
 
 def run_battery(seed: int = 42, trials: int = 100, layouts=None,

@@ -401,40 +401,6 @@ def haar_unitary(dim: int, seed=None) -> np.ndarray:
     return q * ph
 
 
-class UnitaryBasis:
-    """The d**2 clock-and-shift unitaries X^a Z^b on one qudit.
-
-    element(0) is the identity and tr[U_i^dagger U_j] = d delta_ij, so
-    conjugating by all of them and averaging is the full depolarizer.
-    """
-
-    def __init__(self, d: int):
-        if d < 2:
-            raise DimensionMismatch("need d >= 2")
-        self.d = d
-        shift = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            shift[(k + 1) % d, k] = 1.0
-        clock = np.diag(np.exp(2j * math.pi * np.arange(d) / d))
-        self._elements = []
-        for a in range(d):
-            for b in range(d):
-                self._elements.append(
-                    np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-                )
-
-    def __len__(self) -> int:
-        return self.d * self.d
-
-    def element(self, k: int) -> np.ndarray:
-        if not 0 <= k < len(self):
-            raise IndexOutOfRange(f"basis index {k} outside 0..{len(self) - 1}")
-        return self._elements[k]
-
-    def __iter__(self):
-        return iter(self._elements)
-
-
 # ---------------------------------------------------------------------------
 # serialization: {"d": int, "n": int, "matrix": [[[re, im], ...], ...]}
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from qw1.channels import (
     _random_channel,
     amplitude_damping,
     channel_from_json,
-    circuit_from_json,
     depolarizing,
     diamond_norm,
     embed_channel,
@@ -322,16 +321,3 @@ def test_channel_json_roundtrip():
         channel_from_json({"kind": "sideways"})
     with pytest.raises(InvalidInput):
         channel_from_json({"kind": "amplitude_damping"})
-
-
-def test_circuit_json_roundtrip():
-    lay = QuditLayout(2, 3)
-    u = haar_unitary(4, seed=11)
-    circ = Circuit(lay, [(u, [1, 2]), (u, [2, 3])])
-    back = circuit_from_json(circ.to_json())
-    rho = random_density(lay, seed=12)
-    np.testing.assert_allclose(
-        back.as_channel().apply(rho).matrix,
-        circ.as_channel().apply(rho).matrix, atol=1e-12)
-    with pytest.raises(InvalidInput):
-        circuit_from_json({"d": 2, "n": 2})

@@ -12,7 +12,7 @@ import pytest
 import qw1.cli
 from qw1 import conic
 from qw1.errors import SolverFailure
-from qw1.lab import BatteryReport, CheckResult
+from qw1.lab import BatteryReport, CheckResult, run_battery
 from qw1.operators import QuditLayout
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -139,6 +139,17 @@ def test_verify_subset():
     assert summary["failures"] == 0
     names = {json.loads(line)["name"] for line in lines[:-1]}
     assert names == {"pinsker", "classical-duality"}
+
+
+def test_verify_prints_the_report_lines(tmp_path):
+    # the CLI's bytes are the library's serializer, to stdout or to -o
+    args = ("verify", "--suite", "pinsker,classical-duality", "--trials", "3")
+    out = tmp_path / "report.jsonl"
+    via_stdout = run_cli(*args).stdout
+    run_cli(*args, "-o", str(out))
+    report = run_battery(seed=42, trials=3, only=("pinsker", "classical-duality"))
+    assert via_stdout == report.to_json_lines()
+    assert out.read_text() == via_stdout
 
 
 def test_byte_identical_reruns():

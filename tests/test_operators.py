@@ -17,7 +17,6 @@ from qw1.operators import (
     DensityMatrix,
     HermitianOperator,
     QuditLayout,
-    UnitaryBasis,
     basis_state,
     dephase,
     dim_cap,
@@ -241,19 +240,6 @@ def test_random_density_mean():
     for _ in range(10_000):
         acc += random_density(lay, seed=rng).matrix
     assert np.abs(acc / 10_000 - np.eye(2) / 2).max() < 5e-2
-
-
-def test_unitary_basis_orthogonality():
-    for d in (2, 3):
-        ub = UnitaryBasis(d)
-        assert len(ub) == d * d
-        assert np.allclose(ub.element(0), np.eye(d))
-        for a in range(d * d):
-            ua = ub.element(a)
-            assert np.abs(ua @ ua.conj().T - np.eye(d)).max() < 1e-10
-            for b in range(d * d):
-                ip = np.trace(ua.conj().T @ ub.element(b)) / d
-                assert abs(ip - (1.0 if a == b else 0.0)) < 1e-10
 
 
 def test_json_roundtrip(tmp_path):
