@@ -59,14 +59,18 @@ Components often repeat: a batch of Lipschitz programs of one layout has
 the same rows at every copy of a site.  solve groups the parts into
 classes whose constraint data match exactly (block orders, LP width and
 the CSR arrays of their rows), and reads a class's Schur data from its first
-component, the template, once per solve.  Identical components share one
-rank test too.  Per iteration the Schur matrices of a class's running
-members are assembled as one (C, m, m) stack, with each block's scaling
-matrices gathered as a (C, k, k) stack; the members are taken in chunks
-that keep each temporary within _SCHUR_BATCH entries, or within one
-member's when that is larger.  The template's kernel rows (see below) are
-read once per class too, with the int32 index tables of their kernel.
-Each member's matrix is then factored by its own scipy cho_factor on its
+component, the template.  Identical components share one rank test too.
+Both are kept across solves under that key, in the bounded cache of
+_template, so the template's data is built once: every W1 program of one
+layout, and every Lipschitz site program of one layout and site, has the
+same rows; only the places of each class's members are found per solve.
+Per iteration the Schur matrices of a class's running members are assembled
+as one (C, m, m) stack, with each block's scaling matrices gathered as a
+(C, k, k) stack; the members are taken in chunks that keep each temporary
+within _SCHUR_BATCH entries, or within one member's when that is larger.
+The template's kernel rows (see below) are read once per key too, with
+the int32 index tables of their kernel.  Each member's matrix is then
+factored by its own scipy cho_factor on its
 own regularization ladder, as a program alone is.  The stack and the
 members' factors live in two (C, m, m) arrays allocated once per solve and
 refilled every iteration: the stack is made symmetric in place and each
@@ -390,12 +394,23 @@ class _Components:
         A = problem.A
         if count > 1 and np.any(self.of_row.repeat(A.getnnz(1)) != self.of_coord[A.indices]):
             raise DimensionMismatch("a part's rows reach outside its variables")
+        self.orders = [ks for _, ks, _ in parts]
+        self._keys = {}
         classes = {}  # one program is one class, with no key to build
-        for j, ((_, ks, q), r, c) in enumerate(zip(problem.parts, self.rows, coord0)):
-            sub = A[r]
-            key = ks, q, sub.indptr.tobytes(), (sub.indices - c).tobytes(), sub.data.tobytes()
-            classes.setdefault(key, []).append(j)
+        for j in range(count if problem.parts else 0):
+            classes.setdefault(self.template(A, j)[1], []).append(j)
         self.classes = [np.array(m) for m in classes.values()] or [np.array([0])]
+
+    def template(self, A, j: int):
+        """Component j's rows of A, and their key: its block orders, LP
+        width and the CSR arrays of the rows, read in its own coordinates.
+        Identical components have equal keys, wherever they sit."""
+        sub = A if self.size[j] == A.shape[0] else A[self.rows[j]]
+        if j not in self._keys:
+            self._keys[j] = (self.orders[j], self.lp_in[j].size, sub.indptr.tobytes(),
+                             (sub.indices - self.coords[j].start).tobytes(),
+                             sub.data.tobytes())
+        return sub, self._keys[j]
 
 
 def _H(m: np.ndarray) -> np.ndarray:
@@ -530,16 +545,24 @@ def _full_row_rank(A) -> bool:
 def _presolve(A, b: np.ndarray, comps: _Components):
     """Refuse a CSR matrix A without full row rank; return (A, b, every row).
     Rows of different components are orthogonal, so each component's rows
-    are tested on their own, and identical components share one test."""
+    are tested on their own, and identical components share one test, which
+    a template that passed it in an earlier solve skips (see _template)."""
     for members in comps.classes:
         j = members[0]
         size = comps.size[j]
-        if size and not _full_row_rank(A if size == A.shape[0] else A[comps.rows[j]]):
+        if not size:
+            continue
+        sub, key = comps.template(A, j)
+        template = _template(key)
+        if template.full_rank:
+            continue
+        if not _full_row_rank(sub):
             where = f"component {j + 1} of {comps.count}" if comps.count > 1 else "A"
             if members.size > 1:
                 where += f" and of its {members.size - 1} identical components"
             raise InvalidInput(
                 f"the {size} constraint rows of {where} are not linearly independent")
+        template.full_rank = True
     return A, b, np.arange(A.shape[0])
 
 
@@ -765,9 +788,38 @@ class _UnitRows:
                 M[sl][where] += terms
 
 
-class _BlockData:
-    """The Schur complement data of one class of identical components (see
-    _Components), read from its template, the class's first component.
+class _Template:
+    """What solve reads off the rows of a class's template, kept across
+    solves under their key (_Components.template): whether they passed the
+    rank test of _presolve, and their Schur data (_SchurData) once a
+    _BlockData has asked for it."""
+
+    def __init__(self):
+        self.full_rank = False
+        self.schur = None
+
+
+# the templates of the classes solved last, by key, the least recently used
+# first: every W1 program of one layout, and every site program of one
+# layout and site, has the same rows
+_TEMPLATES: collections.OrderedDict = collections.OrderedDict()
+_TEMPLATE_CACHE = 32
+
+
+def _template(key) -> _Template:
+    """The _Template of a key, made empty when missing; past _TEMPLATE_CACHE
+    templates the least recently used one is dropped."""
+    template = _TEMPLATES.pop(key, None) or _Template()
+    _TEMPLATES[key] = template
+    if len(_TEMPLATES) > _TEMPLATE_CACHE:
+        _TEMPLATES.popitem(last=False)
+    return template
+
+
+class _SchurData:
+    """The Schur complement data of a class's template, in its own numbering:
+    rows numbered within the component, blocks by position, columns in its
+    own coordinates, so that every class with the same key shares it.
 
     Each PSD block takes as its kernel class the lift (m, s) of most of its
     lifted rows (see _lifts; the smaller m on a tie): m = 1, unit rows, for
@@ -776,27 +828,23 @@ class _BlockData:
     every PSD block it touches.  Each block's kernel rows go to a _UnitRows,
     shared by the blocks of one order whose kernel rows have the same lift
     and are the same rows at the same coordinates with the same values up
-    to one sign per block: units holds one (rows, group, places, lift) each,
-    with the blocks' order group, per member the places in that group's
-    stacks of the member's blocks at the same positions, and the lift
-    (m, s).  blocks holds one (rows, group, place) per PSD block of the
-    template on which some other row has nonzeros: a _SparseRows on the
-    template's rows numbered within the component that forms W F W for
-    those rows only, the block's order group, and the place per member.
-    mirror indexes M at the kernel rows against the other rows, and its
-    transpose, or is None.  lp_cols holds the template's LP columns of A as
-    a dense array, lp_idx[c] the LP columns of member c and rows[c] its
-    rows.  A is a CSR matrix with sorted indices, as ConicProblem stores
-    it."""
+    to one sign per block: units holds one (rows, positions, lift) each,
+    with the positions of its blocks and the lift (m, s).  blocks holds one
+    (rows, position) per PSD block on which some other row has nonzeros: a
+    _SparseRows that forms W F W for those rows only.  mirror indexes M at
+    the kernel rows against the other rows, and its transpose, or is None.
+    lp_cols holds the LP columns as a dense array."""
 
-    def __init__(self, A, cone: _Cone, comps: _Components, members: np.ndarray):
-        t = members[0]
-        self.members = members
-        self.size = size = comps.size[t]
-        sub = A if size == A.shape[0] else A[comps.rows[t]]
-        row = np.repeat(np.arange(size), np.diff(sub.indptr))
-        nonzeros = row, sub.indices, sub.data
-        blocks = comps.blocks_in[t]
+    def __init__(self, sub, orders, lp_dim: int, first: int):
+        """sub: the template's rows of A, CSR with sorted indices, its
+        columns from first on; orders and lp_dim: its blocks and LP width."""
+        cone = _Cone(orders, lp_dim)
+        size = sub.shape[0]
+        local = scipy.sparse.csr_matrix((sub.data, sub.indices - first, sub.indptr),
+                                        shape=(size, cone.dim))
+        row = np.repeat(np.arange(size), np.diff(local.indptr))
+        nonzeros = row, local.indices, local.data
+        blocks = range(len(orders))
         seg = _lifts(*nonzeros, cone, blocks)
         # per block the lift of most of its lifted rows, as one number that
         # orders lifts by m: sorted by block, then count, the first of a tie
@@ -813,31 +861,60 @@ class _BlockData:
                              minlength=size) == 0
         self.blocks = []
         shared = {}  # the blocks of each _UnitRows, by (order, lift, rows, coordinates, values)
-        for p, b in enumerate(blocks):
-            k = cone.blocks[b]
-            touch, pos, col, val = _entries(*nonzeros, cone.slices[b])
-            same = [comps.blocks_in[j][p] for j in members]
+        for p in blocks:
+            k = cone.blocks[p]
+            touch, pos, col, val = _entries(*nonzeros, cone.slices[p])
             formed = ~kernel[touch]
             if formed.any():
-                self.blocks.append((_SparseRows(touch, pos, col, val, k, size, formed),
-                                    cone.group[b], cone.place[same]))
+                self.blocks.append((_SparseRows(touch, pos, col, val, k, size, formed), p))
             on = np.flatnonzero((seg.place == p) & kernel[seg.row])
             if on.size:
                 r, c, v = seg.row[on], seg.coord[on], seg.value[on]
                 v = v if v[0] > 0 else -v
                 ms = int(seg.m[on[0]]), int(seg.s[on[0]])
                 key = k, ms, r.tobytes(), c.tobytes(), v.tobytes()
-                shared.setdefault(key, (r, c, v, k // ms[0], ms, []))[5].append(same)
-        self.units = [(_UnitRows(r, c, v, k), cone.group[same[0][0]],
-                       cone.place[np.array(same).T], ms)
-                      for r, c, v, k, ms, same in shared.values()]
+                shared.setdefault(key, (r, c, v, k // ms[0], ms, []))[5].append(p)
+        self.units = [(_UnitRows(r, c, v, k), np.array(ps), ms)
+                      for r, c, v, k, ms, ps in shared.values()]
         ones = np.flatnonzero(kernel & (np.bincount(seg.row, minlength=size) > 0))
         others = np.flatnonzero(~kernel)
         self.mirror = (_where(ones, others), _where(others, ones)) \
             if ones.size and others.size else None
-        lp = comps.lp_in[t]
-        self.lp_cols = (sub[:, cone.lp_slice.start + lp].toarray() if lp.size
-                        else np.zeros((size, 0)))
+        self.lp_cols = local[:, cone.lp_slice].toarray()
+
+
+class _BlockData:
+    """The Schur complement data of one class of identical components (see
+    _Components): the _SchurData of its template, the class's first
+    component, cached with the template's key (see _template), placed on
+    the class's members.
+
+    blocks holds one (rows, group, place) per entry (rows, position) of the
+    _SchurData's blocks: the block's order group and per member the place
+    in that group's stacks of its block at that position.  units holds one
+    (rows, group, places, lift) per entry of its units, places holding per
+    member the places of its blocks at the unit's positions.  mirror and
+    lp_cols are the _SchurData's, lp_idx[c] the LP columns of member c and
+    rows[c] its rows.  A is a CSR matrix with sorted indices, as
+    ConicProblem stores it."""
+
+    def __init__(self, A, cone: _Cone, comps: _Components, members: np.ndarray):
+        t = members[0]
+        self.members = members
+        self.size = comps.size[t]
+        sub, key = comps.template(A, t)
+        template = _template(key)
+        if template.schur is None:
+            template.schur = _SchurData(sub, comps.orders[t], comps.lp_in[t].size,
+                                        comps.coords[t].start)
+        data = template.schur
+        first = np.array([comps.blocks_in[j].start for j in members])
+        self.blocks = [(rows, cone.group[first[0] + p], cone.place[first + p])
+                       for rows, p in data.blocks]
+        self.units = [(rows, cone.group[first[0] + ps[0]], cone.place[first[:, None] + ps], ms)
+                      for rows, ps, ms in data.units]
+        self.mirror = data.mirror
+        self.lp_cols = data.lp_cols
         self.lp_idx = np.array([comps.lp_in[j] for j in members])
         self.rows = [comps.rows[j] for j in members]
 

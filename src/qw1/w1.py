@@ -55,6 +55,19 @@ lipschitz_constants batches the site programs of many operators; those of
 one layout and site are identical parts, whose Schur matrices the solver
 assembles as one stack.  The optimization-free sandwich of
 lipschitz_estimate brackets ||H||_L within a factor 2(d^2-1)/d^2.
+
+Site i's program only sees H'_i = H - E_i(H), E_i = I_i/d (x) Tr_i, since
+E_i(H) = I_i (x) Tr_i(H)/d moves into K.  When H'_i acts only on the sites
+S_i, the normalized partial trace over the other sites, which is unital
+and positive and so does not raise an operator norm, maps H'_i - I_i (x) K
+to h_i - I_i (x) K' with h_i its image of H'_i, and K' (x) I gives back any
+K' of the small program: site i's value is that of h_i's site program on
+the layout (d, |S_i|).  Numerically S_i holds the sites j where H'_i is
+farther than LOCALITY_TOL (1 + ||H||_F) from E_j(H'_i) in Frobenius norm,
+and the value then moves by at most 2 ||H'_i - E_{S_i^c}(H'_i)||_F.  A
+site whose part acts on every site keeps the program of H itself, so
+operators without such structure get the same programs, values and shifts
+as before.
 """
 
 from __future__ import annotations
@@ -81,6 +94,10 @@ from .operators import (
     NEIGHBOR_TOL,
 )
 
+# a site's part H - E_i(H) acts on site j when its Frobenius distance from
+# E_j of itself exceeds LOCALITY_TOL (1 + ||H||_F); see lipschitz_constants
+LOCALITY_TOL = 1e-12
+
 
 def hermitian_basis(dim: int) -> np.ndarray:
     """Frobenius-orthonormal basis of the Hermitian dim x dim matrices.
@@ -90,6 +107,31 @@ def hermitian_basis(dim: int) -> np.ndarray:
     svec(X)[a] = Tr[F_a X].
     """
     return smat(np.eye(dim * dim), dim)
+
+
+def _identity_on_site(ks: np.ndarray, d: int, i: int) -> np.ndarray:
+    """I_i (x) K for each K of the (B, d^(n-1), d^(n-1)) stack ks, K on the
+    sites other than the 0-based site i in their order: K's entries copied
+    to the entries of each site-i digit, the others zero."""
+    B, k, _ = ks.shape
+    a = d ** i
+    b = k // a
+    out = np.zeros((B, a, d, b, a, d, b), dtype=complex)
+    src = ks.reshape(B, a, b, a, b)
+    for r in range(d):
+        out[:, :, r, :, :, r, :] = src
+    return out.reshape(B, k * d, k * d)
+
+
+def _normalized_trace(m: np.ndarray, d: int, n: int, keep: list) -> np.ndarray:
+    """Each D x D matrix of the stack m traced over the sites outside keep
+    (0-based, sorted) and divided by d per traced site: the unital positive
+    map onto the sites keep, in their order."""
+    cols = [n + j if j in keep else j for j in range(n)]
+    out = np.einsum(m.reshape(m.shape[:-2] + (d,) * (2 * n)), [...] + list(range(n)) + cols,
+                    [...] + keep + [n + j for j in keep])
+    k = d ** len(keep)
+    return out.reshape(m.shape[:-2] + (k, k)) / d ** (n - len(keep))
 
 
 @lru_cache(maxsize=8)
@@ -107,9 +149,8 @@ def _layout_data(d: int, n: int):
     site rows on P_i and the site rows on Q_i."""
     layout = QuditLayout(d, n)
     comp = hermitian_basis(d ** (n - 1))
-    site = [scipy.sparse.csr_matrix(np.stack(
-        [svec(embed_matrix(f, layout, [j for j in layout.sites() if j != i])) for f in comp]))
-        for i in layout.sites()]
+    site = [scipy.sparse.csr_matrix(svec(_identity_on_site(comp, d, i)))
+            for i in range(n)]
     full = scipy.sparse.identity(layout.dim ** 2, format="csr")[1:]
     trace = scipy.sparse.csr_matrix(-svec(np.eye(layout.dim)))
     w1 = scipy.sparse.vstack(
@@ -353,12 +394,41 @@ class LipschitzResult:
         }
 
 
+def _lipschitz_program(m: np.ndarray, d: int, n: int, i: int) -> ConicProblem:
+    """Site i's program (0-based) of the d^n x d^n matrix m, n > 1: on blocks
+    P_i, Q_i, rows its Lipschitz matrix of _layout_data."""
+    A = _layout_data(d, n)[1][i]
+    em = svec(m)
+    return ConicProblem([d ** n] * 2, 0, A, np.r_[-1.0, np.zeros(A.shape[0] - 1)],
+                        np.concatenate([-em, em]))
+
+
 def _lipschitz_programs(h: HermitianOperator) -> list:
-    """The n site programs of h, n > 1: site i's on blocks P_i, Q_i, rows
-    its Lipschitz matrix of _layout_data."""
-    eh = svec(h.matrix)
-    return [ConicProblem([h.layout.dim] * 2, 0, A, np.r_[-1.0, np.zeros(A.shape[0] - 1)],
-                         np.concatenate([-eh, eh])) for A in _layout_data(h.d, h.n)[1]]
+    """The n site programs of h itself, n > 1, unreduced."""
+    return [_lipschitz_program(h.matrix, h.d, h.n, i) for i in range(h.n)]
+
+
+def _spread(m: np.ndarray):
+    """lambda_max - lambda_min of the Hermitian m, and their midpoint."""
+    lam = np.linalg.eigvalsh(m)
+    return float(lam[-1] - lam[0]), (lam[-1] + lam[0]) / 2.0
+
+
+def _site_parts(h: HermitianOperator):
+    """Per site i (0-based) of h, n > 1: Tr_i(H)/d, the part H'_i = H -
+    I_i (x) Tr_i(H)/d, and S_i, the sorted sites j where ||H'_i -
+    E_j(H'_i)||_F > LOCALITY_TOL (1 + ||H||_F), with i among them."""
+    d, n, m = h.d, h.n, h.matrix
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    traces = [_normalized_trace(m, d, n, rest) for rest in others]
+    parts = np.stack([m - _identity_on_site(t[None], d, i)[0] for i, t in enumerate(traces)])
+    tol = LOCALITY_TOL * (1.0 + np.linalg.norm(m))
+    # off[i, j] = ||H'_i - E_j(H'_i)||_F
+    off = np.stack([np.linalg.norm(
+        parts - _identity_on_site(_normalized_trace(parts, d, n, rest), d, j), axis=(1, 2))
+        for j, rest in enumerate(others)], axis=1)
+    return traces, parts, [[j for j in range(n) if j == i or off[i, j] > tol]
+                           for i in range(n)]
 
 
 def lipschitz_constants(hs) -> list:
@@ -367,35 +437,65 @@ def lipschitz_constants(hs) -> list:
     Site i's value 2 min_K ||H - I_i (x) K||_inf is twice the optimum of
     max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
     P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
-    optimal K.  The site programs of all operators with n > 1 go to one
-    conic._solved_batch call, which solves them in lockstep runs; the site
-    programs of one layout and site have the same rows, so the solver
-    assembles their Schur matrices as one stack.  At n = 1 the complement
-    space is C, K is a scalar, and the value is lambda_max - lambda_min in
-    closed form."""
+    optimal K.  At n = 1 the complement space is C, K is a scalar, and the
+    value is lambda_max - lambda_min in closed form.
+
+    For n > 1 site i's program is solved on the sites S_i its part H'_i =
+    H - E_i(H) acts on (see _site_parts and the module docstring).  When
+    S_i is every site, the program is that of H itself.  Otherwise it is
+    the program of h_i, the normalized partial trace of H'_i over the other
+    sites, on the layout (d, |S_i|) at i's position in S_i, or for S_i =
+    {i} the closed form lambda_max(h_i) - lambda_min(h_i); its optimal K'
+    gives K_i = Tr_i(H)/d + K' (x) I, identity on the sites outside S_i.
+    The value is exact up to 2 ||H'_i - E_{S_i^c}(H'_i)||_F, at most 2
+    LOCALITY_TOL (1 + ||H||_F) per dropped site.  Every shift is a matrix
+    on the n - 1 sites other than i.
+
+    The programs of all operators go to one conic._solved_batch call, which
+    solves them in lockstep runs; the site programs of one layout and
+    position have the same rows, so the solver assembles their Schur
+    matrices as one stack."""
     hs = list(hs)
-    results = [None] * len(hs)
-    solved, programs, names = [], [], []
+    out = []      # per operator its site values and shifts, None until solved
+    programs, names, pending = [], [], []
     for j, h in enumerate(hs):
-        if h.n == 1:
-            lam = np.linalg.eigvalsh(h.matrix)
-            value = float(lam[-1] - lam[0])
-            results[j] = LipschitzResult(value=value, site_values=[value], shifts=[
-                np.array([[(lam[-1] + lam[0]) / 2.0]], dtype=complex)])
+        d, n = h.d, h.n
+        if n == 1:
+            value, mid = _spread(h.matrix)
+            out.append(([value], [np.array([[mid]], dtype=complex)]))
             continue
+        values, shifts = [None] * n, [None] * n
+        out.append((values, shifts))
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
-        names += [f"Lipschitz SDP{of} at site {i + 1}" for i in range(h.n)]
-        programs += _lipschitz_programs(h)
-        solved.append(j)
-    sols = iter(conic._solved_batch(programs, names))
-    for j in solved:
-        h = hs[j]
+        traces, parts, supports = _site_parts(h)
+        for i, keep in enumerate(supports):
+            if len(keep) == n:
+                programs.append(_lipschitz_program(h.matrix, d, n, i))
+                lift = None
+            else:
+                small = _normalized_trace(parts[i], d, n, keep)
+                if len(keep) == 1:
+                    values[i], mid = _spread(small)
+                    shifts[i] = traces[i] + mid * np.eye(len(traces[i]))
+                    continue
+                programs.append(_lipschitz_program(small, d, len(keep), keep.index(i)))
+                # K' acts on keep without i, numbered among the sites but i
+                lift = traces[i], [k + 1 - (k > i) for k in keep if k != i]
+            names.append(f"Lipschitz SDP{of} at site {i + 1}")
+            pending.append((values, shifts, i, d, n, lift))
+    for (values, shifts, i, d, n, lift), sol in zip(pending,
+                                                    conic._solved_batch(programs, names)):
         # site i's dual objective is -y at its trace row
-        y = [next(sols).y for _ in range(h.n)]
-        values = [2.0 * max(float(yi[0]), 0.0) for yi in y]
-        shifts = [smat(yi[1:], h.d ** (h.n - 1)) for yi in y]
-        results[j] = LipschitzResult(value=max(values), site_values=values, shifts=shifts)
-    return results
+        y = sol.y
+        values[i] = 2.0 * max(float(y[0]), 0.0)
+        if lift is None:
+            shifts[i] = smat(y[1:], d ** (n - 1))
+        else:
+            base, sites = lift
+            k = smat(y[1:], d ** len(sites))
+            shifts[i] = base + embed_matrix(k, QuditLayout(d, n - 1), sites)
+    return [LipschitzResult(value=max(values), site_values=values, shifts=shifts)
+            for values, shifts in out]
 
 
 def lipschitz_constant(h: HermitianOperator) -> LipschitzResult:

@@ -77,6 +77,15 @@ def test_lip_exact_and_estimate():
     assert abs(payload["upper"] / payload["lower"] - 1.5) < 1e-9
 
 
+def test_lip_zz_chain_closed_form():
+    # sum_i Z_i Z_(i+1) on five qubits: flipping an inner spin moves two
+    # bonds, flipping an end spin one, so the site values are [2, 4, 4, 4, 2]
+    payload = json.loads(run_cli("lip", fx("zz_chain_n5")).stdout)
+    assert payload["value"] == pytest.approx(4.0, abs=1e-7)
+    assert payload["site_values"] == pytest.approx([2.0, 4.0, 4.0, 4.0, 2.0], abs=1e-7)
+    assert [len(k) for k in payload["shifts"]] == [16] * 5
+
+
 def test_classical_point_masses():
     proc = run_cli("classical", fx("dist_point_00"), fx("dist_point_11"))
     payload = json.loads(proc.stdout)
@@ -254,7 +263,9 @@ def test_concentration_solves_the_lipschitz_program_once(monkeypatch, capsys):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(conic, "solve", counting)
-    qw1.cli.main(["concentration", fx("sigma_z_sum_n3"), "--t", "0.5", "--t", "1.0",
+    # the chain's sites act on two and three sites, so they reach the solver
+    # (the one-site sums take the closed form)
+    qw1.cli.main(["concentration", fx("zz_chain_n5"), "--t", "0.5", "--t", "1.0",
                   "--delta", "1.0"])
     assert len(calls) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]

@@ -1,5 +1,6 @@
 """Tests for the interior-point conic solver on tiny hand-checkable problems."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -1016,6 +1017,37 @@ def test_stacked_schur_in_member_chunks(dense, monkeypatch):
         assert max(sizes) * per_member <= batch or max(sizes) == 1
 
 
+def test_template_data_is_built_once_per_key(monkeypatch):
+    monkeypatch.setattr(conic, "_TEMPLATES", collections.OrderedDict())
+    built = []
+    schur_data = conic._SchurData
+
+    def spy(*args):
+        built.append(args[0].shape[0])
+        return schur_data(*args)
+
+    monkeypatch.setattr(conic, "_SchurData", spy)
+    programs = [w1._w1_program(random_traceless(QuditLayout(2, 3), seed=s))[0]
+                for s in (5, 6)]
+    first = solve(programs[0])
+    again = solve(programs[0])
+    # the same rows as the parts of a stack share the solo program's data
+    batch = conic._solved_batch(programs, ["a", "b"])
+    assert built == [111]
+    # data built afresh gives the same iterates, bit for bit
+    monkeypatch.setattr(conic, "_TEMPLATES", collections.OrderedDict())
+    fresh = solve(programs[0])
+    assert built == [111, 111]
+    for sol in (again, fresh, batch[0]):
+        for part in ("x", "y", "s"):
+            assert getattr(sol, part).tobytes() == getattr(first, part).tobytes()
+    # past _TEMPLATE_CACHE keys the least recently used template goes
+    monkeypatch.setattr(conic, "_TEMPLATE_CACHE", 2)
+    for n in (2, 3, 2, 1):
+        solve(w1._w1_program(random_traceless(QuditLayout(2, n), seed=1))[0])
+    assert [key[0] for key in conic._TEMPLATES] == [(4,) * 4, (2,) * 2]
+
+
 def test_rank_test_runs_once_per_class(monkeypatch):
     full_row_rank = conic._full_row_rank
     tested = []
@@ -1025,8 +1057,13 @@ def test_rank_test_runs_once_per_class(monkeypatch):
         return full_row_rank(A)
 
     monkeypatch.setattr(conic, "_full_row_rank", spy)
+    # templates that passed in earlier solves skip the test
+    monkeypatch.setattr(conic, "_TEMPLATES", collections.OrderedDict())
     _, joint, _ = _copies(3, 4)
     assert solve(joint).optimal
+    assert tested == [7]
+    # the same rows alone, or again in the stack: the verdict is kept
+    assert solve(_copies(3, 1)[0][0]).optimal and solve(joint).optimal
     assert tested == [7]
 
     # identical rank-deficient copies: one test, naming the first copy

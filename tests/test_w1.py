@@ -37,6 +37,7 @@ from qw1.channels import amplitude_damping, diamond_norm
 from qw1.classical import Distribution, classical_w1, classical_w1_dual, diagonal_state
 from qw1.errors import LayoutMismatch, NotTraceless, SolverFailure, SupportMismatch
 from qw1.operators import embed_matrix, load_operator, operator_norm, partial_trace
+from qw1 import w1
 from qw1.w1 import _layout_data, _w1_program, hermitian_basis
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -463,6 +464,122 @@ def test_layout_data_matches_the_dense_constructions(d, n):
         assert np.array_equal(A.toarray(), want)
     # a site row has d nonzeros on each of its two blocks
     assert np.all(np.diff(got[0].indptr)[:n * nc] == 2 * d)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2),
+                                 (5, 2)])
+def test_layout_data_site_rows_match_one_embedding_per_basis_element(d, n):
+    """The batched site rows are those of embed_matrix and svec applied to
+    one basis element at a time, bit for bit, so no solve moves."""
+    lay = QuditLayout(d, n)
+    comp = hermitian_basis(d ** (n - 1))
+    site = [scipy.sparse.csr_matrix(np.stack(
+        [conic.svec(embed_matrix(f, lay, [j for j in lay.sites() if j != i])) for f in comp]))
+        for i in lay.sites()]
+    full = scipy.sparse.identity(lay.dim ** 2, format="csr")[1:]
+    trace = scipy.sparse.csr_matrix(-conic.svec(np.eye(lay.dim)))
+    want = [scipy.sparse.vstack(
+        [scipy.sparse.block_diag([scipy.sparse.hstack([rows, -rows]) for rows in site]),
+         scipy.sparse.hstack([full, -full] * n)], format="csr")]
+    want += [scipy.sparse.bmat([[trace, trace], [-rows, rows]], format="csr") for rows in site]
+    got = _layout_data(d, n)
+    for A, B in zip([got[0]] + got[1], want):
+        for part in ("indptr", "indices", "data"):
+            assert getattr(A, part).tobytes() == getattr(B, part).tobytes()
+
+
+# --- Lipschitz site programs on the sites a site's part acts on ------------
+
+def _local_operator(d, n, width, seed, far=None):
+    """A random nearest-neighbour operator of terms on sites i..i+width-1,
+    plus, with far, a random term on the pair of sites far (1-based)."""
+    rng = np.random.default_rng(seed)
+    lay = QuditLayout(d, n)
+
+    def term(k):
+        g = rng.standard_normal((d ** k, d ** k)) + 1j * rng.standard_normal((d ** k, d ** k))
+        return (g + g.conj().T) / 2.0
+
+    m = sum(embed_matrix(term(width), lay, list(range(i, i + width)))
+            for i in range(1, n - width + 2))
+    if far is not None:
+        m = m + embed_matrix(term(2), lay, list(far))
+    return HermitianOperator(lay, m)
+
+
+def _attained(h, i, shift):
+    """2 ||H - I_i (x) K||_inf for the shift K of the 0-based site i."""
+    rest = [j for j in h.layout.sites() if j != i + 1]
+    return 2.0 * operator_norm(h.matrix - embed_matrix(shift, h.layout, rest))
+
+
+def _local_operators():
+    for d, n in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]:
+        for width in range(1, min(n, 3) + 1):
+            yield (d, n, width, None)
+        if n > 2:
+            yield (d, n, 2, (1, n))
+
+
+@pytest.mark.parametrize("d,n,width,far", list(_local_operators()))
+def test_reduced_site_values_match_the_unreduced_programs(d, n, width, far):
+    h = _local_operator(d, n, width, seed=10 * d + n + width, far=far)
+    res = lipschitz_constant(h)
+    assert len(res.site_values) == len(res.shifts) == n
+    assert res.value == max(res.site_values)
+    for i, (value, shift) in enumerate(zip(res.site_values, res.shifts)):
+        ref = _site_value_reference(h, i)
+        assert abs(value - ref) <= 1e-8 * ref
+        assert shift.shape == (d ** (n - 1),) * 2
+        assert abs(_attained(h, i, shift) - value) <= 1e-7 * (1.0 + value)
+
+
+def test_dense_operators_keep_the_unreduced_programs_bit_for_bit():
+    hs = [random_traceless(QuditLayout(d, n), seed=800 + k)
+          for k, (d, n) in enumerate([(2, 2), (2, 3), (3, 2), (2, 3)])]
+    programs = [p for h in hs for p in w1._lipschitz_programs(h)]
+    sols = iter(conic._solved_batch(programs, [str(k) for k in range(len(programs))]))
+    for h, res in zip(hs, lipschitz_constants(hs)):
+        for value, shift in zip(res.site_values, res.shifts):
+            y = next(sols).y
+            assert value == 2.0 * max(float(y[0]), 0.0)
+            assert shift.tobytes() == conic.smat(y[1:], h.d ** (h.n - 1)).tobytes()
+
+
+def test_a_small_far_term_is_kept_and_a_rounding_one_dropped():
+    lay = _qubits(5)
+    chain = _local_operator(2, 5, 2, seed=3).matrix
+    zz = embed_matrix(np.kron(SZ, SZ), lay, [1, 5])
+    for eps, first in ((1e-6, [0, 1, 4]), (1e-15, [0, 1])):
+        _, _, supports = w1._site_parts(HermitianOperator(lay, chain + eps * zz))
+        assert supports[0] == first
+        assert supports[2] == [1, 2, 3]
+        assert supports[4] == ([0, 3, 4] if eps > 1e-12 else [3, 4])
+
+
+def test_one_site_sums_take_the_closed_form(monkeypatch):
+    lay = _qubits(5)
+    h = functools.reduce(operator.add, (embed_operator(HermitianOperator(_qubits(1), SZ),
+                                                       lay, [i]) for i in lay.sites()))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a one-site sum reached the solver")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
+    res = lipschitz_constant(h)
+    assert all(abs(v - 2.0) <= 1e-12 for v in res.site_values)
+    for i, shift in enumerate(res.shifts):
+        assert abs(_attained(h, i, shift) - 2.0) <= 1e-12
+
+
+def test_reduced_failure_names_operator_and_site(monkeypatch):
+    # operator 1 is one-local and solves nothing; operator 2's first program
+    # is its site 1 on the sites 1 and 2
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 1)
+    hs = [_local_operator(2, 4, 1, seed=1), _local_operator(2, 4, 2, seed=2)]
+    with pytest.raises(SolverFailure, match=r"^Lipschitz SDP of operator 2 at site 1 "
+                                            r"ended with MaxIterations after 1 iterations"):
+        lipschitz_constants(hs)
 
 
 # --- neighboring states ----------------------------------------------------
