@@ -70,13 +70,14 @@ as one (C, m, m) stack, with each block's scaling matrices gathered as a
 within _SCHUR_BATCH entries, or within one member's when that is larger.
 The template's kernel rows (see below) are read once per key too, with
 the int32 index tables of their kernel.  Each member's matrix is then
-factored by its own scipy cho_factor on its
-own regularization ladder, as a program alone is.  The stack and the
-members' factors live in two (C, m, m) arrays allocated once per solve and
-refilled every iteration: the stack is made symmetric in place and each
-factor is made in place in its member's slice of the second.  A member's
-iterates, and so its final point and iteration count, equal those of its
-solo program bit for bit.
+factored by LAPACK's potrf on its own regularization ladder, as a program
+alone is.  A class holds one (C, m, m) array, allocated once per solve and
+refilled every iteration: the stack is made symmetric in place, and each
+member's matrix is factored in place in its own slice.  potrf writes one
+triangle and leaves the other holding the matrix, so a failed try is
+undone from that triangle and the diagonal kept aside (_factor).  A
+member's iterates, and so its final point and iteration count, equal those
+of its solo program bit for bit.
 
 _solved_batch stacks independent programs with _stack, one solve per
 run, and hands each program its slices of the solution, its own objectives
@@ -135,7 +136,6 @@ from __future__ import annotations
 
 import collections
 import enum
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -162,9 +162,9 @@ STEP_FRACTION = 0.98
 # The Kronecker kernel of _UnitRows bounds its slabs of M and of K, and the
 # in-place symmetrization its slabs of rows, by the same count.
 _SCHUR_BATCH = 1 << 16
-# entries (16 MB of float64) up to which _batch_chunks puts programs into one
-# batched solve: the battery's largest batch (0.85M entries at 100 trials)
-# fits, two W1 programs at (2, 4) (1.6M each) do not
+# entries (16 MB of float64), as _batch_chunks counts them, up to which it
+# puts programs into one batched solve: the battery's largest batch (0.85M
+# entries at 100 trials) fits, two W1 programs at (2, 4) (1.6M each) do not
 _BATCH_ENTRIES = 1 << 21
 
 
@@ -533,7 +533,7 @@ def _full_row_rank(A) -> bool:
         return False
     gram = (A @ A.T).toarray()
     anorm = np.abs(gram).sum(axis=0).max()
-    factor, info = scipy.linalg.lapack.dpotrf(gram)
+    factor, info = scipy.linalg.lapack.dpotrf(gram.T, overwrite_a=1)
     if info != 0:
         return False
     rcond, info = scipy.linalg.lapack.dpocon(factor, anorm)
@@ -969,43 +969,39 @@ def _schur(bd: _BlockData, scal: _Scaling, live: np.ndarray,
     return M
 
 
-def _cho_factor(M: np.ndarray, work: np.ndarray):
-    """scipy's cho_factor of M plus the first regularization of the ladder
-    1e-12, 1e-10, ... that works, made in place in work, a C-ordered array
-    of M's shape that holds the factor afterwards; None and the last one
-    tried past 1e-4.  LAPACK gets the F-ordered transpose of work, the same
-    matrix since M is symmetric, so that it copies nothing; each try refills
-    work from M."""
-    reg = STATIC_REGULARIZATION
-    diagonal = work.reshape(-1)[::len(work) + 1]
-    while True:
-        np.copyto(work, M)
-        diagonal += reg
-        try:
-            return scipy.linalg.cho_factor(work.T, lower=True, overwrite_a=True,
-                                           check_finite=False), reg
-        except np.linalg.LinAlgError:
-            reg *= 100.0
-            if reg > 1e-4:
-                return None, reg / 100.0
-
-
-def _factor(M: np.ndarray, rows, work: np.ndarray):
+def _factor(M: np.ndarray, rows):
     """Factor the (C, m, m) stack M of Schur matrices, those of the running
-    members of one class, whose rows are rows[c], one member at a time, the
-    factor of member c in work[c].
+    members of one class, whose rows are rows[c], one member at a time, each
+    in place in its own slice, with the first regularization of the ladder
+    1e-12, 1e-10, ... that works.
 
-    Returns a list of (rows, solve), solve mapping the right-hand sides on
-    rows to the solutions, and None; or None and (c, cause) for the first
-    member c whose regularization runs past 1e-4.
+    LAPACK's potrf gets the F-ordered transpose of M[c], the same matrix
+    since M is symmetric, so that it copies nothing.  It writes the lower
+    factor over the upper triangle of M[c] and leaves the strict lower
+    triangle holding the matrix, from which a retry restores the upper one,
+    and the diagonal from its copy kept before the first try.
+
+    Returns a list of (rows, factor), factor the F-ordered view of M[c]
+    that holds its lower factor, and None; or None and (c, cause) for the
+    first member c whose regularization runs past 1e-4.
     """
     pieces = []
     for c, (Mc, r) in enumerate(zip(M, rows)):
-        chol, reg = _cho_factor(Mc, work[c])
-        if chol is None:
-            return None, (c, f"Cholesky regularization past 1e-4 (last tried {reg:.1e})")
-        pieces.append((r, functools.partial(scipy.linalg.cho_solve, chol,
-                                            check_finite=False)))
+        diagonal = Mc.reshape(-1)[::len(Mc) + 1]
+        kept = diagonal.copy()
+        reg = STATIC_REGULARIZATION
+        while True:
+            np.add(kept, reg, out=diagonal)
+            factor, info = scipy.linalg.lapack.dpotrf(Mc.T, lower=1, overwrite_a=1, clean=0)
+            if info == 0:
+                break
+            reg *= 100.0
+            if reg > 1e-4:
+                return None, (c, f"Cholesky regularization past 1e-4 "
+                                 f"(last tried {reg / 100.0:.1e})")
+            for i in range(len(Mc) - 1):
+                Mc[i, i + 1:] = Mc[i + 1:, i]
+        pieces.append((r, factor))
     return pieces, None
 
 
@@ -1021,9 +1017,9 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
     c = problem.c
     m = A.shape[0]
     classes = [_BlockData(A, cone, comps, members) for members in comps.classes]
-    # per class its Schur matrices and their factors, refilled every iteration
-    buffers = [(np.empty((bd.members.size, bd.size, bd.size)),
-                np.empty((bd.members.size, bd.size, bd.size))) for bd in classes]
+    # per class the stack of its Schur matrices, each factored in place,
+    # refilled every iteration
+    buffers = [np.empty((bd.members.size, bd.size, bd.size)) for bd in classes]
     AT = A.T
     bnorm = [1.0 + np.abs(b[rows]).max(initial=0.0) for rows in comps.rows]
     cnorm = [1.0 + np.abs(c[coords]).max(initial=0.0) for coords in comps.coords]
@@ -1080,12 +1076,12 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
         scal = _Scaling(cone, comps, x, s)
         solves = []
         trouble = []  # per failing class, its first failing member and cause
-        for bd, (schur, work) in zip(classes, buffers):
+        for bd, schur in zip(classes, buffers):
             alive = np.flatnonzero(running[bd.members])
-            if not alive.size:
+            if not alive.size or not bd.size:  # no rows, no Newton system
                 continue
             M = _schur(bd, scal, alive, out=schur[:alive.size])
-            pieces, failed = _factor(M, [bd.rows[c] for c in alive], work)
+            pieces, failed = _factor(M, [bd.rows[c] for c in alive])
             if failed:
                 trouble.append((int(bd.members[alive[failed[0]]]), failed[1]))
             else:
@@ -1097,8 +1093,8 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
         def newton(rc):
             rhs = rp - A @ (rc - scal.apply_G(rd))
             dy = np.zeros(m)  # a stopped component does not move
-            for rows, solve_rows in solves:
-                dy[rows] = solve_rows(rhs[rows])
+            for rows, factor in solves:
+                dy[rows] = scipy.linalg.lapack.dpotrs(factor, rhs[rows], lower=1)[0]
             ds = rd - AT @ dy
             dx = rc - scal.apply_G(ds)
             return dx, dy, ds
@@ -1224,7 +1220,9 @@ def _batch_chunks(shapes) -> list:
     """Split programs of the (rows, variables) shapes into runs of
     consecutive indices, each for one solve of _solved_batch.  A program of
     m rows and v variables counts m (v + 2 m) entries: its A counted dense,
-    and its Schur matrix and Cholesky factor.  A run holds programs up to
+    and twice its Schur matrix, though solve factors that matrix in place;
+    the count keeps the room of the separate factor of earlier versions, so
+    that the runs hold the same programs.  A run holds programs up to
     _BATCH_ENTRIES together, or one program that alone exceeds it."""
     runs, used = [], 0
     for i, (m, v) in enumerate(shapes):

@@ -403,11 +403,6 @@ def _lipschitz_program(m: np.ndarray, d: int, n: int, i: int) -> ConicProblem:
                         np.concatenate([-em, em]))
 
 
-def _lipschitz_programs(h: HermitianOperator) -> list:
-    """The n site programs of h itself, n > 1, unreduced."""
-    return [_lipschitz_program(h.matrix, h.d, h.n, i) for i in range(h.n)]
-
-
 def _spread(m: np.ndarray):
     """lambda_max - lambda_min of the Hermitian m, and their midpoint."""
     lam = np.linalg.eigvalsh(m)

@@ -169,18 +169,33 @@ def test_problem_validation():
         ConicProblem(psd_blocks=(), lp_dim=2, A=np.eye(2), b=np.zeros(2), c=np.zeros(5))
 
 
-def _no_cholesky(*args, **kwargs):
-    raise np.linalg.LinAlgError("not positive definite")
+def _no_cholesky(a, **kwargs):
+    return a, 1  # LAPACK's info: the first leading minor is not positive definite
 
 
 def test_failure_names_cholesky_regularization(monkeypatch):
-    monkeypatch.setattr(scipy.linalg, "cho_factor", _no_cholesky)
+    # a solve first, so that the cached rank verdict keeps the rank test's
+    # own Cholesky away from the patch
+    solve(_lp_problem())
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_cholesky)
     sol = solve(_lp_problem())
     assert sol.status is SolverStatus.NumericalFailure
     assert sol.iterations == 1
     with pytest.raises(SolverFailure, match=r"Cholesky regularization past 1e-4 "
                                             r"\(last tried 1\.0e-04\)"):
         conic._solved_batch([_lp_problem()], ["test LP"])
+
+
+def test_component_without_rows():
+    # a program without constraints, alone and stacked with one that has
+    # some, stops at the interior point nearest its minimum
+    free = ConicProblem(psd_blocks=(), lp_dim=2, A=np.zeros((0, 2)), b=np.zeros(0),
+                        c=np.array([1.0, 2.0]))
+    alone, = conic._solved_batch([free], ["free"])
+    stacked = conic._solved_batch([free, _lp_problem()], ["free", "LP"])
+    assert alone.primal_objective < 1e-7
+    assert stacked[0].x.tobytes() == alone.x.tobytes()
+    assert abs(stacked[1].primal_objective - 3.0) < 1e-7
 
 
 def test_failure_names_non_finite_objective():
@@ -328,6 +343,11 @@ def _block_data(prob):
     return cone, conic._BlockData(prob.A, cone, comps, comps.classes[0])
 
 
+def _lipschitz_programs(h):
+    """The n site programs of h itself, n > 1, unreduced."""
+    return [w1._lipschitz_program(h.matrix, h.d, h.n, i) for i in range(h.n)]
+
+
 def _formed_rows(bd):
     """The rows for which the _SparseRows form W F W."""
     return np.unique(np.concatenate([cols for rows, _, _ in bd.blocks
@@ -425,7 +445,7 @@ def test_lipschitz_site_rows_take_the_kernel_lifted(d, n):
     # site i's rows I_i (x) f are lifted with m = d at stride d^(n-i) on P_i
     # and Q_i, which share one kernel; the trace row alone stays sparse
     h = random_traceless(QuditLayout(d, n), seed=d * n)
-    for i, prob in enumerate(w1._lipschitz_programs(h), start=1):
+    for i, prob in enumerate(_lipschitz_programs(h), start=1):
         m = prob.A.shape[0]
         assert m == 1 + d ** (2 * (n - 1))
         cone, bd = _block_data(prob)
@@ -543,6 +563,24 @@ def test_schur_of_a_large_w1_program_stays_within_twice_its_matrix():
     assert peak < 2 * M.nbytes
 
 
+@pytest.mark.parametrize("d, n", [(3, 3), (2, 4)])
+def test_cold_w1_solve_holds_one_schur_matrix(d, n, monkeypatch):
+    # the Schur matrix is factored in its own memory, so a solve holds one
+    # m x m array and the lesser temporaries of its assembly and rank test
+    import tracemalloc
+
+    prob, _ = w1._w1_program(random_traceless(QuditLayout(d, n), seed=1))
+    m = prob.A.shape[0]
+    monkeypatch.setattr(conic, "_TEMPLATES", collections.OrderedDict())
+    tracemalloc.start()
+    try:
+        assert solve(prob).optimal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * m * 8
+
+
 def test_schur_into_a_buffer_and_factor_in_place(monkeypatch):
     # the stack written into a given buffer, its in-place symmetrization and
     # the in-place factor, on the first rung of the ladder and after a
@@ -563,13 +601,18 @@ def test_schur_into_a_buffer_and_factor_in_place(monkeypatch):
     w, v = np.linalg.eigh(M)
     shifted = v @ np.diag(np.r_[-1e-11, w[1:]]) @ v.T
     shifted = (shifted + shifted.T) / 2.0
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(shifted + 1e-12 * np.eye(m))
     for matrix, rung in ((M, 1e-12), (shifted, 1e-10)):
-        work = np.full((m, m), np.nan)
-        (factor, lower), reg = conic._cho_factor(matrix, work)
-        want, _ = scipy.linalg.cho_factor(matrix + reg * np.eye(m), lower=True)
-        assert lower and reg == rung
-        assert np.shares_memory(factor, work)
+        stack = matrix[None].copy()
+        pieces, failed = conic._factor(stack, [slice(0, m)])
+        assert failed is None
+        (_, factor), = pieces
+        want, _ = scipy.linalg.cho_factor(matrix + rung * np.eye(m), lower=True)
+        assert np.shares_memory(factor, stack)
         assert np.tril(factor).tobytes() == np.tril(want).tobytes()
+        # the other triangle still holds the matrix, after a failed try too
+        assert np.triu(factor, 1).tobytes() == np.triu(matrix, 1).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -906,24 +949,25 @@ def test_identical_components_match_solo_solves(dense):
 
 def test_member_whose_cholesky_fails_escalates_alone(monkeypatch):
     solo, joint, cols = _copies(2, 3)
-    cho_factor = scipy.linalg.cho_factor
+    dpotrf = scipy.linalg.lapack.dpotrf
     clean, tried = [], []
 
     def spy(a, **kwargs):
         clean.append(a.copy())
-        return cho_factor(a, **kwargs)
+        return dpotrf(a, **kwargs)
 
-    def flaky_cho_factor(a, **kwargs):
+    def flaky_dpotrf(a, **kwargs):
         tried.append(a.copy())
+        factor, info = dpotrf(a, **kwargs)
         # the second member's first try in the second iteration: in the
-        # first the cold start gives every member the same Schur matrix
-        if len(tried) == 5:
-            raise np.linalg.LinAlgError("synthetic")
-        return cho_factor(a, **kwargs)
+        # first the cold start gives every member the same Schur matrix.
+        # It fails with the factor written, which the retry must undo
+        return factor, 1 if len(tried) == 5 else info
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    solve(joint)  # caches the rank verdict, so only Schur matrices reach dpotrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
     solve(joint)
-    monkeypatch.setattr(scipy.linalg, "cho_factor", flaky_cho_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", flaky_dpotrf)
     sol = solve(joint)
     assert sol.optimal
     # up to the failure the iterates are those of the clean solve; then the
@@ -945,16 +989,15 @@ def test_member_whose_cholesky_fails_escalates_alone(monkeypatch):
 
 def test_member_past_the_ladder_names_its_component(monkeypatch):
     _, joint, _ = _copies(2, 3)
-    cho_factor = scipy.linalg.cho_factor
+    dpotrf = scipy.linalg.lapack.dpotrf
     tried = []
 
-    def cho_factor_first_only(a, **kwargs):
+    def dpotrf_first_only(a, **kwargs):
         tried.append(a)
-        if len(tried) > 1:
-            raise np.linalg.LinAlgError("synthetic")
-        return cho_factor(a, **kwargs)
+        return dpotrf(a, **kwargs) if len(tried) == 1 else (a, 1)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_first_only)
+    solve(joint)  # caches the rank verdict, so only Schur matrices reach dpotrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf_first_only)
     sol = solve(joint)
     assert sol.status is SolverStatus.NumericalFailure
     assert sol.iterations == 1 and sol.component == 1
@@ -971,16 +1014,15 @@ def test_failure_names_the_lowest_component_over_classes(monkeypatch):
     other = ConicProblem((), 3, np.array([[1.0, 1.0, 1.0]]), np.array([2.0]),
                          np.array([1.0, 2.0, 3.0]))
     prob = conic._stack([base, other, base])
-    cho_factor = scipy.linalg.cho_factor
+    dpotrf = scipy.linalg.lapack.dpotrf
     tried = []
 
-    def cho_factor_first_only(a, **kwargs):
+    def dpotrf_first_only(a, **kwargs):
         tried.append(a)
-        if len(tried) > 1:
-            raise np.linalg.LinAlgError("synthetic")
-        return cho_factor(a, **kwargs)
+        return dpotrf(a, **kwargs) if len(tried) == 1 else (a, 1)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_first_only)
+    solve(prob)  # caches the rank verdicts, so only Schur matrices reach dpotrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf_first_only)
     sol = solve(prob)
     assert sol.status is SolverStatus.NumericalFailure
     assert sol.component == 1
@@ -1147,7 +1189,7 @@ def _library_programs(kind, seed):
                                        for part in w1._positive_parts(xi)])
                 out.append((w1._w1_program(x)[0], hint))
             elif kind == "lipschitz" and n > 1:
-                out += [(p, None) for p in w1._lipschitz_programs(random_traceless(lay, seed=rng))]
+                out += [(p, None) for p in _lipschitz_programs(random_traceless(lay, seed=rng))]
             elif kind in ("transport", "transport-dual"):
                 p, q = (Distribution(lay, rng.dirichlet(np.ones(lay.dim))) for _ in range(2))
                 if kind == "transport":

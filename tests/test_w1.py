@@ -537,7 +537,7 @@ def test_reduced_site_values_match_the_unreduced_programs(d, n, width, far):
 def test_dense_operators_keep_the_unreduced_programs_bit_for_bit():
     hs = [random_traceless(QuditLayout(d, n), seed=800 + k)
           for k, (d, n) in enumerate([(2, 2), (2, 3), (3, 2), (2, 3)])]
-    programs = [p for h in hs for p in w1._lipschitz_programs(h)]
+    programs = [w1._lipschitz_program(h.matrix, h.d, h.n, i) for h in hs for i in range(h.n)]
     sols = iter(conic._solved_batch(programs, [str(k) for k in range(len(programs))]))
     for h, res in zip(hs, lipschitz_constants(hs)):
         for value, shift in zip(res.site_values, res.shifts):
@@ -618,12 +618,30 @@ def test_local_hamiltonian_bound_z_chain_matches_sdp():
     assert abs(lipschitz_constant(h).value - bound) < 1e-6
 
 
-def test_local_hamiltonian_bound_dominates_exact():
-    lay = _qubits(3)
+def _transverse_ising_chain():
+    """ZZ on each pair of neighbouring qubits and X on each qubit, n = 3."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     zz = HermitianOperator(_qubits(2), np.kron(SZ, SZ))
     xop = HermitianOperator(_qubits(1), sx)
-    terms = [([1, 2], zz), ([2, 3], zz), ([1], xop), ([2], xop), ([3], xop)]
+    return _qubits(3), [([1, 2], zz), ([2, 3], zz), ([1], xop), ([2], xop), ([3], xop)]
+
+
+def _random_chain(d, n):
+    """A seeded random traceless term on each pair of neighbouring sites and
+    on each site of (d, n)."""
+    rng = np.random.default_rng(10 * d + n)
+    pair, site = QuditLayout(d, 2), QuditLayout(d, 1)
+    return QuditLayout(d, n), (
+        [([i, i + 1], random_traceless(pair, seed=rng)) for i in range(1, n)]
+        + [([i], random_traceless(site, seed=rng)) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("chain", [
+    pytest.param(_transverse_ising_chain, id="ising-2-3"),
+    *(pytest.param(functools.partial(_random_chain, d, n), id=f"random-{d}-{n}")
+      for d, n in [(2, 3), (2, 4), (2, 5), (3, 3)])])
+def test_local_hamiltonian_bound_dominates_exact(chain):
+    lay, terms = chain()
     bound = local_hamiltonian_lipschitz_bound(lay, terms)
     h = functools.reduce(operator.add, (embed_operator(op, lay, sup) for sup, op in terms))
     exact = lipschitz_constant(h).value
