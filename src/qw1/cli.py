@@ -71,7 +71,8 @@ def cmd_dist(state_a, state_b, method, output):
 @cli.command("lip")
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--exact", "mode", flag_value="exact", default=True,
-              help="solve the SDP, one independent component per site (default)")
+              help="exact value: per site a closed form, or a program on the "
+                   "sites its part acts on (default)")
 @click.option("--estimate", "mode", flag_value="estimate",
               help="closed-form sandwich, no optimization")
 @_output_option

@@ -531,8 +531,10 @@ def _full_row_rank(A) -> bool:
     m, n = A.shape
     if m > n:
         return False
-    gram = (A @ A.T).toarray()
-    anorm = np.abs(gram).sum(axis=0).max()
+    gram = A @ A.T
+    # its 1-norm from the sparse form: one dense m x m array, not two
+    anorm = abs(gram).sum(axis=0).max()
+    gram = gram.toarray()
     factor, info = scipy.linalg.lapack.dpotrf(gram.T, overwrite_a=1)
     if info != 0:
         return False

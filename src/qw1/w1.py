@@ -64,10 +64,7 @@ to h_i - I_i (x) K' with h_i its image of H'_i, and K' (x) I gives back any
 K' of the small program: site i's value is that of h_i's site program on
 the layout (d, |S_i|).  Numerically S_i holds the sites j where H'_i is
 farther than LOCALITY_TOL (1 + ||H||_F) from E_j(H'_i) in Frobenius norm,
-and the value then moves by at most 2 ||H'_i - E_{S_i^c}(H'_i)||_F.  A
-site whose part acts on every site keeps the program of H itself, so
-operators without such structure get the same programs, values and shifts
-as before.
+and the value then moves by at most 2 ||H'_i - E_{S_i^c}(H'_i)||_F.
 """
 
 from __future__ import annotations
@@ -410,9 +407,10 @@ def _spread(m: np.ndarray):
 
 
 def _site_parts(h: HermitianOperator):
-    """Per site i (0-based) of h, n > 1: Tr_i(H)/d, the part H'_i = H -
+    """Per site i (0-based) of h: Tr_i(H)/d, the part H'_i = H -
     I_i (x) Tr_i(H)/d, and S_i, the sorted sites j where ||H'_i -
-    E_j(H'_i)||_F > LOCALITY_TOL (1 + ||H||_F), with i among them."""
+    E_j(H'_i)||_F > LOCALITY_TOL (1 + ||H||_F), with i among them.  At
+    n = 1, Tr_i(H)/d is the 1 x 1 matrix Tr(H)/d and S_1 = [0]."""
     d, n, m = h.d, h.n, h.matrix
     others = [[j for j in range(n) if j != i] for i in range(n)]
     traces = [_normalized_trace(m, d, n, rest) for rest in others]
@@ -436,12 +434,12 @@ def lipschitz_constants(hs) -> list:
     value is lambda_max - lambda_min in closed form.
 
     For n > 1 site i's program is solved on the sites S_i its part H'_i =
-    H - E_i(H) acts on (see _site_parts and the module docstring).  When
-    S_i is every site, the program is that of H itself.  Otherwise it is
+    H - E_i(H) acts on (see _site_parts and the module docstring): it is
     the program of h_i, the normalized partial trace of H'_i over the other
-    sites, on the layout (d, |S_i|) at i's position in S_i, or for S_i =
-    {i} the closed form lambda_max(h_i) - lambda_min(h_i); its optimal K'
-    gives K_i = Tr_i(H)/d + K' (x) I, identity on the sites outside S_i.
+    sites (H'_i itself when S_i is every site), on the layout (d, |S_i|) at
+    i's position in S_i, or for S_i = {i} the closed form
+    lambda_max(h_i) - lambda_min(h_i); its optimal K' gives K_i =
+    Tr_i(H)/d + K' (x) I, identity on the sites outside S_i.
     The value is exact up to 2 ||H'_i - E_{S_i^c}(H'_i)||_F, at most 2
     LOCALITY_TOL (1 + ||H||_F) per dropped site.  Every shift is a matrix
     on the n - 1 sites other than i.
@@ -464,31 +462,23 @@ def lipschitz_constants(hs) -> list:
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
         traces, parts, supports = _site_parts(h)
         for i, keep in enumerate(supports):
-            if len(keep) == n:
-                programs.append(_lipschitz_program(h.matrix, d, n, i))
-                lift = None
-            else:
-                small = _normalized_trace(parts[i], d, n, keep)
-                if len(keep) == 1:
-                    values[i], mid = _spread(small)
-                    shifts[i] = traces[i] + mid * np.eye(len(traces[i]))
-                    continue
-                programs.append(_lipschitz_program(small, d, len(keep), keep.index(i)))
-                # K' acts on keep without i, numbered among the sites but i
-                lift = traces[i], [k + 1 - (k > i) for k in keep if k != i]
+            small = _normalized_trace(parts[i], d, n, keep)
+            if len(keep) == 1:
+                values[i], mid = _spread(small)
+                shifts[i] = traces[i] + mid * np.eye(len(traces[i]))
+                continue
+            programs.append(_lipschitz_program(small, d, len(keep), keep.index(i)))
             names.append(f"Lipschitz SDP{of} at site {i + 1}")
-            pending.append((values, shifts, i, d, n, lift))
-    for (values, shifts, i, d, n, lift), sol in zip(pending,
-                                                    conic._solved_batch(programs, names)):
+            # K' acts on keep without i, numbered among the sites but i
+            pending.append((values, shifts, i, d, n, traces[i],
+                            [k + 1 - (k > i) for k in keep if k != i]))
+    for (values, shifts, i, d, n, base, sites), sol in zip(
+            pending, conic._solved_batch(programs, names)):
         # site i's dual objective is -y at its trace row
         y = sol.y
         values[i] = 2.0 * max(float(y[0]), 0.0)
-        if lift is None:
-            shifts[i] = smat(y[1:], d ** (n - 1))
-        else:
-            base, sites = lift
-            k = smat(y[1:], d ** len(sites))
-            shifts[i] = base + embed_matrix(k, QuditLayout(d, n - 1), sites)
+        k = smat(y[1:], d ** len(sites))
+        shifts[i] = base + embed_matrix(k, QuditLayout(d, n - 1), sites)
     return [LipschitzResult(value=max(values), site_values=values, shifts=shifts)
             for values, shifts in out]
 
@@ -502,14 +492,12 @@ def lipschitz_constant(h: HermitianOperator) -> LipschitzResult:
 def lipschitz_estimate(h: HermitianOperator) -> tuple:
     """Optimization-free sandwich around ||H||_L from the one-site pinching.
 
-    lower = d^2/(d^2-1) * max_i ||H - E_i(H)||_inf, upper = 2 * the same max;
-    the ratio is exactly 2(d^2-1)/d^2.
+    lower = d^2/(d^2-1) * max_i ||H'_i||_inf, upper = 2 * the same max, with
+    H'_i = H - E_i(H) the site parts of _site_parts, for any n >= 1; the
+    ratio is exactly 2(d^2-1)/d^2.
     """
     d = h.d
-    worst = max(
-        operator_norm(h.matrix - replace_with_maximally_mixed(h, i).matrix)
-        for i in h.layout.sites()
-    )
+    worst = max(operator_norm(part) for part in _site_parts(h)[1])
     return (d * d / (d * d - 1.0) * worst, 2.0 * worst)
 
 

@@ -630,6 +630,22 @@ def test_full_rank_accepted_and_repeated_row_refused(monkeypatch):
         solve(repeated)
 
 
+def test_rank_test_holds_one_dense_gram_matrix():
+    # the 1-norm comes from the sparse A A^T, so the one m x m array is the
+    # dense Gram matrix, factored in place
+    import tracemalloc
+
+    A = w1._layout_data(2, 4)[0]
+    m = A.shape[0]
+    tracemalloc.start()
+    try:
+        assert conic._full_row_rank(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * m * m * 8
+
+
 # ---------------------------------------------------------------------------
 # NT scaling, step length and corrector, stacked per block order
 # ---------------------------------------------------------------------------

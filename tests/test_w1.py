@@ -36,7 +36,13 @@ from qw1 import conic
 from qw1.channels import amplitude_damping, diamond_norm
 from qw1.classical import Distribution, classical_w1, classical_w1_dual, diagonal_state
 from qw1.errors import LayoutMismatch, NotTraceless, SolverFailure, SupportMismatch
-from qw1.operators import embed_matrix, load_operator, operator_norm, partial_trace
+from qw1.operators import (
+    embed_matrix,
+    load_operator,
+    operator_norm,
+    partial_trace,
+    replace_with_maximally_mixed,
+)
 from qw1 import w1
 from qw1.w1 import _layout_data, _w1_program, hermitian_basis
 
@@ -534,16 +540,31 @@ def test_reduced_site_values_match_the_unreduced_programs(d, n, width, far):
         assert abs(_attained(h, i, shift) - value) <= 1e-7 * (1.0 + value)
 
 
-def test_dense_operators_keep_the_unreduced_programs_bit_for_bit():
+def test_dense_operators_solve_the_programs_of_their_parts_bit_for_bit():
+    # every part of a dense operator acts on every site, so each site solves
+    # the program of its part H'_i on the whole layout, shifted back by
+    # Tr_i(H)/d
     hs = [random_traceless(QuditLayout(d, n), seed=800 + k)
           for k, (d, n) in enumerate([(2, 2), (2, 3), (3, 2), (2, 3)])]
-    programs = [w1._lipschitz_program(h.matrix, h.d, h.n, i) for h in hs for i in range(h.n)]
+    split = [w1._site_parts(h) for h in hs]
+    assert all(keep == list(range(h.n)) for h, (_, _, supports) in zip(hs, split)
+               for keep in supports)
+    programs = [w1._lipschitz_program(part, h.d, h.n, i)
+                for h, (_, parts, _) in zip(hs, split) for i, part in enumerate(parts)]
     sols = iter(conic._solved_batch(programs, [str(k) for k in range(len(programs))]))
-    for h, res in zip(hs, lipschitz_constants(hs)):
-        for value, shift in zip(res.site_values, res.shifts):
+    for h, (traces, _, _), res in zip(hs, split, lipschitz_constants(hs)):
+        for trace, value, shift in zip(traces, res.site_values, res.shifts):
             y = next(sols).y
             assert value == 2.0 * max(float(y[0]), 0.0)
-            assert shift.tobytes() == conic.smat(y[1:], h.d ** (h.n - 1)).tobytes()
+            want = trace + conic.smat(y[1:], h.d ** (h.n - 1))
+            assert shift.tobytes() == want.tobytes()
+    # the sandwich reads the same parts: max_i ||H - E_i(H)||_inf, with E_i
+    # the per-site replacement by the maximally mixed state
+    for h in hs + [random_traceless(QuditLayout(d, 1), seed=820 + d) for d in (2, 3)]:
+        worst = max(operator_norm(h.matrix - replace_with_maximally_mixed(h, i).matrix)
+                    for i in h.layout.sites())
+        d2 = h.d * h.d
+        assert lipschitz_estimate(h) == (d2 / (d2 - 1.0) * worst, 2.0 * worst)
 
 
 def test_a_small_far_term_is_kept_and_a_rounding_one_dropped():
