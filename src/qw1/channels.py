@@ -42,6 +42,7 @@ from .operators import (
     QuditLayout,
     basis_state,
     embed_matrix,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     operator_to_json,
@@ -513,13 +514,13 @@ def channel_from_json(payload: dict) -> KrausChannel:
         if kind == "amplitude_damping":
             return amplitude_damping(float(payload["p"]))
         if kind == "depolarizing":
-            d = int(payload["d"])
+            d = json_int(payload, "d")
             omega = DensityMatrix(QuditLayout(d, 1),
                                   matrix_from_json(payload["omega"], d))
             return depolarizing(float(payload["p"]), omega)
         if kind == "kraus":
-            d = int(payload["d"])
-            n = int(payload.get("n", 1))
+            d = json_int(payload, "d")
+            n = json_int(payload, "n", 1)
             layout = QuditLayout(d, n)
             return KrausChannel(layout, [matrix_from_json(k, layout.dim)
                                          for k in payload["kraus"]])

@@ -28,7 +28,7 @@ from .errors import (
     LengthMismatch,
     SupportViolation,
 )
-from .operators import DensityMatrix, QuditLayout
+from .operators import DensityMatrix, QuditLayout, json_int
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -72,7 +72,7 @@ class Distribution:
 
 def distribution_from_json(payload: dict) -> Distribution:
     try:
-        layout = QuditLayout(int(payload["d"]), int(payload["n"]))
+        layout = QuditLayout(json_int(payload, "d"), json_int(payload, "n"))
         return Distribution(layout, np.asarray(payload["weights"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed distribution payload: {exc}") from exc

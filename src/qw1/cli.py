@@ -175,6 +175,8 @@ def cmd_verify(suite, seed, trials, output):
     only = None
     if suite != "all":
         only = tuple(s.strip() for s in suite.split(",") if s.strip())
+        if not only:
+            raise InvalidInput(f"--suite {suite!r} names no family")
         known = {name for name, _, _ in _FAMILIES}
         bad = [s for s in only if s not in known]
         if bad:

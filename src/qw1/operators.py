@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * every Hermitian matrix is symmetrized to (M + M^dagger)/2 on ingestion,
   after checking the deviation is below tolerance;
 * basis states of a single qudit are labelled 0..d-1;
-* entropies are in nats.
+* entropies are in nats;
+* the two site maps, on stacks, are _trace_out (partial trace) and its
+  adjoint _lift (I (x) K); every other site map of the package calls them.
 
 The total dimension d**n is guarded by a cap (default 32, overridable via
 the QW1_DIM_CAP environment variable) because everything here is dense.
@@ -198,12 +200,34 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return cls(layout, np.kron(a.matrix, b.matrix))
 
 
-def _tensorize(m: np.ndarray, d: int, n: int) -> np.ndarray:
-    return m.reshape((d,) * (2 * n))
+def _trace_out(m: np.ndarray, d: int, n: int, keep) -> np.ndarray:
+    """Each d^n x d^n matrix of the stack m traced over the sites outside
+    keep (0-based), one site at a time from the last: the
+    (..., d^k, d^k) stack on the k sites of keep in their order, or the
+    (..., 1, 1) trace when keep is empty.  The adjoint of _lift."""
+    lead, left = len(m.shape) - 2, n
+    t = m.reshape(m.shape[:-2] + (d,) * (2 * n))
+    # site j's axes are j and left + j while every site below j is left
+    for j in reversed(range(n)):
+        if j not in keep:
+            t = np.trace(t, axis1=lead + j, axis2=lead + left + j)
+            left -= 1
+    return t.reshape(m.shape[:-2] + (d ** left, d ** left))
 
 
-def _matricize(t: np.ndarray, d: int, n: int) -> np.ndarray:
-    return t.reshape(d ** n, d ** n)
+def _lift(m: np.ndarray, d: int, n: int, sites) -> np.ndarray:
+    """Each matrix of the stack m, acting on the 0-based sites in the order
+    of its tensor factors, tensored with the identity on the other sites of
+    n: the (..., d^n, d^n) stack.  The adjoint of _trace_out."""
+    lead, rest = m.shape[:-2], [j for j in range(n) if j not in sites]
+    out = np.zeros(lead + (d ** n, d ** n), dtype=complex)
+    # a writeable view of the entries of out whose row and column digits agree
+    # on every site of rest; axes: rows, then columns, of sites, then rest
+    cols = [j if j in rest else n + j for j in range(n)]
+    view = np.einsum(out.reshape(lead + (d,) * (2 * n)), [..., *range(n), *cols],
+                     [..., *sites, *[n + j for j in sites], *rest])
+    view[...] = m.reshape(lead + (d,) * (2 * len(sites)) + (1,) * len(rest))
+    return out
 
 
 def partial_trace(x: HermitianOperator, sites: int | Iterable[int]) -> HermitianOperator:
@@ -213,17 +237,10 @@ def partial_trace(x: HermitianOperator, sites: int | Iterable[int]) -> Hermitian
     """
     if isinstance(sites, int):
         sites = [sites]
-    gone = sorted({x.layout.check_site(i) for i in sites})
-    new_layout = x.layout.drop(gone)
-    t = _tensorize(x.matrix, x.d, x.n)
-    # row axis of site i is i-1, column axis is n + i - 1; trace highest first
-    # so the remaining axis numbers stay valid
-    n_left = x.n
-    for i in reversed(gone):
-        t = np.trace(t, axis1=i - 1, axis2=n_left + i - 1)
-        n_left -= 1
+    gone = {x.layout.check_site(i) for i in sites}
+    keep = [j for j in range(x.n) if j + 1 not in gone]
     cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-    return cls(new_layout, _matricize(t, x.d, new_layout.n))
+    return cls(x.layout.drop(gone), _trace_out(x.matrix, x.d, x.n, keep))
 
 
 def permute_sites(x: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
@@ -231,9 +248,9 @@ def permute_sites(x: HermitianOperator, perm: Sequence[int]) -> HermitianOperato
     if sorted(perm) != list(x.layout.sites()):
         raise IndexOutOfRange(f"{perm} is not a permutation of 1..{x.n}")
     axes = [p - 1 for p in perm] + [x.n + p - 1 for p in perm]
-    t = _tensorize(x.matrix, x.d, x.n).transpose(axes)
+    t = x.matrix.reshape((x.d,) * (2 * x.n)).transpose(axes)
     cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-    return cls(x.layout, _matricize(t, x.d, x.n))
+    return cls(x.layout, t.reshape(x.layout.dim, x.layout.dim))
 
 
 def embed_operator(small: HermitianOperator, layout: QuditLayout,
@@ -254,14 +271,7 @@ def embed_matrix(small: np.ndarray, layout: QuditLayout,
         raise DimensionMismatch(
             f"operator of shape {small.shape} cannot act on {k} site(s) of dimension {layout.d}"
         )
-    rest = [i for i in layout.sites() if i not in sites]
-    big = np.kron(small, np.eye(layout.d ** len(rest), dtype=complex))
-    # big currently acts on (sites..., rest...); permute back to 1..n
-    order = list(sites) + rest
-    inv = [order.index(i) + 1 for i in layout.sites()]
-    axes = [p - 1 for p in inv] + [layout.n + p - 1 for p in inv]
-    t = _tensorize(big, layout.d, layout.n).transpose(axes)
-    return _matricize(t, layout.d, layout.n)
+    return _lift(small, layout.d, layout.n, [i - 1 for i in sites])
 
 
 def trace_norm(x) -> float:
@@ -316,17 +326,12 @@ def dephase(x: HermitianOperator) -> HermitianOperator:
 def replace_with_maximally_mixed(x: HermitianOperator, i: int) -> HermitianOperator:
     """Swap site i for I/d while keeping the marginal on the other sites.
 
-    For n = 1 this collapses to (tr x) I/d.
+    For n = 1 this is (tr x) I/d.
     """
     x.layout.check_site(i)
-    if x.n == 1:
-        m = np.trace(x.matrix) / x.d * np.eye(x.d)
-        cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-        return cls(x.layout, m)
-    rest = partial_trace(x, i)
-    # embed_matrix tensors in the identity on site i; dividing by d turns it
-    # into the maximally mixed factor
-    m = embed_matrix(rest.matrix, x.layout, [j for j in x.layout.sites() if j != i])
+    rest = [j for j in range(x.n) if j != i - 1]
+    # the lift puts the identity on site i, and 1/d makes it maximally mixed
+    m = _lift(_trace_out(x.matrix, x.d, x.n, rest), x.d, x.n, rest)
     cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
     return cls(x.layout, m / x.d)
 
@@ -423,13 +428,21 @@ def matrix_from_json(rows, expect_dim: int | None = None) -> np.ndarray:
     return m
 
 
+def json_int(payload: dict, field: str, default=None) -> int:
+    """payload[field], a JSON integer (2 or 2.0, not True or "2"), else InvalidInput."""
+    value = payload[field] if default is None else payload.get(field, default)
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise InvalidInput(f"{field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def operator_to_json(x: HermitianOperator) -> dict:
     return {"d": x.d, "n": x.n, "matrix": matrix_to_json(x.matrix)}
 
 
 def operator_from_json(payload: dict, as_state: bool = False) -> HermitianOperator:
     try:
-        d, n = int(payload["d"]), int(payload["n"])
+        d, n = json_int(payload, "d"), json_int(payload, "n")
         rows = payload["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"operator payload missing fields: {exc}") from exc

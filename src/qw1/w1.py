@@ -35,7 +35,8 @@ svec coordinates of conic, which are the coordinates Tr[F_a X] along
 hermitian_basis(D).  Every constraint row is one basis element paired
 against the variables: a full-space row is the unit vector of one
 coordinate, a site row is svec(I_i (x) f) for f in hermitian_basis(d^(n-1)).
-So b is svec(X) and the witness is smat(y) on the full-space rows.
+So b is svec(X) and the witness is smat(y) on the full-space rows.  Every
+Tr_i and I_i (x) here is operators._trace_out or operators._lift.
 
 Both programs omit one row, the full-space constraint of the basis element
 E_00, so that their constraint matrices have the full row rank that the
@@ -81,11 +82,12 @@ from .errors import LayoutMismatch, SupportMismatch
 from .operators import (
     HermitianOperator,
     QuditLayout,
+    _lift,
+    _trace_out,
     embed_matrix,
     matrix_to_json,
     operator_norm,
     operator_to_json,
-    partial_trace,
     replace_with_maximally_mixed,
     trace_norm,
     NEIGHBOR_TOL,
@@ -106,31 +108,6 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return smat(np.eye(dim * dim), dim)
 
 
-def _identity_on_site(ks: np.ndarray, d: int, i: int) -> np.ndarray:
-    """I_i (x) K for each K of the (B, d^(n-1), d^(n-1)) stack ks, K on the
-    sites other than the 0-based site i in their order: K's entries copied
-    to the entries of each site-i digit, the others zero."""
-    B, k, _ = ks.shape
-    a = d ** i
-    b = k // a
-    out = np.zeros((B, a, d, b, a, d, b), dtype=complex)
-    src = ks.reshape(B, a, b, a, b)
-    for r in range(d):
-        out[:, :, r, :, :, r, :] = src
-    return out.reshape(B, k * d, k * d)
-
-
-def _normalized_trace(m: np.ndarray, d: int, n: int, keep: list) -> np.ndarray:
-    """Each D x D matrix of the stack m traced over the sites outside keep
-    (0-based, sorted) and divided by d per traced site: the unital positive
-    map onto the sites keep, in their order."""
-    cols = [n + j if j in keep else j for j in range(n)]
-    out = np.einsum(m.reshape(m.shape[:-2] + (d,) * (2 * n)), [...] + list(range(n)) + cols,
-                    [...] + keep + [n + j for j in keep])
-    k = d ** len(keep)
-    return out.reshape(m.shape[:-2] + (k, k)) / d ** (n - len(keep))
-
-
 @lru_cache(maxsize=8)
 def _layout_data(d: int, n: int):
     """The constraint matrices of a layout's W1 and Lipschitz programs, as
@@ -146,7 +123,7 @@ def _layout_data(d: int, n: int):
     site rows on P_i and the site rows on Q_i."""
     layout = QuditLayout(d, n)
     comp = hermitian_basis(d ** (n - 1))
-    site = [scipy.sparse.csr_matrix(svec(_identity_on_site(comp, d, i)))
+    site = [scipy.sparse.csr_matrix(svec(_lift(comp, d, n, [j for j in range(n) if j != i])))
             for i in range(n)]
     full = scipy.sparse.identity(layout.dim ** 2, format="csr")[1:]
     trace = scipy.sparse.csr_matrix(-svec(np.eye(layout.dim)))
@@ -184,13 +161,8 @@ class W1Certificate:
     def residuals(self, x: HermitianOperator) -> dict:
         """Max violations of the certificate's defining identities."""
         total = sum(xi.matrix for xi in self.decomposition)
-        if x.n == 1:
-            marg = max(abs(xi.trace()) for xi in self.decomposition)
-        else:
-            marg = max(
-                trace_norm(partial_trace(xi, i + 1))
-                for i, xi in enumerate(self.decomposition)
-            )
+        marg = max(trace_norm(_trace_out(xi.matrix, x.d, x.n, [j for j in range(x.n) if j != i]))
+                   for i, xi in enumerate(self.decomposition))
         half_sum = sum(trace_norm(xi) for xi in self.decomposition) / 2.0
         return {
             "sum": float(np.abs(total - x.matrix).max()),
@@ -213,18 +185,15 @@ class W1Certificate:
 
 
 def _telescoping_hint(x: HermitianOperator) -> list:
-    """Feasible decomposition from the marginal interpolation chain."""
-    d, n, m = x.d, x.n, x.matrix
-    chain = [np.zeros((1, 1), dtype=complex)]  # M_0 = Tr[X] = 0 scalar
-    for i in range(1, n + 1):
-        kept = m if i == n else partial_trace(x, list(range(i + 1, n + 1))).matrix
-        chain.append(kept)
-    out = []
-    for i in range(1, n + 1):
-        hi = np.kron(chain[i], np.eye(d ** (n - i)) / d ** (n - i))
-        lo = np.kron(chain[i - 1], np.eye(d ** (n - i + 1)) / d ** (n - i + 1))
-        out.append(hi - lo)
-    return out
+    """Feasible decomposition from the marginal interpolation chain: M_i,
+    X's marginal on sites 1..i, is M_(i+1) traced over its last site, and
+    M_0 = Tr[X] = 0."""
+    d, n = x.d, x.n
+    chain = [np.zeros((1, 1), dtype=complex), x.matrix]
+    for i in range(n - 1, 0, -1):
+        chain.insert(1, _trace_out(chain[1], d, i + 1, range(i)))
+    lifted = [np.kron(m, np.eye(d ** (n - i)) / d ** (n - i)) for i, m in enumerate(chain)]
+    return [hi - lo for lo, hi in zip(lifted, lifted[1:])]
 
 
 def _positive_parts(m: np.ndarray):
@@ -290,8 +259,8 @@ def _bracket(x: HermitianOperator, sol, first_full: int) -> W1Certificate:
     h = cert.witness.matrix
     ks = [smat(yi, d ** (n - 1)) for yi in sol.y[:first_full].reshape(n, -1)]
     spans = [np.linalg.eigvalsh(
-        h + embed_matrix(k, layout, [j for j in layout.sites() if j != i]))[[0, -1]]
-        for i, k in zip(layout.sites(), ks)]
+        h + _lift(k, d, n, [j for j in range(n) if j != i]))[[0, -1]]
+        for i, k in enumerate(ks)]
     t = max(hi - lo for lo, hi in spans)
     scale = 1.0 / t if t > 0 else 0.0
     witness = HermitianOperator(layout, h * scale)
@@ -413,13 +382,13 @@ def _site_parts(h: HermitianOperator):
     n = 1, Tr_i(H)/d is the 1 x 1 matrix Tr(H)/d and S_1 = [0]."""
     d, n, m = h.d, h.n, h.matrix
     others = [[j for j in range(n) if j != i] for i in range(n)]
-    traces = [_normalized_trace(m, d, n, rest) for rest in others]
-    parts = np.stack([m - _identity_on_site(t[None], d, i)[0] for i, t in enumerate(traces)])
+    traces = [_trace_out(m, d, n, rest) / d for rest in others]
+    parts = np.stack([m - _lift(t, d, n, rest) for t, rest in zip(traces, others)])
     tol = LOCALITY_TOL * (1.0 + np.linalg.norm(m))
     # off[i, j] = ||H'_i - E_j(H'_i)||_F
     off = np.stack([np.linalg.norm(
-        parts - _identity_on_site(_normalized_trace(parts, d, n, rest), d, j), axis=(1, 2))
-        for j, rest in enumerate(others)], axis=1)
+        parts - _lift(_trace_out(parts, d, n, rest) / d, d, n, rest), axis=(1, 2))
+        for rest in others], axis=1)
     return traces, parts, [[j for j in range(n) if j == i or off[i, j] > tol]
                            for i in range(n)]
 
@@ -462,7 +431,7 @@ def lipschitz_constants(hs) -> list:
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
         traces, parts, supports = _site_parts(h)
         for i, keep in enumerate(supports):
-            small = _normalized_trace(parts[i], d, n, keep)
+            small = _trace_out(parts[i], d, n, keep) / d ** (n - len(keep))
             if len(keep) == 1:
                 values[i], mid = _spread(small)
                 shifts[i] = traces[i] + mid * np.eye(len(traces[i]))
@@ -471,14 +440,14 @@ def lipschitz_constants(hs) -> list:
             names.append(f"Lipschitz SDP{of} at site {i + 1}")
             # K' acts on keep without i, numbered among the sites but i
             pending.append((values, shifts, i, d, n, traces[i],
-                            [k + 1 - (k > i) for k in keep if k != i]))
+                            [k - (k > i) for k in keep if k != i]))
     for (values, shifts, i, d, n, base, sites), sol in zip(
             pending, conic._solved_batch(programs, names)):
         # site i's dual objective is -y at its trace row
         y = sol.y
         values[i] = 2.0 * max(float(y[0]), 0.0)
         k = smat(y[1:], d ** len(sites))
-        shifts[i] = base + embed_matrix(k, QuditLayout(d, n - 1), sites)
+        shifts[i] = base + _lift(k, d, n - 1, sites)
     return [LipschitzResult(value=max(values), site_values=values, shifts=shifts)
             for values, shifts in out]
 
@@ -505,13 +474,12 @@ def is_neighboring(rho, sigma):
     """Smallest site whose removal makes the states agree, or None."""
     if rho.layout != sigma.layout:
         raise LayoutMismatch(f"{rho.layout} vs {sigma.layout}")
-    if rho.n == 1:
-        # discarding the only qudit leaves the traces, which match for states
-        return 1 if abs(rho.trace() - sigma.trace()) <= NEIGHBOR_TOL else None
-    for i in rho.layout.sites():
-        diff = partial_trace(rho, i).matrix - partial_trace(sigma, i).matrix
-        if trace_norm(diff) <= NEIGHBOR_TOL:
-            return i
+    pair = np.stack([rho.matrix, sigma.matrix])
+    for i in range(rho.n):
+        # at n = 1 the marginals are the traces, which match for states
+        a, b = _trace_out(pair, rho.d, rho.n, [j for j in range(rho.n) if j != i])
+        if trace_norm(a - b) <= NEIGHBOR_TOL:
+            return i + 1
     return None
 
 

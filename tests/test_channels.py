@@ -321,3 +321,12 @@ def test_channel_json_roundtrip():
         channel_from_json({"kind": "sideways"})
     with pytest.raises(InvalidInput):
         channel_from_json({"kind": "amplitude_damping"})
+    kraus = _random_channel(QuditLayout(2, 1), np.random.default_rng(5)).to_json()
+    depol = {"kind": "depolarizing", "d": 2, "p": 0.4,
+             "omega": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+    for payload, field, bad in ((kraus, "d", 2.7), (kraus, "n", 1.9), (kraus, "n", True),
+                                (kraus, "d", "2"), (depol, "d", 2.7), (depol, "d", True)):
+        with pytest.raises(InvalidInput, match=f"'{field}' must be an integer"):
+            channel_from_json({**payload, field: bad})
+    assert channel_from_json({**kraus, "d": 2.0, "n": 1.0}).layout == Q1
+    assert channel_from_json({**depol, "d": 2.0}).layout == Q1

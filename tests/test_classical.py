@@ -332,3 +332,8 @@ def test_distribution_json():
         distribution_from_json({"d": 2, "weights": [1.0, 0.0]})
     with pytest.raises(InvalidInput):
         distribution_from_json({"d": 2, "n": 1, "weights": "xx"})
+    for field, bad in (("d", 2.7), ("n", 1.9), ("n", True), ("d", "2")):
+        payload = {"d": 2, "n": 1, "weights": [1.0, 0.0], field: bad}
+        with pytest.raises(InvalidInput, match=f"'{field}' must be an integer"):
+            distribution_from_json(payload)
+    assert distribution_from_json({"d": 2.0, "n": 1, "weights": [1.0, 0.0]}).d == 2

@@ -189,6 +189,10 @@ def test_invalid_inputs_exit_one(tmp_path):
     run_cli("channel", "--channel", "sideways", expect=1)
     run_cli("channel", "--channel", "depolarizing", expect=1)  # missing --p
     run_cli("verify", "--suite", "unknown-family", expect=1)
+    # a suite that names no family is refused, not run as an empty battery
+    for suite in (",", " , ", ""):
+        proc = run_cli("verify", "--suite", suite, expect=1)
+        assert "names no family" in proc.stderr and proc.stdout == ""
     run_cli("dist", fx("qubit_0"), expect=1)  # missing argument
     # NaN and Infinity parse as JSON numbers but are refused as entries
     nan = float("nan")

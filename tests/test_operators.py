@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from qw1.errors import (
     NotTraceless,
 )
 from qw1.operators import (
+    _lift,
+    _trace_out,
     DensityMatrix,
     HermitianOperator,
     QuditLayout,
@@ -264,3 +268,123 @@ def test_json_rejects_malformed():
         operator_from_json(bad)
     ok = matrix_to_json(np.eye(2))
     assert json.loads(json.dumps(ok)) == ok
+
+
+def test_json_layout_fields_must_be_integers():
+    rows = matrix_to_json(np.eye(2) / 2)
+    for field, bad in (("d", 2.7), ("n", 1.9), ("n", True), ("d", "2"), ("d", None)):
+        payload = {"d": 2, "n": 1, "matrix": rows, field: bad}
+        with pytest.raises(InvalidInput, match=f"'{field}' must be an integer"):
+            operator_from_json(payload)
+    # an integral float is a JSON integer
+    assert operator_from_json({"d": 2.0, "n": 1.0, "matrix": rows}).layout == QuditLayout(2, 1)
+
+
+def test_every_fixture_loads():
+    from qw1.classical import distribution_from_json
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+    assert len(paths) == 20
+    for path in paths:
+        payload = json.loads(path.read_text())
+        loaded = (distribution_from_json if "weights" in payload else operator_from_json)(payload)
+        assert loaded.layout == QuditLayout(payload["d"], payload["n"])
+
+
+# References for the two stacked site maps: the partial trace and the
+# embedding of one matrix, and the identity lift of qw1.w1 on stacks, as they
+# were written before _trace_out and _lift replaced them.
+
+def _partial_trace_reference(m, d, n, gone):
+    """m traced over the 1-based sites gone, highest first."""
+    t = m.reshape((d,) * (2 * n))
+    n_left = n
+    for i in sorted(gone, reverse=True):
+        t = np.trace(t, axis1=i - 1, axis2=n_left + i - 1)
+        n_left -= 1
+    return t.reshape(d ** n_left, d ** n_left)
+
+
+def _embed_reference(small, d, n, sites):
+    """small on the 1-based sites, in that order, tensored with the identity."""
+    rest = [i for i in range(1, n + 1) if i not in sites]
+    big = np.kron(small, np.eye(d ** len(rest), dtype=complex))
+    order = list(sites) + rest
+    inv = [order.index(i) + 1 for i in range(1, n + 1)]
+    axes = [p - 1 for p in inv] + [n + p - 1 for p in inv]
+    return big.reshape((d,) * (2 * n)).transpose(axes).reshape(d ** n, d ** n)
+
+
+def _identity_on_site_reference(ks, d, i):
+    """I_i (x) K for each K of the stack ks, on the sites but the 0-based i."""
+    B, k, _ = ks.shape
+    a = d ** i
+    b = k // a
+    out = np.zeros((B, a, d, b, a, d, b), dtype=complex)
+    src = ks.reshape(B, a, b, a, b)
+    for r in range(d):
+        out[:, :, r, :, :, r, :] = src
+    return out.reshape(B, k * d, k * d)
+
+
+SITE_MAP_LAYOUTS = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
+
+
+def _stack(rng, count, dim):
+    return rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+
+
+def _subsets(n):
+    return [list(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("d,n", SITE_MAP_LAYOUTS)
+def test_trace_out_is_the_reference_partial_trace_bit_for_bit(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    ms = _stack(rng, 3, d ** n)
+    for keep in _subsets(n):
+        got = _trace_out(ms, d, n, keep)
+        gone = [j + 1 for j in range(n) if j not in keep]
+        for m, g in zip(ms, got):
+            assert np.array_equal(g, _partial_trace_reference(m, d, n, gone)), keep
+
+
+@pytest.mark.parametrize("d,n", SITE_MAP_LAYOUTS)
+def test_lift_is_both_reference_lifts_bit_for_bit(d, n):
+    rng = np.random.default_rng(20 * d + n)
+    for keep in _subsets(n):
+        k = len(keep)
+        for sites in itertools.permutations(keep):
+            ks = _stack(rng, 3, d ** k)
+            got = _lift(ks, d, n, list(sites))
+            for small, g in zip(ks, got):
+                assert np.array_equal(g, _embed_reference(small, d, n, [s + 1 for s in sites]))
+        if k == n - 1:
+            (i,) = set(range(n)) - set(keep)
+            ks = _stack(rng, 3, d ** k)
+            assert np.array_equal(_lift(ks, d, n, keep), _identity_on_site_reference(ks, d, i))
+
+
+@pytest.mark.parametrize("d,n", SITE_MAP_LAYOUTS)
+def test_lift_is_the_adjoint_of_trace_out(d, n):
+    """Tr[A lift(B)] = Tr[trace_out(A) B] for every kept subset."""
+    rng = np.random.default_rng(30 * d + n)
+    for keep in _subsets(n):
+        a = _stack(rng, 3, d ** n)
+        b = _stack(rng, 3, d ** len(keep))
+        a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
+        b /= np.linalg.norm(b, axis=(1, 2), keepdims=True)
+        lhs = np.einsum("bij,bji->b", a, _lift(b, d, n, keep))
+        rhs = np.einsum("bij,bji->b", _trace_out(a, d, n, keep), b)
+        assert np.abs(lhs - rhs).max() <= 1e-12, keep
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trace_out_of_the_only_site_is_the_trace(d):
+    ms = _stack(np.random.default_rng(d), 4, d)
+    got = _trace_out(ms, d, 1, [])
+    assert got.shape == (4, 1, 1)
+    assert np.array_equal(got[:, 0, 0], [np.trace(m) for m in ms])
+    assert np.array_equal(_trace_out(ms[0], d, 1, []), np.trace(ms[0]).reshape(1, 1))
+    # its lift is the trace times the identity
+    assert np.array_equal(_lift(got, d, 1, []), got * np.eye(d))

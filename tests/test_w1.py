@@ -102,6 +102,43 @@ def test_duality_and_certificates_on_random_instances():
         assert lipschitz_constant(cd.witness).value <= 1.0 + 1e-6
 
 
+def _telescoping_reference(x):
+    """The starting decomposition as written before its chain became one-site
+    traces of the previous link: each marginal traced from X, and each
+    Kronecker product formed twice."""
+    d, n, m = x.d, x.n, x.matrix
+    chain = [np.zeros((1, 1), dtype=complex)]
+    for i in range(1, n + 1):
+        chain.append(m if i == n else partial_trace(x, list(range(i + 1, n + 1))).matrix)
+    out = []
+    for i in range(1, n + 1):
+        hi = np.kron(chain[i], np.eye(d ** (n - i)) / d ** (n - i))
+        lo = np.kron(chain[i - 1], np.eye(d ** (n - i + 1)) / d ** (n - i + 1))
+        out.append(hi - lo)
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_telescoping_hint_is_the_reference_bit_for_bit(d, n):
+    x = random_traceless(QuditLayout(d, n), seed=7 * d + n)
+    got = w1._telescoping_hint(x)
+    assert len(got) == n
+    for g, ref in zip(got, _telescoping_reference(x)):
+        assert np.array_equal(g, ref)
+
+
+def test_residuals_at_one_site_report_the_floored_trace():
+    lay = _qubits(1)
+    x = HermitianOperator(lay, np.diag([0.5, -0.5]).astype(complex))
+    cert = w1_primal(x)
+    assert cert.residuals(x)["marginal"] <= 1e-9
+    # the marginal of the one piece is its trace, floored like every trace norm
+    for trace, marginal in ((3e-13, 0.0), (2e-9, 2e-9), (-2e-9, 2e-9)):
+        piece = HermitianOperator(lay, x.matrix + trace / 2 * np.eye(2))
+        cert.decomposition = [piece]
+        assert cert.residuals(x)["marginal"] == pytest.approx(marginal, rel=1e-6, abs=0.0)
+
+
 # --- the bracket of method "both", from one solve -------------------------
 
 def _closed_form_pairs():
@@ -617,6 +654,9 @@ def test_neighboring_detection():
     r00 = basis_state(lay, [0, 0])
     r11 = basis_state(lay, [1, 1])
     assert is_neighboring(r00, r11) is None
+    # at one site the only marginals are the traces, equal for two states
+    one = QuditLayout(2, 1)
+    assert is_neighboring(basis_state(one, [0]), basis_state(one, [1])) == 1
     # neighboring states sit at most distance 1 apart
     assert w1_primal(HermitianOperator(lay, rho.matrix - sig.matrix)).value <= 1 + 1e-7
 
