@@ -55,10 +55,15 @@ def cli():
 @click.option("--method", type=click.Choice(["primal", "dual", "both"]),
               default="both", show_default=True,
               help="primal: the minimal-decomposition SDP, value its objective; "
-                   "dual: the witness SDP, value its objective; both: one primal "
-                   "solve whose decomposition and witness are repaired to feasible "
-                   "points in floating point (not interval arithmetic), value the "
-                   "upper end primal, dual the lower end, gap = primal - dual")
+                   "dual: the witness SDP, value its objective; both: a "
+                   "decomposition and witness repaired to feasible points in "
+                   "floating point (not interval arithmetic), value the upper end "
+                   "primal, dual the lower end, gap = primal - dual.  They come "
+                   "from the first route that applies: neighbouring states (half "
+                   "the trace distance), states that factor over the sites (one "
+                   "route per factor, W1 adds up), diagonal states (the Hamming "
+                   "transport LP); else, or when that bracket is wider than the "
+                   "solver's gap tolerance, from one primal solve")
 @_output_option
 def cmd_dist(state_a, state_b, method, output):
     """Transport distance between two density-matrix JSON files."""

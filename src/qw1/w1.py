@@ -22,13 +22,29 @@ through conic._solved_batch, each from its own decomposition; w1_primal is
 its one-element case, which reaches the solver with its single program as
 it is.
 
-w1_distance(method="both") makes one primal solve and brackets the value
-from it: it repairs the solve's decomposition and witness into feasible
-points, up to floating-point rounding and not in interval arithmetic (after
-Jansson, Chaykin and Keil, "Rigorous error bounds for the optimal value in
-semidefinite programming", SIAM J. Numer. Anal. 45 (2007)).  The repaired
-decomposition gives the upper end, the rescaled witness the lower end, and
-the gap is their difference; see _bracket.
+w1_distance(method="both") brackets the value from a decomposition, a
+witness H and per-site shifts K_i, which _repaired turns into feasible
+points on the whole X, up to floating-point rounding and not in interval
+arithmetic (after Jansson, Chaykin and Keil, "Rigorous error bounds for the
+optimal value in semidefinite programming", SIAM J. Numer. Anal. 45
+(2007)).  The repaired decomposition gives the upper end, the rescaled
+witness the lower end, and the gap is their difference.  The three come
+from the first of these routes that applies to the states (_routed):
+
+* neighbouring: is_neighboring finds a site i (every n = 1 pair has one);
+  X^(i) = X, H = (Pi_+ - Pi_-)/2 from X's eigenprojections, K_j = 0, and
+  the value is ||X||_1 / 2;
+* product: both states factor over a partition of the sites into two or
+  more blocks (STRUCTURE_TOL); each factor pair takes the neighbouring or
+  diagonal route or its own W1 program, all programs in one batch, and
+  the factors' parts are lifted to the whole space (W1 is additive);
+* diagonal: both states are diagonal (STRUCTURE_TOL); one transport LP
+  pair of qw1.classical gives the coupling, whose masses walk one site at
+  a time, and the potential f, with H = diag(f);
+
+else from one primal solve of the W1 program of X (_bracket).  A routed
+bracket wider than conic.GAP_TOL (1 + value) falls back to that solve too,
+so the routes' tolerances decide only which path runs, never the bracket.
 
 Every P_i, Q_i is one Hermitian PSD block of the layout's order D, in the
 svec coordinates of conic, which are the coordinates Tr[F_a X] along
@@ -70,13 +86,15 @@ and the value then moves by at most 2 ||H'_i - E_{S_i^c}(H'_i)||_F.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse
 
 from . import conic
+from .classical import Distribution, transport_lps
 from .conic import ConicProblem, svec, smat
 from .errors import LayoutMismatch, SupportMismatch
 from .operators import (
@@ -96,6 +114,11 @@ from .operators import (
 # a site's part H - E_i(H) acts on site j when its Frobenius distance from
 # E_j of itself exceeds LOCALITY_TOL (1 + ||H||_F); see lipschitz_constants
 LOCALITY_TOL = 1e-12
+# w1_distance's product and diagonal routes: two states factor over a set of
+# sites when each lies within STRUCTURE_TOL of the product of its marginals,
+# and a state is diagonal when its off-diagonal part is within it, both in
+# Frobenius norm; see _factors and _is_diagonal
+STRUCTURE_TOL = 1e-12
 
 
 def hermitian_basis(dim: int) -> np.ndarray:
@@ -141,12 +164,19 @@ class W1Certificate:
 
     decomposition: X^(1)..X^(n) with vanishing i-th marginals summing to X;
     witness: a traceless H feasible for the dual with Tr[HX] = dual.
-    Under method "both" the two come from one solve, each repaired to
+    Under method "both" the two come from one route, each repaired to
     feasibility in floating point: primal = 1/2 sum_i ||X^(i)||_1 is the
     upper end of the bracket, dual = Tr[HX] its lower end, value = primal
     and gap = primal - dual >= 0; shifts then holds per site i the K_i with
     ||H - I_i (x) K_i||_inf <= 1/2, which show H feasible.  Otherwise
     value and gap are those of the one solved side and shifts is None.
+
+    route names where the decomposition and witness came from: "program"
+    (the W1 program of the whole X), or under method "both" one of the
+    structured routes of w1_distance, "neighbouring", "product" or
+    "diagonal".  iterations counts the W1 program's interior-point
+    iterations: 0 when no W1 program ran, and for a product the largest
+    count among its factors' programs.  to_json leaves route out.
     """
 
     value: float
@@ -157,6 +187,7 @@ class W1Certificate:
     gap: float
     iterations: int = 0
     shifts: list | None = None
+    route: str = "program"
 
     def residuals(self, x: HermitianOperator) -> dict:
         """Max violations of the certificate's defining identities."""
@@ -234,30 +265,39 @@ def _certificate(x: HermitianOperator, sol, first_full: int, value: float) -> W1
 
 
 def _bracket(x: HermitianOperator, sol, first_full: int) -> W1Certificate:
-    """Both ends of the W1 bracket from one solve of x's program, from its
-    decomposition and witness repaired to feasibility in floating point.
-
-    Upper end: each piece P_i - Q_i loses I_i/d (x) Tr_i of itself (its
-    trace at n = 1), the residual X - sum_i X^(i) of that projection is
-    split by _telescoping_hint and added to the pieces, and primal =
-    1/2 sum_i ||X^(i)||_1.  Lower end: with H the traceless witness and K_i
-    the multipliers of site i's rows, the slack of the P_i, Q_i blocks
-    bounds H + I_i (x) K_i, whose spectrum spans 2 w_i; a scalar shift
-    centres it, so ||H||_L <= t = 2 max_i w_i, and H/t is feasible with
-    dual = Tr[HX]/t.  A zero H, where t = 0, gives the zero witness.  Both
-    ends hold up to floating-point rounding, not in interval arithmetic."""
-    layout, d, n = x.layout, x.d, x.n
+    """Both ends of the W1 bracket from one solve of x's program: its
+    decomposition and witness, with k_i the multipliers of site i's rows,
+    repaired by _repaired.  The slack of the P_i, Q_i blocks bounds
+    H + I_i (x) k_i, so its spread is near 1."""
+    d, n = x.d, x.n
     cert = _certificate(x, sol, first_full, sol.primal_objective)
+    ks = [smat(yi, d ** (n - 1)) for yi in sol.y[:first_full].reshape(n, -1)]
+    return _repaired(x, cert.decomposition, cert.witness.matrix, ks, sol.iterations)
+
+
+def _repaired(x: HermitianOperator, decomposition, h: np.ndarray, ks, iterations: int,
+              route: str = "program") -> W1Certificate:
+    """The bracket of a decomposition of x, a traceless witness h and per
+    site i a k_i on the other sites, each repaired to feasibility in
+    floating point.
+
+    Upper end: each piece X^(i) loses I_i/d (x) Tr_i of itself (its trace at
+    n = 1), the residual X - sum_i X^(i) of that projection is split by
+    _telescoping_hint and added to the pieces, and primal =
+    1/2 sum_i ||X^(i)||_1.  Lower end: the spectrum of H + I_i (x) k_i spans
+    2 w_i; a scalar shift centres it, so ||H||_L <= t = 2 max_i w_i, and H/t
+    is feasible with dual = Tr[HX]/t and the shifts K_i = (centre - k_i)/t.
+    A zero H, where t = 0, gives the zero witness.  Both ends hold up to
+    floating-point rounding, not in interval arithmetic."""
+    layout, d, n = x.layout, x.d, x.n
     pieces = [xi.matrix - replace_with_maximally_mixed(xi, i).matrix
-              for i, xi in zip(layout.sites(), cert.decomposition)]
+              for i, xi in zip(layout.sites(), decomposition)]
     rest = HermitianOperator(layout, x.matrix - sum(pieces))
     decomposition = [HermitianOperator(layout, p + t)
                      for p, t in zip(pieces, _telescoping_hint(rest))]
     # no trace-norm floor: every eigenvalue counts towards the upper end
     primal = sum(float(np.abs(np.linalg.eigvalsh(xi.matrix)).sum())
                  for xi in decomposition) / 2.0
-    h = cert.witness.matrix
-    ks = [smat(yi, d ** (n - 1)) for yi in sol.y[:first_full].reshape(n, -1)]
     spans = [np.linalg.eigvalsh(
         h + _lift(k, d, n, [j for j in range(n) if j != i]))[[0, -1]]
         for i, k in enumerate(ks)]
@@ -268,9 +308,10 @@ def _bracket(x: HermitianOperator, sol, first_full: int) -> W1Certificate:
     dual = min(float(np.trace(witness.matrix @ x.matrix).real), primal)
     return W1Certificate(
         value=primal, decomposition=decomposition, witness=witness,
-        primal=primal, dual=dual, gap=primal - dual, iterations=sol.iterations,
+        primal=primal, dual=dual, gap=primal - dual, iterations=iterations,
         shifts=[((lo + hi) / 2.0 * np.eye(d ** (n - 1)) - k) * scale
                 for (lo, hi), k in zip(spans, ks)],
+        route=route,
     )
 
 
@@ -328,10 +369,159 @@ def _state_difference(rho, sigma) -> HermitianOperator:
     return HermitianOperator(rho.layout, diff - np.trace(diff) / D * np.eye(D))
 
 
+def _factors(pair: np.ndarray, d: int, n: int, block) -> bool:
+    """Whether both matrices of the stack pair lie within STRUCTURE_TOL, in
+    Frobenius norm, of the product of their marginals on the sites of block
+    (0-based) and on the other sites, divided by their trace."""
+    rest = [j for j in range(n) if j not in block]
+    product = (_lift(_trace_out(pair, d, n, block), d, n, block)
+               @ _lift(_trace_out(pair, d, n, rest), d, n, rest))
+    product /= np.trace(pair, axis1=1, axis2=2)[:, None, None]
+    return np.linalg.norm(pair - product, axis=(1, 2)).max() <= STRUCTURE_TOL
+
+
+def _factor_blocks(rho, sigma) -> list:
+    """The finest partition of the sites (0-based, each block sorted) over
+    which both states factor: each block is the smallest set of the sites
+    left, holding the lowest of them, over which both marginals on the sites
+    left factor, at most 2^(n-1) checks in all."""
+    d, n = rho.d, rho.n
+    pair = np.stack([rho.matrix, sigma.matrix])
+    blocks, left = [], list(range(n))
+    while left:
+        k, m = len(left), _trace_out(pair, d, n, left)
+        block = next(b for size in range(1, k + 1)
+                     for b in ([0, *c] for c in itertools.combinations(range(1, k), size - 1))
+                     if size == k or _factors(m, d, k, b))
+        blocks.append([left[j] for j in block])
+        left = [s for j, s in enumerate(left) if j not in block]
+    return blocks
+
+
+def _is_diagonal(*states) -> bool:
+    """Whether every state's off-diagonal part is within STRUCTURE_TOL in
+    Frobenius norm."""
+    return max(np.linalg.norm(s.matrix - np.diag(np.diag(s.matrix)))
+               for s in states) <= STRUCTURE_TOL
+
+
+def _neighbouring_parts(x: HermitianOperator, i: int):
+    """Pieces, witness, shifts and iterations of a pair that differs on the
+    0-based site i only: X^(i) = X and 0 elsewhere, H = (Pi_+ - Pi_-)/2
+    from X's eigenprojections, and K_j = 0, so ||H - I_j (x) K_j||_inf =
+    1/2 and Tr[HX] = ||X||_1 / 2."""
+    w, v = np.linalg.eigh(x.matrix)
+    zero = np.zeros_like(x.matrix)
+    return ([x.matrix if j == i else zero for j in range(x.n)],
+            (v * (np.sign(w) / 2.0)) @ v.conj().T,
+            [np.zeros((x.layout.dim // x.d,) * 2)] * x.n, 0)
+
+
+def _diagonal_parts(pairs) -> list:
+    """Pieces, witness, shifts and iterations of every pair of diagonal
+    states of pairs, from one transport_lps call holding both sides of each.
+
+    Each coupled mass pi(x, y) walks from x to y one site at a time: step s
+    moves it from z_(s-1) to z_s, where z_s has y's digits on sites 1..s and
+    x's on the others, so the two differ on site s at most and piece s,
+    sum pi(x, y) (|z_(s-1)><z_(s-1)| - |z_s><z_s|), has no site-s marginal.
+    The witness is diag(f) with f the Kantorovich potential, and K_i the
+    diagonal of the midpoints of f along the fibres of site i."""
+    dists = [[Distribution(s.layout, w / w.sum())
+              for s in pair for w in [np.maximum(np.diag(s.matrix).real, 0.0)]]
+             for pair in pairs]
+    sols = iter(transport_lps([(p, q, dual) for p, q in dists for dual in (False, True)]))
+    out = []
+    for p, _ in dists:
+        (_, coupling), (_, f) = next(sols), next(sols)
+        d, n, D = p.d, p.n, p.layout.dim
+        x, y = np.indices((D, D))
+        walk = [y // d ** (n - s) * d ** (n - s) + x % d ** (n - s) for s in range(n + 1)]
+        mass = [np.bincount(z.ravel(), coupling.ravel(), D) for z in walk]
+        fibres = f.reshape((d,) * n)
+        out.append(([np.diag(a - b) for a, b in zip(mass, mass[1:])], np.diag(f),
+                    [np.diag((fibres.max(axis=i) + fibres.min(axis=i)).ravel() / 2.0)
+                     for i in range(n)], 0))
+    return out
+
+
+def _parts(pairs) -> list:
+    """Pieces, witness, shifts and iterations of every state pair of pairs,
+    each from the first of: the neighbouring closed form, the diagonal
+    transport LPs (one call for all pairs), the repaired W1 programs (one
+    batch for all pairs)."""
+    out, diagonal, programs = [None] * len(pairs), [], []
+    for j, (rho, sigma) in enumerate(pairs):
+        site = is_neighboring(rho, sigma)
+        if site is not None:
+            out[j] = _neighbouring_parts(_state_difference(rho, sigma), site - 1)
+        else:
+            (diagonal if _is_diagonal(rho, sigma) else programs).append(j)
+    for j, parts in zip(diagonal, _diagonal_parts([pairs[j] for j in diagonal])):
+        out[j] = parts
+    certs = _w1_primal_runs([_state_difference(*pairs[j]) for j in programs], bracket=True)
+    for j, cert in zip(programs, certs):
+        out[j] = ([xi.matrix for xi in cert.decomposition], cert.witness.matrix,
+                  cert.shifts, cert.iterations)
+    return out
+
+
+def _product_parts(rho, sigma, blocks):
+    """Pieces, witness, shifts and iterations of two states that factor over
+    blocks, from those of their factor pairs (_parts): site i of block k
+    gets sigma_<k (x) X_k^(i) (x) rho_>k, in site order, the witness is
+    sum_k H_k (x) I, and K_i is the factor's own shift plus sum_(l != k)
+    H_l (x) I; iterations is the largest of the factors'."""
+    d, n = rho.d, rho.n
+    pair = np.stack([rho.matrix, sigma.matrix])
+    margs = [_trace_out(pair, d, n, b) for b in blocks]
+    factors = _parts([tuple(HermitianOperator(QuditLayout(d, len(b)), m) for m in ms)
+                      for b, ms in zip(blocks, margs)])
+    # rho_k (x) I and sigma_k (x) I
+    states = [_lift(ms, d, n, b) for b, ms in zip(blocks, margs)]
+    hs = [h for _, h, _, _ in factors]
+
+    def on_others(m, block, i):
+        """m on the sites of block but i, lifted to the n - 1 sites but i."""
+        return _lift(m, d, n - 1, [j - (j > i) for j in block if j != i])
+
+    pieces, shifts = [None] * n, [None] * n
+    for k, (block, (own, _, own_shifts, _)) in enumerate(zip(blocks, factors)):
+        for i, piece, shift in zip(block, own, own_shifts):
+            pieces[i] = reduce(np.matmul, [s[1] for s in states[:k]] + [_lift(piece, d, n, block)]
+                               + [s[0] for s in states[k + 1:]])
+            shifts[i] = on_others(shift, block, i) + sum(
+                on_others(h, b, i) for l, (b, h) in enumerate(zip(blocks, hs)) if l != k)
+    witness = sum(_lift(h, d, n, b) for b, h in zip(blocks, hs))
+    return pieces, witness, shifts, max(parts[3] for parts in factors)
+
+
+def _routed(rho, sigma, x: HermitianOperator) -> W1Certificate | None:
+    """The repaired bracket of the first structured route that applies to
+    rho, sigma: neighbouring, product, diagonal; None when none applies or
+    the bracket is wider than conic.GAP_TOL (1 + value)."""
+    site = is_neighboring(rho, sigma)
+    if site is not None:
+        route, parts = "neighbouring", _neighbouring_parts(x, site - 1)
+    elif len(blocks := _factor_blocks(rho, sigma)) > 1:
+        route, parts = "product", _product_parts(rho, sigma, blocks)
+    elif _is_diagonal(rho, sigma):
+        route, parts = "diagonal", _diagonal_parts([(rho, sigma)])[0]
+    else:
+        return None
+    pieces, h, shifts, iterations = parts
+    D = x.layout.dim
+    cert = _repaired(x, [HermitianOperator(x.layout, p) for p in pieces],
+                     h - np.trace(h) / D * np.eye(D), [-k for k in shifts], iterations, route)
+    return cert if cert.gap <= conic.GAP_TOL * (1.0 + cert.value) else None
+
+
 def w1_distance(rho, sigma, method: str = "primal") -> W1Certificate:
     """W1 distance between two states.  method "primal" or "dual" solves
-    from that side and reports its objective; "both" makes one primal solve
-    and reports the bracket of _bracket, value = primal >= dual."""
+    from that side and reports its objective.  "both" reports a repaired
+    bracket (_repaired), value = primal >= dual: from the first structured
+    route that applies (module docstring), else from one primal solve of
+    the W1 program of rho - sigma."""
     x = _state_difference(rho, sigma)
     if method == "primal":
         return w1_primal(x)
@@ -339,7 +529,7 @@ def w1_distance(rho, sigma, method: str = "primal") -> W1Certificate:
         return w1_dual(x)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    return next(_w1_primal_runs([x], bracket=True))
+    return _routed(rho, sigma, x) or next(_w1_primal_runs([x], bracket=True))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from qw1 import (
     QuditLayout,
     basis_state,
     embed_operator,
+    haar_unitary,
     is_neighboring,
     lipschitz_constant,
     lipschitz_constants,
@@ -41,6 +42,7 @@ from qw1.operators import (
     load_operator,
     operator_norm,
     partial_trace,
+    permute_sites,
     replace_with_maximally_mixed,
 )
 from qw1 import w1
@@ -139,7 +141,7 @@ def test_residuals_at_one_site_report_the_floored_trace():
         assert cert.residuals(x)["marginal"] == pytest.approx(marginal, rel=1e-6, abs=0.0)
 
 
-# --- the bracket of method "both", from one solve -------------------------
+# --- the bracket of method "both" -------------------------------------------
 
 def _closed_form_pairs():
     """pytest params (rho, sigma, exact W1) for pairs whose distance is known
@@ -235,10 +237,216 @@ def test_both_makes_one_solve(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(conic, "solve", counting)
+    # a pair that no structured route takes: one solve of the whole program
+    lay = _qubits(2)
+    cert = w1_distance(random_density(lay, seed=1), random_density(lay, seed=2), method="both")
+    assert len(calls) == 1 and cert.route == "program"
+    # the Bell pair against I/4 is neighbouring (its marginals are I/2): none
     gamma = maximally_entangled(2)
     cert = w1_distance(gamma, maximally_mixed(gamma.layout), method="both")
-    assert len(calls) == 1
+    assert len(calls) == 1 and cert.route == "neighbouring"
     assert cert.dual <= 0.75 + 1e-12 and 0.75 <= cert.primal + 1e-12
+
+
+# --- the structured routes of method "both" ---------------------------------
+
+def _neighbouring_pair(d, n, seed):
+    """A random state and its image under a Haar unitary on one random site:
+    their marginals off that site agree."""
+    rng = np.random.default_rng(seed)
+    lay = QuditLayout(d, n)
+    rho = random_density(lay, seed=rng)
+    u = embed_matrix(haar_unitary(d, seed=rng), lay, [int(rng.integers(1, n + 1))])
+    return rho, DensityMatrix(lay, u @ rho.matrix @ u.conj().T)
+
+
+def _product_pair(d, sizes, seed):
+    """Two products of random states on blocks of the given sizes, with the
+    sites shuffled by one random permutation."""
+    rng = np.random.default_rng(seed)
+    perm = [int(j) + 1 for j in rng.permutation(sum(sizes))]
+    return tuple(permute_sites(functools.reduce(tensor_product, [
+        random_density(QuditLayout(d, k), seed=rng) for k in sizes]), perm) for _ in range(2))
+
+
+def _diagonal_pair(d, n, seed):
+    rng = np.random.default_rng(seed)
+    lay = QuditLayout(d, n)
+    return tuple(diagonal_state(Distribution(lay, rng.dirichlet(np.ones(lay.dim))))
+                 for _ in range(2))
+
+
+def _route_cases():
+    """pytest params (route, rho, sigma, whether a W1 program runs)."""
+    for k, (d, n) in enumerate([(2, 2), (2, 3), (2, 4), (3, 2)]):
+        yield pytest.param("neighbouring", *_neighbouring_pair(d, n, 900 + k), False,
+                           id=f"neighbouring ({d},{n})")
+        # blocks of two sites are random pairs, which take their programs
+        sizes = {2: (1, 1), 3: (1, 2), 4: (2, 2)}[n]
+        yield pytest.param("product", *_product_pair(d, sizes, 910 + k), max(sizes) > 1,
+                           id=f"product ({d},{n})")
+        yield pytest.param("diagonal", *_diagonal_pair(d, n, 920 + k), False,
+                           id=f"diagonal ({d},{n})")
+    # a product whose two-site factor is diagonal and takes the transport LP
+    one = QuditLayout(2, 1)
+    pairs = zip(_diagonal_pair(2, 2, 930), (random_density(one, seed=931 + j) for j in range(2)))
+    yield pytest.param("product", *(permute_sites(tensor_product(a, b), [2, 3, 1])
+                                    for a, b in pairs), False,
+                       id="product of a diagonal and a one-site pair (2,3)")
+
+
+def _assert_feasible(cert, rho, sigma):
+    """The certificate's identities, and every shift attaining 1/2."""
+    lay = rho.layout
+    res = cert.residuals(w1._state_difference(rho, sigma))
+    assert res["sum"] <= 1e-9 and res["marginal"] <= 1e-9
+    assert cert.dual <= cert.primal == cert.value
+    h = cert.witness.matrix
+    for i, k in zip(lay.sites(), cert.shifts):
+        rest = [j for j in lay.sites() if j != i]
+        assert operator_norm(h - embed_matrix(k, lay, rest)) <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("route,rho,sigma,programs", list(_route_cases()))
+def test_each_route_meets_the_program(route, rho, sigma, programs):
+    cert = w1_distance(rho, sigma, method="both")
+    assert cert.route == route
+    want = w1_distance(rho, sigma, method="primal").value
+    assert abs(cert.value - want) <= 1e-7 * (1.0 + want)
+    assert cert.gap <= conic.GAP_TOL * (1.0 + cert.value)
+    _assert_feasible(cert, rho, sigma)
+    assert (cert.iterations > 0) == programs
+
+
+def test_a_product_counts_the_largest_iterations_of_its_factor_solves(monkeypatch):
+    one = QuditLayout(2, 2)
+    pairs = [(random_density(one, seed=930 + k), random_density(one, seed=940 + k))
+             for k in range(2)]
+    rho, sigma = (tensor_product(a, b) for a, b in zip(*pairs))
+    solves = []
+    solve = conic.solve
+    monkeypatch.setattr(conic, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    cert = w1_distance(rho, sigma, method="both")
+    # both factor programs go to one batch, which the solver takes in one solve
+    assert cert.route == "product" and len(solves) == 1
+    assert cert.iterations == max(w1_distance(r, s, method="both").iterations for r, s in pairs)
+
+
+@pytest.mark.parametrize("d,n,lone,route", [(2, 4, None, "product"),
+                                            (3, 3, "mixed", "neighbouring"),
+                                            (3, 3, "random", "product")])
+def test_entangled_pairs_on_random_sites(d, n, lone, route):
+    # maximally entangled pairs on shuffled sites against I/d^n; at (3,3) one
+    # pair and a lone site.  With the lone site maximally mixed, removing a
+    # site of the pair leaves I/d^2 on both sides, so the pair is
+    # neighbouring before it is a product
+    rng = np.random.default_rng(950 + n)
+    lay, one = QuditLayout(d, n), QuditLayout(d, 1)
+    factors = [maximally_entangled(d)] * (n // 2)
+    want = n // 2 * (d * d - 1.0) / (d * d)
+    if lone == "mixed":
+        factors.append(maximally_mixed(one))
+    elif lone == "random":
+        tau = random_density(one, seed=rng)
+        factors.append(tau)
+        want += trace_norm(tau.matrix - np.eye(d) / d) / 2.0
+    perm = [int(j) + 1 for j in rng.permutation(n)]
+    rho, sigma = permute_sites(functools.reduce(tensor_product, factors), perm), maximally_mixed(lay)
+    cert = w1_distance(rho, sigma, method="both")
+    assert cert.route == route and cert.iterations == 0
+    assert cert.dual - 1e-12 <= want <= cert.primal + 1e-12
+    assert cert.gap <= 1e-12
+    _assert_feasible(cert, rho, sigma)
+
+
+@pytest.mark.parametrize("kind", ["product", "diagonal"])
+def test_a_perturbed_structured_pair_takes_the_program(kind):
+    rho, sigma = _product_pair(2, (1, 2), 960) if kind == "product" else _diagonal_pair(2, 3, 960)
+    assert w1_distance(rho, sigma, method="both").route == kind
+    e = random_traceless(rho.layout, seed=961).matrix
+    m = rho.matrix + 1e-6 * e / operator_norm(e)
+    rho = DensityMatrix(rho.layout, m / np.trace(m).real)
+    cert = w1_distance(rho, sigma, method="both")
+    assert cert.route == "program" and cert.iterations > 0
+    want = w1_distance(rho, sigma, method="primal").value
+    assert abs(cert.value - want) <= 1e-7 * (1.0 + want)
+
+
+def test_every_one_site_pair_is_neighbouring(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a one-site pair reached the solver")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
+    for d in (2, 3, 4):
+        one = QuditLayout(d, 1)
+        pairs = [(random_density(one, seed=970 + d), random_density(one, seed=980 + d)),
+                 (basis_state(one, [0]), basis_state(one, [d - 1])),
+                 (maximally_mixed(one), random_density(one, rank=1, seed=990 + d))]
+        for rho, sigma in pairs:
+            cert = w1_distance(rho, sigma, method="both")
+            want = trace_norm(rho.matrix - sigma.matrix) / 2.0
+            assert cert.route == "neighbouring" and cert.iterations == 0
+            assert cert.dual - 1e-12 <= want <= cert.primal + 1e-12
+            _assert_feasible(cert, rho, sigma)
+
+
+def test_routes_rerun_to_the_same_bits():
+    for rho, sigma in [_neighbouring_pair(2, 3, 1), _product_pair(2, (2, 2), 2),
+                       _diagonal_pair(3, 2, 3)]:
+        a, b = (w1_distance(rho, sigma, method="both") for _ in range(2))
+        assert a.route == b.route != "program"
+        assert (a.value, a.primal, a.dual, a.gap) == (b.value, b.primal, b.dual, b.gap)
+        for p, q in zip(a.decomposition + [a.witness], b.decomposition + [b.witness]):
+            assert p.matrix.tobytes() == q.matrix.tobytes()
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(a.shifts, b.shifts))
+
+
+def _bracket_reference(x, sol, first_full):
+    """The bracket of one solve as _bracket computed it before its repair
+    became a function that the structured routes share."""
+    layout, d, n = x.layout, x.d, x.n
+    cert = w1._certificate(x, sol, first_full, sol.primal_objective)
+    pieces = [xi.matrix - replace_with_maximally_mixed(xi, i).matrix
+              for i, xi in zip(layout.sites(), cert.decomposition)]
+    rest = HermitianOperator(layout, x.matrix - sum(pieces))
+    decomposition = [HermitianOperator(layout, p + t)
+                     for p, t in zip(pieces, w1._telescoping_hint(rest))]
+    primal = sum(float(np.abs(np.linalg.eigvalsh(xi.matrix)).sum())
+                 for xi in decomposition) / 2.0
+    h = cert.witness.matrix
+    ks = [conic.smat(yi, d ** (n - 1)) for yi in sol.y[:first_full].reshape(n, -1)]
+    spans = [np.linalg.eigvalsh(
+        h + w1._lift(k, d, n, [j for j in range(n) if j != i]))[[0, -1]]
+        for i, k in enumerate(ks)]
+    t = max(hi - lo for lo, hi in spans)
+    scale = 1.0 / t if t > 0 else 0.0
+    witness = HermitianOperator(layout, h * scale)
+    dual = min(float(np.trace(witness.matrix @ x.matrix).real), primal)
+    return w1.W1Certificate(
+        value=primal, decomposition=decomposition, witness=witness,
+        primal=primal, dual=dual, gap=primal - dual, iterations=sol.iterations,
+        shifts=[((lo + hi) / 2.0 * np.eye(d ** (n - 1)) - k) * scale
+                for (lo, hi), k in zip(spans, ks)],
+    )
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_random_pairs_keep_the_bracket_of_one_solve_bit_for_bit(d, n):
+    lay = QuditLayout(d, n)
+    rho, sigma = random_density(lay, seed=1000 + d), random_density(lay, seed=1010 + n)
+    cert = w1_distance(rho, sigma, method="both")
+    assert cert.route == "program"
+    x = w1._state_difference(rho, sigma)
+    problem, first_full = _w1_program(x)
+    x0 = np.concatenate([conic.svec(part) for xi in w1._telescoping_hint(x)
+                         for part in w1._positive_parts(xi)])
+    (sol,) = conic._solved_batch([problem], ["W1 primal SDP"], [x0])
+    want = _bracket_reference(x, sol, first_full)
+    assert (cert.value, cert.primal, cert.dual, cert.gap, cert.iterations) == (
+        want.value, want.primal, want.dual, want.gap, want.iterations)
+    for p, q in zip(cert.decomposition + [cert.witness], want.decomposition + [want.witness]):
+        assert p.matrix.tobytes() == q.matrix.tobytes()
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(cert.shifts, want.shifts))
 
 
 def test_not_traceless_rejected():
