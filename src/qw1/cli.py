@@ -2,15 +2,22 @@
 
 Exit codes: 0 success, 1 invalid input (bad flags, malformed or rejected
 files), 2 numerical/solver failure, 3 verification failure from `verify`.
-All numeric output is rounded to 12 significant digits; identical
-invocations at the same BLAS thread count produce byte-identical output.
+Every command but `verify` prints the bytes of
+`json.dumps(lab._round12(payload), sort_keys=True, indent=1)` and a newline:
+each float rounded to 12 significant digits and printed as the shortest
+decimal that reads back to it, keys sorted, one-space indent.  `verify`
+prints `BatteryReport.to_json_lines()`.  Identical invocations at the same
+BLAS thread count produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -18,7 +25,7 @@ from . import classical as cl
 from . import channels as ch
 from .errors import EigenFailure, InvalidInput, NoFixedPoint, QW1Error, SolverFailure
 from .lab import (run_battery, _FAMILIES, _mgf_check, _require_delta, _require_finite,
-                  _round12, _tail_check)
+                  _tail_check)
 from .operators import QuditLayout, load_operator, maximally_mixed
 from .w1 import lipschitz_constant, lipschitz_estimate, w1_distance
 
@@ -31,8 +38,98 @@ def _write(text, output):
             fh.write(text)
 
 
+# `_json_text` writes json.dumps(lab._round12(payload), sort_keys=True,
+# indent=1) in one pass: the walk turns the payload into a %-template with one
+# %s slot per float, collecting the floats in order, and one "%.12g" format
+# prints them all.  Where that text has a point and no exponent it is already
+# repr(float(f"{x:.12g}")), the number json.dumps prints; any other text
+# (integral values, exponents, subnormals) is read back and printed by repr,
+# and inf and nan become JSON's Infinity and NaN.  "0", the commonest, is
+# looked up rather than read back.
+_TEXTS = {"0": "0.0", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+@functools.lru_cache(maxsize=64)
+def _nest_template(shape, depth):
+    """The template of a rectangular nest of floats of this shape."""
+    if not shape:
+        return "%s"
+    pad = "\n" + " " * (depth + 1)
+    item = _nest_template(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
+
+
+def _float_nest(items):
+    """(shape, floats in order) of a nest of lists whose leaves are all
+    floats at one depth and whose lists at each depth have one nonzero
+    length, else None."""
+    shape = []
+    while True:
+        types = set(map(type, items))
+        if all(issubclass(t, float) for t in types):
+            return tuple(shape), items
+        if not all(issubclass(t, (list, tuple)) for t in types):
+            return None
+        lengths = set(map(len, items))
+        if len(lengths) > 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(itertools.chain.from_iterable(items))
+
+
+def _template(obj, depth, floats):
+    """obj's JSON text as json.dumps(indent=1, sort_keys=True) writes it, %
+    escaped and with a %s slot for each float, which goes onto `floats`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj).replace("%", "%%")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        floats.append(obj)
+        return "%s"
+    pad = "\n" + " " * (depth + 1)
+    close = "\n" + " " * depth
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        nest = _float_nest([obj])
+        if nest is not None:
+            floats.extend(nest[1])
+            return _nest_template(nest[0], depth)
+        items = [_template(v, depth + 1, floats) for v in obj]
+        return "[" + pad + ("," + pad).join(items) + close + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = json.dumps(key)
+            items.append(_template(key, 0, floats) + ": " + _template(value, depth + 1, floats))
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """json.dumps(lab._round12(payload), sort_keys=True, indent=1)."""
+    floats = []
+    template = _template(payload, 0, floats)
+    texts = (("%.12g\n" * len(floats)) % tuple(floats)).split("\n")[:-1]
+    texts = [t if "." in t and "e" not in t else _TEXTS.get(t) or repr(float(t)) for t in texts]
+    return template % tuple(texts)
+
+
 def _emit(payload, output):
-    _write(json.dumps(_round12(payload), sort_keys=True, indent=1) + "\n", output)
+    _write(_json_text(payload) + "\n", output)
 
 
 def _read_json(path):
@@ -173,7 +270,7 @@ def cmd_concentration(hamiltonian, ts, deltas, output):
 @click.option("--suite", default="all", show_default=True,
               help='"all" or comma-separated check family names')
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @_output_option
 def cmd_verify(suite, seed, trials, output):
     """Run the inequality battery; exits 3 on any failed check."""

@@ -411,7 +411,8 @@ def haar_unitary(dim: int, seed=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(rows, expect_dim: int | None = None) -> np.ndarray:

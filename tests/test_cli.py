@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qw1.cli
 from qw1 import conic
 from qw1.errors import SolverFailure
-from qw1.lab import BatteryReport, CheckResult, run_battery
+from qw1.lab import BatteryReport, CheckResult, _round12, run_battery
 from qw1.operators import QuditLayout
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -177,6 +181,89 @@ def test_output_file_matches_stdout(tmp_path):
     assert out.read_text() == via_stdout.stdout
 
 
+def _reference_text(payload):
+    return json.dumps(_round12(payload), sort_keys=True, indent=1)
+
+
+# every command that prints through the writer, on the fixtures: dist by each
+# method and by the program route (a basis state against the Bell pair) as
+# well as the neighbouring one, lip exact on a program and a closed form and
+# --estimate, classical, channel with and without samples, and concentration
+WRITER_COMMANDS = [
+    *(["dist", fx("entangled_pair"), fx("mixed_2q"), "--method", m]
+      for m in ("both", "primal", "dual")),
+    ["dist", fx("basis_00"), fx("entangled_pair")],
+    ["lip", fx("heisenberg_pair")],
+    ["lip", fx("sigma_z_sum_n3")],
+    ["lip", fx("sigma_z_sum_n3"), "--estimate"],
+    ["classical", fx("dist_point_00"), fx("dist_point_11")],
+    ["channel", "--channel", "amplitude-damping", "--p", "0.1", "--n", "2",
+     "--samples", "5", "--seed", "7"],
+    ["channel", "--channel", "depolarizing", "--p", "0.3", "--n", "2"],
+    ["concentration", fx("sigma_z_sum_n3"), "--t", "0.5", "--t", "1.0", "--delta", "1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITER_COMMANDS, ids=lambda argv: " ".join(
+    Path(a).stem if a.endswith(".json") else a for a in argv))
+def test_writer_prints_json_dumps_of_every_command_payload(argv, monkeypatch, capsys):
+    payloads = []
+    emit = qw1.cli._emit
+    monkeypatch.setattr(qw1.cli, "_emit", lambda p, out: (payloads.append(p), emit(p, out)))
+    qw1.cli.main(argv)
+    [payload] = payloads
+    assert capsys.readouterr().out == _reference_text(payload) + "\n"
+
+
+_floats = st.one_of(
+    st.floats(),                                   # ±0.0, ±inf, nan, subnormals
+    st.floats(1e11, 1e17),                         # where repr turns positional
+    st.integers(-10 ** 17, 10 ** 17).map(float),   # integral floats
+    st.floats(allow_subnormal=True).map(np.float64),
+)
+_leaves = st.one_of(
+    _floats, st.integers(), st.booleans(), st.none(),
+    st.text(), st.text(alphabet="%sé\u2028\"\\\n 0"),
+)
+# rectangular nests of floats (the matrices' shape), empty ones included
+_nests = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                   max_side=3),
+                    elements=_floats.map(float)).map(np.ndarray.tolist)
+_payloads = st.recursive(
+    st.one_of(_leaves, _nests),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(alphabet="%ab\u00e9", max_size=3), kids, max_size=4),
+        st.lists(st.lists(_floats, max_size=3), max_size=3),     # ragged
+        st.lists(st.one_of(st.integers(), _floats), max_size=4),  # mixed int and float
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_writer_matches_json_dumps_on_any_payload(payload):
+    assert qw1.cli._json_text(payload) == _reference_text(payload)
+
+
+def test_writer_edge_floats():
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4, 1.0, -2.0,
+             99999999999.95, 999999999999.5, 1e12, 1.5e13, 1e15, 9.999999999995e15, 1e16,
+             np.float64(0.1)]
+    for x in edges:
+        assert qw1.cli._json_text([x, {"x": x}]) == _reference_text([x, {"x": x}]), x
+    assert qw1.cli._json_text({1: 2, 2.5: [3.0], True: None}) == \
+        _reference_text({1: 2, 2.5: [3.0], True: None})
+    for bad in ({(1, 2): 1.0}, [np.int64(1)], [np.bool_(True)], {"a": 1, 2: 1}):
+        with pytest.raises(TypeError):
+            _reference_text(bad)
+        with pytest.raises(TypeError):
+            qw1.cli._json_text(bad)
+
+
 def test_invalid_inputs_exit_one(tmp_path):
     run_cli("dist", fx("qubit_0"), "/nonexistent.json", expect=1)
     junk = tmp_path / "junk.json"
@@ -189,6 +276,9 @@ def test_invalid_inputs_exit_one(tmp_path):
     run_cli("channel", "--channel", "sideways", expect=1)
     run_cli("channel", "--channel", "depolarizing", expect=1)  # missing --p
     run_cli("verify", "--suite", "unknown-family", expect=1)
+    # a battery of no trials is refused, not reported as an empty pass
+    proc = run_cli("verify", "--trials", "0", expect=1)
+    assert "--trials" in proc.stderr and proc.stdout == ""
     # a suite that names no family is refused, not run as an empty battery
     for suite in (",", " , ", ""):
         proc = run_cli("verify", "--suite", suite, expect=1)

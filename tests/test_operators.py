@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,25 @@ def test_json_rejects_malformed():
         operator_from_json(bad)
     ok = matrix_to_json(np.eye(2))
     assert json.loads(json.dumps(ok)) == ok
+
+
+def _bits(rows):
+    return [[[(type(x), struct.pack("<d", x)) for x in z] for z in row] for row in rows]
+
+
+@pytest.mark.parametrize("order", [1, 27])
+def test_matrix_to_json_keeps_types_bits_and_signed_zeros(order):
+    rng = np.random.default_rng(order)
+    for _ in range(8):
+        parts = rng.standard_normal((2, order, order))
+        zeros = rng.integers(0, 3, parts.shape)    # 1 -> +0.0, 2 -> -0.0
+        parts[zeros == 1] = 0.0
+        parts[zeros == 2] = -0.0
+        m = np.empty((order, order), dtype=complex)
+        m.real, m.imag = parts
+        # the comprehension matrix_to_json replaced
+        old = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert _bits(matrix_to_json(m)) == _bits(old)
 
 
 def test_json_layout_fields_must_be_integers():
