@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,8 +92,7 @@ class KrausChannel:
     def apply(self, x: HermitianOperator) -> HermitianOperator:
         if x.layout != self.layout:
             raise DimensionMismatch(f"operator on {x.layout}, channel on {self.layout}")
-        cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-        return cls(self.layout, self.apply_matrix(x.matrix))
+        return type(x)(self.layout, self.apply_matrix(x.matrix))
 
     def choi(self) -> HermitianOperator:
         """sum_kl Phi(E_kl) (x) E_kl, i.e. the action on a maximally
@@ -103,10 +103,7 @@ class KrausChannel:
 
     def tensor_power(self, m: int) -> "KrausChannel":
         layout = QuditLayout(self.d, self.n * m)
-        ops = [
-            _kron_all(combo)
-            for combo in itertools.product(self.kraus, repeat=m)
-        ]
+        ops = [reduce(np.kron, combo) for combo in itertools.product(self.kraus, repeat=m)]
         return KrausChannel(layout, ops)
 
     def to_json(self) -> dict:
@@ -114,21 +111,10 @@ class KrausChannel:
                 "kraus": [matrix_to_json(k) for k in self.kraus]}
 
 
-def _kron_all(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def embed_channel(phi: KrausChannel, layout: QuditLayout, sites) -> KrausChannel:
     """Act with phi on the given sites of a larger register, identity elsewhere."""
     ops = [embed_matrix(k, layout, list(sites)) for k in phi.kraus]
     return KrausChannel(layout, ops)
-
-
-def identity_channel(layout: QuditLayout) -> KrausChannel:
-    return KrausChannel(layout, [np.eye(layout.dim, dtype=complex)])
 
 
 def fixed_point(phi: KrausChannel) -> DensityMatrix:
@@ -392,7 +378,7 @@ def tensor_power_contraction_bounds(phi: KrausChannel, n: int) -> ContractionRep
         p, omega = detected
         x1 = basis_state(QuditLayout(d, 1), [0]).matrix \
             - basis_state(QuditLayout(d, 1), [1]).matrix
-        witness = HermitianOperator(layout, _kron_all([x1] + [omega.matrix] * (n - 1)))
+        witness = HermitianOperator(layout, reduce(np.kron, [x1] + [omega.matrix] * (n - 1)))
         return ContractionReport(
             lower=p, upper=p, method=("depolarizing-exact",) * 2,
             witness=witness, witness_ratio=p, n=n)
@@ -403,7 +389,7 @@ def tensor_power_contraction_bounds(phi: KrausChannel, n: int) -> ContractionRep
     lower = 0.5 * val
     upper = min(1.0, d * val)
     x1 = rho_star.matrix - omega.matrix
-    witness = HermitianOperator(layout, _kron_all([x1] + [omega.matrix] * (n - 1)))
+    witness = HermitianOperator(layout, reduce(np.kron, [x1] + [omega.matrix] * (n - 1)))
     # the witness and its image are x (x) omega^(n-1) with Tr x = 0, whose
     # transport norm is 0.5 ||x||_1 in closed form
     den = trace_norm(x1)

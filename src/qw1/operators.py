@@ -239,8 +239,7 @@ def partial_trace(x: HermitianOperator, sites: int | Iterable[int]) -> Hermitian
         sites = [sites]
     gone = {x.layout.check_site(i) for i in sites}
     keep = [j for j in range(x.n) if j + 1 not in gone]
-    cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-    return cls(x.layout.drop(gone), _trace_out(x.matrix, x.d, x.n, keep))
+    return type(x)(x.layout.drop(gone), _trace_out(x.matrix, x.d, x.n, keep))
 
 
 def permute_sites(x: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
@@ -249,8 +248,7 @@ def permute_sites(x: HermitianOperator, perm: Sequence[int]) -> HermitianOperato
         raise IndexOutOfRange(f"{perm} is not a permutation of 1..{x.n}")
     axes = [p - 1 for p in perm] + [x.n + p - 1 for p in perm]
     t = x.matrix.reshape((x.d,) * (2 * x.n)).transpose(axes)
-    cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-    return cls(x.layout, t.reshape(x.layout.dim, x.layout.dim))
+    return type(x)(x.layout, t.reshape(x.layout.dim, x.layout.dim))
 
 
 def embed_operator(small: HermitianOperator, layout: QuditLayout,
@@ -319,8 +317,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def dephase(x: HermitianOperator) -> HermitianOperator:
     """Kill every off-diagonal entry (product-basis dephasing on all sites)."""
-    cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-    return cls(x.layout, np.diag(np.diag(x.matrix).real.astype(complex)))
+    return type(x)(x.layout, np.diag(np.diag(x.matrix).real.astype(complex)))
 
 
 def replace_with_maximally_mixed(x: HermitianOperator, i: int) -> HermitianOperator:
@@ -332,8 +329,7 @@ def replace_with_maximally_mixed(x: HermitianOperator, i: int) -> HermitianOpera
     rest = [j for j in range(x.n) if j != i - 1]
     # the lift puts the identity on site i, and 1/d makes it maximally mixed
     m = _lift(_trace_out(x.matrix, x.d, x.n, rest), x.d, x.n, rest)
-    cls = DensityMatrix if isinstance(x, DensityMatrix) else HermitianOperator
-    return cls(x.layout, m / x.d)
+    return type(x)(x.layout, m / x.d)
 
 
 def maximally_mixed(layout: QuditLayout) -> DensityMatrix:

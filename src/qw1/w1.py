@@ -28,23 +28,26 @@ points on the whole X, up to floating-point rounding and not in interval
 arithmetic (after Jansson, Chaykin and Keil, "Rigorous error bounds for the
 optimal value in semidefinite programming", SIAM J. Numer. Anal. 45
 (2007)).  The repaired decomposition gives the upper end, the rescaled
-witness the lower end, and the gap is their difference.  The three come
-from the first of these routes that applies to the states (_routed):
+witness the lower end, and the gap is their difference.  _parts takes the
+three, for the pair and for each factor pair of a product alike, from the
+first of these routes that applies:
 
 * neighbouring: is_neighboring finds a site i (every n = 1 pair has one);
   X^(i) = X, H = (Pi_+ - Pi_-)/2 from X's eigenprojections, K_j = 0, and
   the value is ||X||_1 / 2;
 * product: both states factor over a partition of the sites into two or
-  more blocks (STRUCTURE_TOL); each factor pair takes the neighbouring or
-  diagonal route or its own W1 program, all programs in one batch, and
-  the factors' parts are lifted to the whole space (W1 is additive);
+  more blocks (STRUCTURE_TOL); the factor pairs take their routes in one
+  _parts call, and their parts are lifted to the whole space (W1 is
+  additive);
 * diagonal: both states are diagonal (STRUCTURE_TOL); one transport LP
   pair of qw1.classical gives the coupling, whose masses walk one site at
   a time, and the potential f, with H = diag(f);
+* program: one primal solve of the W1 program of X, all such pairs in one
+  batch, whose decomposition and witness are already repaired (_bracket).
 
-else from one primal solve of the W1 program of X (_bracket).  A routed
-bracket wider than conic.GAP_TOL (1 + value) falls back to that solve too,
-so the routes' tolerances decide only which path runs, never the bracket.
+A structured bracket of the pair wider than conic.GAP_TOL (1 + value) falls
+back to the program route, so the routes' tolerances decide only which path
+runs, never the bracket.
 
 Every P_i, Q_i is one Hermitian PSD block of the layout's order D, in the
 svec coordinates of conic, which are the coordinates Tr[F_a X] along
@@ -446,37 +449,44 @@ def _diagonal_parts(pairs) -> list:
 
 
 def _parts(pairs) -> list:
-    """Pieces, witness, shifts and iterations of every state pair of pairs,
-    each from the first of: the neighbouring closed form, the diagonal
-    transport LPs (one call for all pairs), the repaired W1 programs (one
-    batch for all pairs)."""
+    """(route, parts) of every state pair of pairs, from the first route
+    that applies (module docstring).  The parts of a structured route are
+    its pieces, witness, shifts and iterations: the neighbouring closed
+    form, the factor pairs' own routes (_product_parts), the diagonal
+    transport LPs (one call for all pairs).  A program pair's parts are
+    its repaired certificate (_bracket), all programs in one batch."""
     out, diagonal, programs = [None] * len(pairs), [], []
     for j, (rho, sigma) in enumerate(pairs):
         site = is_neighboring(rho, sigma)
         if site is not None:
-            out[j] = _neighbouring_parts(_state_difference(rho, sigma), site - 1)
+            out[j] = "neighbouring", _neighbouring_parts(_state_difference(rho, sigma), site - 1)
+        elif len(blocks := _factor_blocks(rho, sigma)) > 1:
+            out[j] = "product", _product_parts(rho, sigma, blocks)
         else:
             (diagonal if _is_diagonal(rho, sigma) else programs).append(j)
     for j, parts in zip(diagonal, _diagonal_parts([pairs[j] for j in diagonal])):
-        out[j] = parts
+        out[j] = "diagonal", parts
     certs = _w1_primal_runs([_state_difference(*pairs[j]) for j in programs], bracket=True)
     for j, cert in zip(programs, certs):
-        out[j] = ([xi.matrix for xi in cert.decomposition], cert.witness.matrix,
-                  cert.shifts, cert.iterations)
+        out[j] = "program", cert
     return out
 
 
 def _product_parts(rho, sigma, blocks):
     """Pieces, witness, shifts and iterations of two states that factor over
-    blocks, from those of their factor pairs (_parts): site i of block k
-    gets sigma_<k (x) X_k^(i) (x) rho_>k, in site order, the witness is
-    sum_k H_k (x) I, and K_i is the factor's own shift plus sum_(l != k)
+    blocks, from those of their factor pairs (one _parts call): site i of
+    block k gets sigma_<k (x) X_k^(i) (x) rho_>k, in site order, the witness
+    is sum_k H_k (x) I, and K_i is the factor's own shift plus sum_(l != k)
     H_l (x) I; iterations is the largest of the factors'."""
     d, n = rho.d, rho.n
     pair = np.stack([rho.matrix, sigma.matrix])
     margs = [_trace_out(pair, d, n, b) for b in blocks]
-    factors = _parts([tuple(HermitianOperator(QuditLayout(d, len(b)), m) for m in ms)
-                      for b, ms in zip(blocks, margs)])
+    factors = [parts if route != "program" else
+               ([xi.matrix for xi in parts.decomposition], parts.witness.matrix,
+                parts.shifts, parts.iterations)
+               for route, parts in _parts([
+                   tuple(HermitianOperator(QuditLayout(d, len(b)), m) for m in ms)
+                   for b, ms in zip(blocks, margs)])]
     # rho_k (x) I and sigma_k (x) I
     states = [_lift(ms, d, n, b) for b, ms in zip(blocks, margs)]
     hs = [h for _, h, _, _ in factors]
@@ -496,32 +506,11 @@ def _product_parts(rho, sigma, blocks):
     return pieces, witness, shifts, max(parts[3] for parts in factors)
 
 
-def _routed(rho, sigma, x: HermitianOperator) -> W1Certificate | None:
-    """The repaired bracket of the first structured route that applies to
-    rho, sigma: neighbouring, product, diagonal; None when none applies or
-    the bracket is wider than conic.GAP_TOL (1 + value)."""
-    site = is_neighboring(rho, sigma)
-    if site is not None:
-        route, parts = "neighbouring", _neighbouring_parts(x, site - 1)
-    elif len(blocks := _factor_blocks(rho, sigma)) > 1:
-        route, parts = "product", _product_parts(rho, sigma, blocks)
-    elif _is_diagonal(rho, sigma):
-        route, parts = "diagonal", _diagonal_parts([(rho, sigma)])[0]
-    else:
-        return None
-    pieces, h, shifts, iterations = parts
-    D = x.layout.dim
-    cert = _repaired(x, [HermitianOperator(x.layout, p) for p in pieces],
-                     h - np.trace(h) / D * np.eye(D), [-k for k in shifts], iterations, route)
-    return cert if cert.gap <= conic.GAP_TOL * (1.0 + cert.value) else None
-
-
 def w1_distance(rho, sigma, method: str = "primal") -> W1Certificate:
     """W1 distance between two states.  method "primal" or "dual" solves
     from that side and reports its objective.  "both" reports a repaired
-    bracket (_repaired), value = primal >= dual: from the first structured
-    route that applies (module docstring), else from one primal solve of
-    the W1 program of rho - sigma."""
+    bracket (_repaired), value = primal >= dual, from the first route that
+    applies (_parts and the module docstring)."""
     x = _state_difference(rho, sigma)
     if method == "primal":
         return w1_primal(x)
@@ -529,7 +518,16 @@ def w1_distance(rho, sigma, method: str = "primal") -> W1Certificate:
         return w1_dual(x)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    return _routed(rho, sigma, x) or next(_w1_primal_runs([x], bracket=True))
+    ((route, parts),) = _parts([(rho, sigma)])
+    if route == "program":
+        return parts
+    pieces, h, shifts, iterations = parts
+    D = x.layout.dim
+    cert = _repaired(x, [HermitianOperator(x.layout, p) for p in pieces],
+                     h - np.trace(h) / D * np.eye(D), [-k for k in shifts], iterations, route)
+    if cert.gap <= conic.GAP_TOL * (1.0 + cert.value):
+        return cert
+    return next(_w1_primal_runs([x], bracket=True))
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +557,6 @@ def _lipschitz_program(m: np.ndarray, d: int, n: int, i: int) -> ConicProblem:
                         np.concatenate([-em, em]))
 
 
-def _spread(m: np.ndarray):
-    """lambda_max - lambda_min of the Hermitian m, and their midpoint."""
-    lam = np.linalg.eigvalsh(m)
-    return float(lam[-1] - lam[0]), (lam[-1] + lam[0]) / 2.0
-
-
 def _site_parts(h: HermitianOperator):
     """Per site i (0-based) of h: Tr_i(H)/d, the part H'_i = H -
     I_i (x) Tr_i(H)/d, and S_i, the sorted sites j where ||H'_i -
@@ -589,10 +581,9 @@ def lipschitz_constants(hs) -> list:
     Site i's value 2 min_K ||H - I_i (x) K||_inf is twice the optimum of
     max Tr[H (P_i - Q_i)] s.t. Tr[P_i + Q_i] = 1, Tr_i(P_i - Q_i) = 0,
     P_i, Q_i >= 0, whose multipliers of the partial-trace rows give the
-    optimal K.  At n = 1 the complement space is C, K is a scalar, and the
-    value is lambda_max - lambda_min in closed form.
+    optimal K.
 
-    For n > 1 site i's program is solved on the sites S_i its part H'_i =
+    Site i's program is solved on the sites S_i its part H'_i =
     H - E_i(H) acts on (see _site_parts and the module docstring): it is
     the program of h_i, the normalized partial trace of H'_i over the other
     sites (H'_i itself when S_i is every site), on the layout (d, |S_i|) at
@@ -612,10 +603,6 @@ def lipschitz_constants(hs) -> list:
     programs, names, pending = [], [], []
     for j, h in enumerate(hs):
         d, n = h.d, h.n
-        if n == 1:
-            value, mid = _spread(h.matrix)
-            out.append(([value], [np.array([[mid]], dtype=complex)]))
-            continue
         values, shifts = [None] * n, [None] * n
         out.append((values, shifts))
         of = f" of operator {j + 1}" if len(hs) > 1 else ""
@@ -623,8 +610,9 @@ def lipschitz_constants(hs) -> list:
         for i, keep in enumerate(supports):
             small = _trace_out(parts[i], d, n, keep) / d ** (n - len(keep))
             if len(keep) == 1:
-                values[i], mid = _spread(small)
-                shifts[i] = traces[i] + mid * np.eye(len(traces[i]))
+                lam = np.linalg.eigvalsh(small)
+                values[i] = float(lam[-1] - lam[0])
+                shifts[i] = traces[i] + (lam[-1] + lam[0]) / 2.0 * np.eye(len(traces[i]))
                 continue
             programs.append(_lipschitz_program(small, d, len(keep), keep.index(i)))
             names.append(f"Lipschitz SDP{of} at site {i + 1}")

@@ -14,7 +14,6 @@ from qw1.channels import (
     embed_channel,
     empirical_contraction,
     fixed_point,
-    identity_channel,
     light_cone_bound,
     one_to_one_norm,
     replacer,
@@ -72,7 +71,7 @@ def test_amplitude_damping_fixed_point():
 
 def test_identity_channel_and_fixed_point_invariance():
     lay = QuditLayout(2, 2)
-    ident = identity_channel(lay)
+    ident = KrausChannel(lay, [np.eye(lay.dim)])
     rho = random_density(lay, seed=4)
     np.testing.assert_allclose(ident.apply(rho).matrix, rho.matrix, atol=1e-14)
     ch = _random_channel(QuditLayout(2, 1), np.random.default_rng(9))
@@ -99,7 +98,7 @@ def test_choi_marginal_is_identity():
         assert j.layout == QuditLayout(2, 2)
         np.testing.assert_allclose(partial_trace(j, 1).matrix, np.eye(2), atol=1e-12)
     # identity channel: unnormalized maximally entangled state
-    j = identity_channel(Q1).choi()
+    j = KrausChannel(Q1, [np.eye(Q1.dim)]).choi()
     v = np.eye(2).ravel()
     np.testing.assert_allclose(j.matrix, np.outer(v, v), atol=1e-14)
 
@@ -139,7 +138,7 @@ def test_one_to_one_norm_amplitude_damping_vs_replacer():
     # maximized by a pure state tilted toward the equator, value sqrt(1/9)
     assert abs(val - 1.0 / 3.0) < 1e-6
     # against the identity the worst input is |1>, paying 2(1-p)
-    assert abs(one_to_one_norm(ch, identity_channel(Q1)) - 1.8) < 1e-6
+    assert abs(one_to_one_norm(ch, KrausChannel(Q1, [np.eye(Q1.dim)])) - 1.8) < 1e-6
 
 
 def test_one_to_one_norm_replacer_pair():
@@ -163,7 +162,7 @@ def test_diamond_norm_zero_and_value():
 
 def test_diamond_norm_orthogonal_unitaries():
     zch = KrausChannel(Q1, [SZ])
-    assert abs(diamond_norm(identity_channel(Q1), zch) - 2.0) < 1e-6
+    assert abs(diamond_norm(KrausChannel(Q1, [np.eye(Q1.dim)]), zch) - 2.0) < 1e-6
 
 
 def test_diamond_dominates_one_to_one():
@@ -209,7 +208,7 @@ def test_contraction_depolarizing_exact():
 
 
 def test_contraction_identity_channel():
-    rep = tensor_power_contraction_bounds(identity_channel(Q1), 2)
+    rep = tensor_power_contraction_bounds(KrausChannel(Q1, [np.eye(Q1.dim)]), 2)
     assert abs(rep.lower - 1.0) < 1e-9
     assert abs(rep.upper - 1.0) < 1e-9
 

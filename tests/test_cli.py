@@ -17,7 +17,8 @@ import qw1.cli
 from qw1 import conic
 from qw1.errors import SolverFailure
 from qw1.lab import BatteryReport, CheckResult, _round12, run_battery
-from qw1.operators import QuditLayout
+from qw1.operators import QuditLayout, load_operator
+from qw1.w1 import w1_distance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -64,6 +65,16 @@ def test_dist_default_method_brackets_the_entangled_pair():
     assert payload["gap"] == pytest.approx(primal - dual, abs=1e-11)
     assert dual - 1e-12 <= 0.75 <= primal + 1e-12
     assert payload["value"] == primal
+
+
+def test_dist_diagonal_route_brackets_the_hamming_distance():
+    # (|00><00| + |11><11|)/2 against |11><11|: the marginals differ on
+    # both sites and the first state is correlated, so the pair is neither
+    # neighbouring nor a product; half the mass moves two sites, W1 = 1
+    payload = json.loads(run_cli("dist", fx("correlated_2q"), fx("basis_11")).stdout)
+    assert payload["dual"] - 1e-9 <= 1.0 <= payload["primal"] + 1e-9
+    rho, sigma = (load_operator(fx(name), as_state=True) for name in ("correlated_2q", "basis_11"))
+    assert w1_distance(rho, sigma, method="both").route == "diagonal"
 
 
 def test_lip_identity_fixture_is_flat():

@@ -304,7 +304,7 @@ def test_every_fixture_loads():
     from qw1.classical import distribution_from_json
 
     paths = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
-    assert len(paths) == 20
+    assert len(paths) == 21
     for path in paths:
         payload = json.loads(path.read_text())
         loaded = (distribution_from_json if "weights" in payload else operator_from_json)(payload)
