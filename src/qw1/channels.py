@@ -49,6 +49,7 @@ from .operators import (
     operator_to_json,
     random_density,
     trace_norm,
+    _lift,
     _rng,
 )
 from .w1 import hermitian_basis, _w1_primal_runs
@@ -257,14 +258,15 @@ def diamond_norm(phi: KrausChannel, psi: KrausChannel) -> float:
     b = np.zeros(nfix + 2 * Ls)
     A[np.arange(nfix), fixed] = 1.0
     b[:nfix] = svec(corner)[fixed]
+    # the adjoint of Tr_out on the (out (x) in) Choi ordering: each basis
+    # element on the n input sites, the identity on the n output sites
+    lift = np.zeros((2, Ls, big, big), dtype=complex)
+    n = phi.layout.n
+    lift[0, :, :dj, :dj] = lift[1, :, dj:, dj:] = _lift(hermitian_basis(din), phi.layout.d,
+                                                        2 * n, range(n, 2 * n))
+    A[nfix:, :Lz] = svec(lift).reshape(2 * Ls, Lz)
     for a in range(2):
         rows = slice(nfix + a * Ls, nfix + (a + 1) * Ls)
-        block = slice(a * dj, (a + 1) * dj)
-        lift = np.zeros((big, big), dtype=complex)
-        for r, f in enumerate(hermitian_basis(din)):
-            # the adjoint of Tr_out on the (out (x) in) Choi ordering
-            lift[block, block] = np.kron(np.eye(din), f)
-            A[rows.start + r, :Lz] = svec(lift)
         A[rows, Lz + a * Ls:Lz + (a + 1) * Ls] = np.eye(Ls)
         A[rows, col_t[a]] = -svec(np.eye(din))
 

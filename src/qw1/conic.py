@@ -79,10 +79,12 @@ undone from that triangle and the diagonal kept aside (_factor).  A
 member's iterates, and so its final point and iteration count, equal those
 of its solo program bit for bit.
 
-_solved_batch stacks independent programs with _stack, one solve per
-run, and hands each program its slices of the solution, its own objectives
-and the iteration at which it stopped, or raises SolverFailure naming the
-program that failed.  Every solve of the package goes through it, the W1
+solve hands back each component's own solution too, in
+ConicSolution.parts: its slices of x, y and s, its own objectives, gap and
+scaled residuals, and the iteration at which it stopped.  _solved_batch
+stacks independent programs with _stack, one solve per run, and returns
+the parts of each run's solve, or raises SolverFailure naming the program
+that failed.  Every solve of the package goes through it, the W1
 dual and the diamond norm as batches of one, each caller with one call:
 _solved_batch itself splits a batch into runs that _batch_chunks bounds by
 the memory of their A, counted dense, and Schur matrices.
@@ -220,7 +222,8 @@ class ConicProblem:
 @dataclass
 class ConicSolution:
     """The final iterate.  Over the parts of a stack the objectives are
-    sums and the gap and residuals the largest part's."""
+    sums and the gap and residuals the largest part's; parts holds each
+    part's own solution, in order (see solve)."""
 
     status: SolverStatus
     x: np.ndarray
@@ -236,10 +239,7 @@ class ConicSolution:
     # the component (part) whose trouble ended a NumericalFailure, or the
     # first one still running at MaxIterations, numbered from 0
     component: int | None = None
-    # per component the iteration at which it stopped (the last iteration
-    # for one that never did); None on the solution of one program of a
-    # _solved_batch
-    stopped_at: np.ndarray | None = None
+    parts: tuple = ()
 
     @property
     def optimal(self) -> bool:
@@ -1010,9 +1010,10 @@ def _factor(M: np.ndarray, rows):
 def solve(problem: ConicProblem, x0: np.ndarray | None = None,
           y0: np.ndarray | None = None) -> ConicSolution:
     """Run the interior-point method on the parts of the program, or on the
-    one program, in lockstep.  Raises InvalidInput if A lacks full row rank;
-    never raises on numerical trouble, reports it through the status field,
-    and its cause and component, instead."""
+    one program, in lockstep, and return the solution of the whole with
+    each part's own in its parts.  Raises InvalidInput if A lacks full row
+    rank; never raises on numerical trouble, reports it through the status
+    field, and its cause and component, instead."""
     cone = _Cone(problem.psd_blocks, problem.lp_dim)
     comps = _Components(problem, cone)
     A, b, _ = _presolve(problem.A, problem.b, comps)
@@ -1051,7 +1052,7 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
         y = np.zeros(m)
 
     running = np.ones(comps.count, dtype=bool)
-    stopped_at = np.zeros(comps.count, dtype=int)
+    ended_at = np.zeros(comps.count, dtype=int)
     failure = None  # (component, cause)
     it = 0
 
@@ -1065,7 +1066,7 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
                        mu[j], gap, pres, dres)
             if gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL:
                 running[j] = False
-                stopped_at[j] = it
+                ended_at[j] = it
             elif not (np.isfinite(mu[j]) and np.isfinite(pobj) and np.isfinite(dobj)):
                 failure = int(j), (f"non-finite mu {mu[j]:.3e} or objective "
                               f"(primal {pobj:.3e}, dual {dobj:.3e})")
@@ -1147,12 +1148,20 @@ def solve(problem: ConicProblem, x0: np.ndarray | None = None,
         component, cause = None, ""
     _, _, stats = measure(x, y, s)
     gap, pres, dres = (max(col) for col in list(zip(*stats))[2:])
-    stopped_at[running] = it
+    ended_at[running] = it
+    parts = tuple(
+        ConicSolution(status=status if running[j] else SolverStatus.Optimal,
+                      x=x[coords], y=y[rows], s=s[coords],
+                      primal_objective=pobj, dual_objective=dobj, gap=part_gap,
+                      primal_residual=float(part_pres), dual_residual=float(part_dres),
+                      iterations=int(ended_at[j]))
+        for j, (rows, coords, (pobj, dobj, part_gap, part_pres, part_dres))
+        in enumerate(zip(comps.rows, comps.coords, stats)))
     return ConicSolution(
         status=status, x=x, y=y, s=s,
         primal_objective=float(c @ x), dual_objective=float(b @ y), gap=gap,
         primal_residual=float(pres), dual_residual=float(dres),
-        iterations=it, cause=cause, component=component, stopped_at=stopped_at,
+        iterations=it, cause=cause, component=component, parts=parts,
     )
 
 
@@ -1176,13 +1185,14 @@ def _solved_batch(problems, names, x0s=None, y0s=None) -> list:
     of a _stack (see the module docstring).  _batch_chunks splits the batch
     into runs of consecutive programs of bounded memory, one stack each.
 
-    Returns one ConicSolution per program, with its slices of x, y and s, its
-    own objectives and gap, its run's largest residuals, and as iterations
-    the one at which it stopped.  names[i] names program i; a solve that
-    ends other than Optimal raises SolverFailure naming the failing program.
-    x0s and y0s are None or hold a start for every program.  The programs
-    of a batch of more than one must be all PSD-only or all LP-only, so that
-    a stack keeps its LP tail after its blocks; InvalidInput refuses a mix."""
+    Returns the parts of each run's solve: per program its slices of x, y
+    and s, its own objectives, gap and residuals, and as iterations the one
+    at which it stopped, the fields of its solo solve.  names[i] names
+    program i; a solve that ends other than Optimal raises SolverFailure
+    naming the failing program.  x0s and y0s are None or hold a start for
+    every program.  The programs of a batch of more than one must be all
+    PSD-only or all LP-only, so that a stack keeps its LP tail after its
+    blocks; InvalidInput refuses a mix."""
     problems = list(problems)
     if len(problems) > 1 and not (all(p.lp_dim == 0 for p in problems)
                                   or all(not p.psd_blocks for p in problems)):
@@ -1191,30 +1201,12 @@ def _solved_batch(problems, names, x0s=None, y0s=None) -> list:
     for run in _batch_chunks([p.A.shape for p in problems]):
         x0, y0 = (None if hints is None else np.concatenate([hints[i] for i in run])
                   for hints in (x0s, y0s))
-        out += _solved_run([problems[i] for i in run], [names[i] for i in run], x0, y0)
-    return out
-
-
-def _solved_run(problems, names, x0, y0) -> list:
-    """_solved_batch of one run, from one solve of its stack from x0, y0."""
-    stack = _stack(problems)
-    sol = solve(stack, x0=x0, y0=y0)
-    if not sol.optimal:
-        cause = f": {sol.cause}" if sol.cause else ""
-        raise SolverFailure(f"{names[sol.component]} ended with {sol.status.value} "
-                            f"after {sol.iterations} iterations{cause}")
-    rows = np.cumsum([0] + [p.A.shape[0] for p in problems])
-    coords = np.cumsum([0] + [p.num_vars for p in problems])
-    out = []
-    for i, stopped_at in enumerate(sol.stopped_at):
-        r, v = slice(rows[i], rows[i + 1]), slice(coords[i], coords[i + 1])
-        pobj, dobj = float(stack.c[v] @ sol.x[v]), float(stack.b[r] @ sol.y[r])
-        out.append(ConicSolution(
-            status=sol.status, x=sol.x[v], y=sol.y[r], s=sol.s[v],
-            primal_objective=pobj, dual_objective=dobj,
-            gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-            primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
-            iterations=int(stopped_at)))
+        sol = solve(_stack([problems[i] for i in run]), x0=x0, y0=y0)
+        if not sol.optimal:
+            cause = f": {sol.cause}" if sol.cause else ""
+            raise SolverFailure(f"{names[run[sol.component]]} ended with {sol.status.value} "
+                                f"after {sol.iterations} iterations{cause}")
+        out += sol.parts
     return out
 
 

@@ -755,9 +755,16 @@ def run_battery(seed: int = 42, trials: int = 100, layouts=None,
     `trials` sets the instance count for cheap checks; checks that solve
     full transport SDPs per instance run max(2, trials // 25) instances so
     the default battery stays fast. trials = 0 runs nothing and reports an
-    empty pass. `only` restricts to the named families (and then skips the
-    coverage assertion).
+    empty pass. `only` restricts to the named families, a str naming one
+    (and then skips the coverage assertion); InvalidInput refuses a name
+    that is no family's.
     """
+    if only is not None:
+        only = (only,) if isinstance(only, str) else tuple(only)
+        known = {name for name, _, _ in _FAMILIES}
+        bad = [s for s in only if s not in known]
+        if bad:
+            raise InvalidInput(f"unknown suite families {bad}; known: {sorted(known)}")
     if seed < 0:
         raise InvalidInput("seed must be nonnegative")
     if trials < 0:

@@ -846,12 +846,14 @@ def test_components_solved_in_lockstep_match_solo(seed):
     sol = solve(joint)
     assert sol.optimal
     assert sol.iterations == max(s.iterations for s in solo_sols)
-    assert sol.stopped_at.tolist() == [s.iterations for s in solo_sols]
-    for coords, rows, s in zip(comps.coords, comps.rows, solo_sols):
+    assert [p.iterations for p in sol.parts] == [s.iterations for s in solo_sols]
+    for coords, rows, s, part in zip(comps.coords, comps.rows, solo_sols, sol.parts):
         assert sol.x[coords].tobytes() == s.x.tobytes()
         assert sol.y[rows].tobytes() == s.y.tobytes()
         assert sol.s[coords].tobytes() == s.s.tobytes()
         assert float(joint.c[coords] @ sol.x[coords]) == s.primal_objective
+        assert (part.primal_objective, part.dual_objective, part.gap) == \
+            (s.primal_objective, s.dual_objective, s.gap)
 
 
 def test_csr_constraints_give_identical_bytes(monkeypatch):
@@ -1183,6 +1185,21 @@ def test_batch_members_match_solo_solves(psd):
         assert abs(got.dual_objective - p.b @ got.y) <= 1e-12 * scale
         np.testing.assert_allclose(p.A @ got.x, p.b, atol=1e-7 * (1 + abs(p.b).max()))
         assert got.gap <= 1e-8 and got.primal_residual <= 1e-8 and got.dual_residual <= 1e-8
+
+
+def test_batched_program_equals_its_solo_solve_in_every_field():
+    # each program's residuals are its own, not the largest of its run
+    programs = [w1._w1_program(random_traceless(QuditLayout(2, 2), seed=s))[0]
+                for s in (1, 2, 3)]
+    batch = conic._solved_batch(programs, ["1", "2", "3"])
+    assert len(batch) == 3
+    for prob, got in zip(programs, batch):
+        (want,) = conic._solved_batch([prob], ["solo"])
+        for name in ("x", "y", "s"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("primal_objective", "dual_objective", "gap", "primal_residual",
+                     "dual_residual", "iterations"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 ISOLATION_LAYOUTS = [(2, 1), (2, 2), (2, 3), (3, 2)]

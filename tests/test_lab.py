@@ -180,6 +180,21 @@ def test_battery_only_filter():
     assert rep.passed
 
 
+def test_battery_refuses_an_unknown_family():
+    # a misspelt name is refused, not run as an empty battery that passes
+    with pytest.raises(InvalidInput, match=r"^unknown suite families \['pinskr'\]; known: "):
+        run_battery(seed=1, trials=3, only=("pinskr",))
+    with pytest.raises(InvalidInput, match="pinskr"):
+        run_battery(seed=1, trials=3, only="pinskr")
+
+
+def test_battery_only_compares_whole_names():
+    # a bare str is one name, not the set of names it contains
+    rep = run_battery(seed=1, trials=2, only="classical-marton")
+    assert rep.results
+    assert {r.name for r in rep.results} == {"classical-marton"}
+
+
 def test_contraction_bracket_lower_on_seed_where_empirical_is_smaller():
     # at this seed the 8-sample empirical contraction of instance 1 (0.3710)
     # is below half the one-to-one norm (0.4049); the witness ratio is not
